@@ -212,6 +212,53 @@ def exp_cell_weights(time: TimeGrid, beta: float, t_start: float = 0.0) -> np.nd
     return w
 
 
+def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
+                   betas: Sequence[float], t_start: float = 0.0) -> np.ndarray:
+    """weighted_norm of every field at every beta, shape (len(fields), len(betas)).
+
+    All norms come from one backward sweep: each (field, beta) pair owns a
+    trailing value column. This is exact because the sweep maximizes every
+    column independently and the running cost does not depend on the
+    covariance.
+    """
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    for f in fields:
+        if f.shape[0] != lattice.steps + 1 or f.shape[1:1 + lattice.d] != lattice.space.shape:
+            raise DimensionError("field does not match the lattice layout")
+    return _layerwise_norms(lambda k: [f[k] for f in fields], len(fields),
+                            lattice, betas, t_start)
+
+
+def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice,
+                     betas: Sequence[float], t_start: float = 0.0) -> np.ndarray:
+    """weighted_norms of `count` fields given layer by layer: layers(k) lists
+    their (*grid, *trailing) values at layer k, so a caller can form derived
+    fields (differences) one layer at a time. The per-layer cost is built on
+    demand (the sweep asks once per covariance), so no
+    (layers, *grid, count * betas) array is ever formed.
+    """
+    grid = lattice.space.shape
+    weights = np.stack([exp_cell_weights(lattice.time, b, t_start) for b in betas],
+                       axis=-1)                                  # (steps, B)
+    columns = count * weights.shape[1]
+    cached = {}
+
+    def squared(layer: np.ndarray) -> np.ndarray:
+        tail_axes = tuple(range(lattice.d, layer.ndim))
+        return np.sum(layer * layer, axis=tail_axes) if tail_axes else layer * layer
+
+    def step_cost(k, _c):
+        if k not in cached:
+            cached.clear()
+            sq = np.stack([squared(layer) for layer in layers(k)], axis=-1)
+            cached[k] = (sq[..., None] * weights[k]).reshape(grid + (columns,))
+        return cached[k]
+
+    zero = np.zeros(grid + (columns,))
+    total = _sweep(lattice, zero, step_cost)[lattice.origin_index]
+    return np.sqrt(np.maximum(total, 0.0)).reshape(count, -1)
+
+
 def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float,
                   t_start: float = 0.0) -> float:
     """Worst-case exponentially weighted L2 norm of a lattice process.
@@ -220,20 +267,7 @@ def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float,
     and summed pointwise. Returns the square root of the worst-case expected
     time integral of exp(beta s) |field_s|^2 over [t_start, horizon].
     """
-    field = np.asarray(field, dtype=float)
-    grid_nd = lattice.d
-    if field.shape[0] != lattice.steps + 1 or field.shape[1:1 + grid_nd] != lattice.space.shape:
-        raise DimensionError("field does not match the lattice layout")
-    tail_axes = tuple(range(1 + grid_nd, field.ndim))
-    sq = np.sum(field * field, axis=tail_axes) if tail_axes else field * field
-    weights = exp_cell_weights(lattice.time, beta, t_start)
-
-    def step_cost(k, _c):
-        return (weights[k] * sq[k])[..., None]
-
-    zero = np.zeros(lattice.space.shape + (1,))
-    total = _sweep(lattice, zero, step_cost)[lattice.origin_index]
-    return float(math.sqrt(max(total[0], 0.0)))
+    return float(weighted_norms([field], lattice, [beta], t_start)[0, 0])
 
 
 def _state_expectation(lattice: Lattice, values: np.ndarray, layer: int) -> float:

@@ -355,20 +355,24 @@ def _fields_csv(sol) -> tuple:
               + [f"Z_{a + 1}{i + 1}" for a in range(d) for i in range(n)]
               + [f"eta_{i + 1}{a + 1}" for i in range(n) for a in range(d)]
               + [f"K_{i + 1}" for i in range(n)])
-    rows = []
-    zeros = np.zeros(lat.space.shape + (n,))
-    states = lat.states
-    for k in range(lat.steps + 1):
-        k_layer = sol.K_inc[k] if k < lat.steps else zeros
-        for idx in np.ndindex(lat.space.shape):
-            row = [_fmt(times[k])]
-            row += [_fmt(states[idx + (a,)]) for a in range(d)]
-            row += [_fmt(sol.Y[(k,) + idx + (i,)]) for i in range(n)]
-            row += [_fmt(sol.Z[(k,) + idx + (a, i)]) for a in range(d) for i in range(n)]
-            row += [_fmt(sol.eta[(k,) + idx + (i, a)]) for i in range(n) for a in range(d)]
-            row += [_fmt(k_layer[idx + (i,)]) for i in range(n)]
-            rows.append(row)
-    return header, rows
+    nodes = math.prod(lat.space.shape)
+    states = lat.states.reshape(nodes, d)
+    zeros = np.zeros((nodes, n))
+
+    def rows():
+        # One layer at a time, nodes in C order; repr of a Python float is
+        # the same text _fmt writes for a numpy float.
+        for k in range(lat.steps + 1):
+            layer = np.concatenate(
+                [np.full((nodes, 1), times[k]), states,
+                 sol.Y[k].reshape(nodes, n), sol.Z[k].reshape(nodes, d * n),
+                 sol.eta[k].reshape(nodes, n * d),
+                 sol.K_inc[k].reshape(nodes, n) if k < lat.steps else zeros],
+                axis=1)
+            for row in layer.tolist():
+                yield list(map(repr, row))
+
+    return header, rows()
 
 
 def _run_represent(ctx: Experiment):

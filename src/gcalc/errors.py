@@ -14,7 +14,7 @@ class DimensionError(GcalcError):
 
 
 class InputError(GcalcError):
-    """An input value is outside the documented domain (NaN payoff, control
+    """An input value is outside the documented domain (non-finite payoff, control
     outside the volatility box, empty path set, and so on)."""
 
 

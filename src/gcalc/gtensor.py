@@ -20,6 +20,9 @@ ALGEBRA_TOL = 1e-12
 # Condition number beyond which a mixing matrix is treated as singular.
 _COND_LIMIT = 1e12
 
+# Largest covariance grid: lattice policies store combo indices as int16.
+MAX_COMBOS = int(np.iinfo(np.int16).max)
+
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
@@ -184,6 +187,8 @@ class VolatilityBox:
             raise InputError("upper bounds must dominate lower bounds")
         if self.grid_points_per_axis < 2:
             raise InputError("grid_points_per_axis must be at least 2")
+        if self.grid_points_per_axis ** lo.shape[0] > MAX_COMBOS:
+            raise InputError(f"grid_points_per_axis ** d must not exceed {MAX_COMBOS}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 

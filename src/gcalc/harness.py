@@ -18,10 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import MAX_EXPONENT, _state_expectation, exp_cell_weights, weighted_norm
+from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
+                       exp_cell_weights, weighted_norms)
 from .errors import InputError, WeightOverflowError
 from .scenario import Lattice, TerminalFunctional, _sweep
-from .solver import (BsdeSolution, GBsdeParams, _g_corner_value,
+from .solver import (BsdeSolution, GBsdeParams, _g_corner_value, _triple_sq,
                      represent_martingale, solve_gbsde)
 
 #: Default exponent grid for the stability estimates.
@@ -50,34 +51,27 @@ def _driver_delta_fields(params1: GBsdeParams, params2: GBsdeParams,
         g2 = np.asarray(params2.g.fn(times[k], sol2.Y[k], sol2.Z[k], sol2.eta[k]), dtype=float)
         df[k] = f1 - f2
         dg[k] = g1 - g2
+    if not (np.isfinite(df).all() and np.isfinite(dg).all()):
+        raise InputError("driver produced non-finite values")
     return df, dg
 
 
-def _curvature_ratio_diag(delta_y: np.ndarray, delta_eta: np.ndarray,
-                          eta1: np.ndarray, eta2: np.ndarray,
-                          lattice: Lattice, beta: float) -> Optional[float]:
-    """Diagnostic ratio comparing the curvature cross terms to the Y norm.
-
-    Numerator: worst case of the time integral of
-    2 dY . (G(eta1) - G(eta2)) dt - dY . dEta : d<bracket>, plus s_min^2
-    times the squared weighted eta norm. Denominator: squared weighted Y
-    norm. None when the denominator vanishes.
-    """
-    den = weighted_norm(delta_y, lattice, beta) ** 2
-    if den <= 0.0:
-        return None
-    weights = exp_cell_weights(lattice.time, beta)
+def _curvature_cross_terms(delta_y: np.ndarray, delta_eta: np.ndarray,
+                           eta1: np.ndarray, eta2: np.ndarray,
+                           lattice: Lattice, betas: Sequence[float]) -> list:
+    """Worst case of the weighted time integral of the curvature cross terms
+    2 dY . (G(eta1) - G(eta2)) dt - dY . dEta : d<bracket>, one per beta,
+    from one sweep with the betas on the trailing axis."""
+    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
     g_gap = _g_corner_value(eta1, lattice) - _g_corner_value(eta2, lattice)
     a_field = 2.0 * np.sum(delta_y * g_gap, axis=-1)          # (layers, *grid)
     b_field = np.einsum("...i,...ij->...j", delta_y, delta_eta)
 
     def step_cost(k, c):
-        return (weights[k] * (a_field[k] - b_field[k] @ lattice.combos[c]))[..., None]
+        return (a_field[k] - b_field[k] @ lattice.combos[c])[..., None] * weights[k]
 
-    zero = np.zeros(lattice.space.shape + (1,))
-    cross = float(_sweep(lattice, zero, step_cost)[lattice.origin_index][0])
-    num = cross + lattice.box.sigma_min_sq * weighted_norm(delta_eta, lattice, beta) ** 2
-    return num / den
+    zero = np.zeros(lattice.space.shape + (len(betas),))
+    return _sweep(lattice, zero, step_cost)[lattice.origin_index].tolist()
 
 
 @dataclass(frozen=True)
@@ -155,21 +149,25 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
     s_max_sq = lattice.box.sigma_max_sq
     term_y_t = _state_expectation(lattice, np.sum(d_y[-1] ** 2, axis=-1), lattice.steps)
 
+    norms = weighted_norms((d_y, d_z, d_eta, d_f, d_g), lattice, scan).tolist()
+    cross = _curvature_cross_terms(d_y, d_eta, sol1.eta, sol2.eta, lattice, scan)
     rows = []
-    for b in scan:
-        lhs_y = weighted_norm(d_y, lattice, b) ** 2
-        lhs_z = weighted_norm(d_z, lattice, b) ** 2
-        lhs_eta = weighted_norm(d_eta, lattice, b) ** 2
+    for b, n_y, n_z, n_eta, n_f, n_g, cross_b in zip(scan, *norms, cross):
+        lhs_y = n_y ** 2
+        lhs_z = n_z ** 2
+        lhs_eta = n_eta ** 2
         t_term = math.exp(b * lattice.time.horizon) * term_y_t
-        t_f = weighted_norm(d_f, lattice, b) ** 2 / mu ** 2
-        t_g = s_max_sq * weighted_norm(d_g, lattice, b) ** 2 / nu ** 2
+        t_f = n_f ** 2 / mu ** 2
+        t_g = s_max_sq * n_g ** 2 / nu ** 2
         bracket = t_term + t_f + t_g
         slack = 1e-12 * (1.0 + bracket)
         printed = tuple(lhs <= c * bracket + slack
                         for lhs, c in zip((lhs_y, lhs_z, lhs_eta), c_printed))
         cons = tuple(lhs <= c_cons * bracket + slack
                      for lhs in (lhs_y, lhs_z, lhs_eta))
-        c_diag = _curvature_ratio_diag(d_y, d_eta, sol1.eta, sol2.eta, lattice, b)
+        # curvature-ratio diagnostic: cross terms plus s_min^2 |dEta|^2 over |dY|^2
+        c_diag = ((cross_b + lattice.box.sigma_min_sq * lhs_eta) / lhs_y
+                  if lhs_y > 0.0 else None)
         rows.append(AprioriRow(beta=b, lhs_y=lhs_y, lhs_z=lhs_z, lhs_eta=lhs_eta,
                                term_terminal=t_term, term_f=t_f, term_g=t_g,
                                c_diag=c_diag, pass_printed=printed,
@@ -286,9 +284,10 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
     lhs_lower = _realized_sup_mc(phi, lattice)
 
     term_y_t = _state_expectation(lattice, np.sum(d_y[-1] ** 2, axis=-1), lattice.steps)
+    (n_f,), (n_g,) = weighted_norms((d_f, d_g), lattice, (beta,)).tolist()
     bracket = (math.exp(beta * lattice.time.horizon) * term_y_t
-               + weighted_norm(d_f, lattice, beta) ** 2 / mu ** 2
-               + lattice.box.sigma_max_sq * weighted_norm(d_g, lattice, beta) ** 2 / nu ** 2)
+               + n_f ** 2 / mu ** 2
+               + lattice.box.sigma_max_sq * n_g ** 2 / nu ** 2)
     rhs = 3.0 * bracket
     ok = lhs_upper <= rhs + 1e-12 * (1.0 + rhs)
     return SupEstimateReport(beta=beta, lhs_upper=lhs_upper, lhs_lower=lhs_lower,
@@ -331,12 +330,10 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
     xi_sq = np.sum(sol.Y[-1] ** 2, axis=-1)
     moment = _state_expectation(lattice, xi_sq, lattice.steps)
     factor = 5.0 / lattice.box.sigma_min_sq
+    (lhs_by_beta,) = _triple_sq(weighted_norms((sol.Y, sol.Z, sol.eta), lattice, scan))
     rows = []
     beta0 = None
-    for b in scan:
-        lhs = (weighted_norm(sol.Y, lattice, b) ** 2
-               + weighted_norm(sol.Z, lattice, b) ** 2
-               + weighted_norm(sol.eta, lattice, b) ** 2)
+    for b, lhs in zip(scan, lhs_by_beta):
         rhs = factor * math.exp(b * lattice.time.horizon) * moment
         ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
         rows.append(RepresentationRow(beta=b, lhs=lhs, rhs=rhs, ok=ok))
@@ -381,17 +378,22 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     sols = [represent_martingale(t, lattice) for t in terminals]
     factor = 5.0 / lattice.box.sigma_min_sq
     horizon = lattice.time.horizon
+    index_pairs = [(m, n) for m in range(len(sols)) for n in range(m + 1, len(sols))]
+
+    def pair_gaps(k):
+        # formed per layer: all pair differences at once would add
+        # 3 * len(index_pairs) full fields to the peak memory
+        return [getattr(sols[m], f)[k] - getattr(sols[n], f)[k]
+                for m, n in index_pairs for f in ("Y", "Z", "eta")]
+
+    lhs_by_pair = _triple_sq(_layerwise_norms(pair_gaps, 3 * len(index_pairs),
+                                              lattice, (beta,)))
     pairs = []
-    for m in range(len(sols)):
-        for n in range(m + 1, len(sols)):
-            a, b = sols[m], sols[n]
-            lhs = (weighted_norm(a.Y - b.Y, lattice, beta) ** 2
-                   + weighted_norm(a.Z - b.Z, lattice, beta) ** 2
-                   + weighted_norm(a.eta - b.eta, lattice, beta) ** 2)
-            gap_sq = np.sum((a.Y[-1] - b.Y[-1]) ** 2, axis=-1)
-            moment = _state_expectation(lattice, gap_sq, lattice.steps)
-            rhs = factor * math.exp(beta * horizon) * moment
-            ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
-            pairs.append(CauchyPair(m=m, n=n, lhs=lhs, rhs=rhs,
-                                    delta_moment=moment, ok=ok))
+    for (m, n), (lhs,) in zip(index_pairs, lhs_by_pair):
+        gap_sq = np.sum((sols[m].Y[-1] - sols[n].Y[-1]) ** 2, axis=-1)
+        moment = _state_expectation(lattice, gap_sq, lattice.steps)
+        rhs = factor * math.exp(beta * horizon) * moment
+        ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
+        pairs.append(CauchyPair(m=m, n=n, lhs=lhs, rhs=rhs,
+                                delta_moment=moment, ok=ok))
     return CauchyReport(beta=beta, pairs=tuple(pairs))

@@ -146,8 +146,8 @@ class TerminalFunctional:
         expected = x.shape[:-1] + (self.n,)
         if vals.shape != expected:
             raise DimensionError(f"payoff returned {vals.shape}, expected {expected}")
-        if np.isnan(vals).any():
-            raise InputError("payoff produced NaN values")
+        if not np.isfinite(vals).all():
+            raise InputError("payoff produced non-finite values")
         return vals
 
     def spot_check_lipschitz(self, space: SpaceGrid, rng: np.random.Generator,

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DegenerateBoxError, InputError
 from .scenario import (Lattice, TerminalFunctional, _sweep,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
-from .calculus import weighted_norm
+from .calculus import weighted_norms
 
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
@@ -223,8 +223,8 @@ def _driver_fields(params: GBsdeParams, lattice: Lattice, y: np.ndarray,
     for k in range(lattice.steps + 1):
         f_vals[k] = np.asarray(params.f.fn(times[k], y[k], z[k], eta[k]), dtype=float)
         g_vals[k] = np.asarray(params.g.fn(times[k], y[k], z[k], eta[k]), dtype=float)
-    if np.isnan(f_vals).any() or np.isnan(g_vals).any():
-        raise InputError("driver produced NaN values")
+    if not (np.isfinite(f_vals).all() and np.isfinite(g_vals).all()):
+        raise InputError("driver produced non-finite values")
     return f_vals, g_vals
 
 
@@ -266,11 +266,18 @@ def default_penalties(params: GBsdeParams, lattice: Lattice) -> tuple:
     return m2, m2
 
 
+def _triple_sq(norms: np.ndarray) -> list:
+    """Squared triple norms from a weighted-norm table whose rows come in
+    (Y, Z, eta) threes: one list per triple with one entry per beta, each
+    the three squared norms summed as Python floats in that order."""
+    rows = norms.tolist()
+    return [[y ** 2 + z ** 2 + e ** 2 for y, z, e in zip(*rows[i:i + 3])]
+            for i in range(0, len(rows), 3)]
+
+
 def triple_distance_sq(delta_y, delta_z, delta_eta, lattice: Lattice, beta: float) -> float:
     """Squared weighted norm of a (Y, Z, eta) field triple difference."""
-    return (weighted_norm(delta_y, lattice, beta) ** 2
-            + weighted_norm(delta_z, lattice, beta) ** 2
-            + weighted_norm(delta_eta, lattice, beta) ** 2)
+    return _triple_sq(weighted_norms((delta_y, delta_z, delta_eta), lattice, (beta,)))[0][0]
 
 
 def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = None,
@@ -313,13 +320,13 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     converged = False
     for _ in range(max_iter):
         solution = picard_step(fields, params, lattice)
-        dy = solution.Y - fields[0]
-        dz = solution.Z - fields[1]
-        de = solution.eta - fields[2]
-        dist0 = math.sqrt(triple_distance_sq(dy, dz, de, lattice, 0.0))
+        delta = (solution.Y - fields[0], solution.Z - fields[1],
+                 solution.eta - fields[2])
+        sq0, *sq_scan = _triple_sq(weighted_norms(delta, lattice, (0.0,) + scan))[0]
+        dist0 = math.sqrt(sq0)
         distances.append(dist0)
-        for b in scan:
-            dist_by_beta[b].append(triple_distance_sq(dy, dz, de, lattice, b))
+        for b, sq in zip(scan, sq_scan):
+            dist_by_beta[b].append(sq)
         fields = (solution.Y, solution.Z, solution.eta)
         if dist0 < tol:
             converged = True

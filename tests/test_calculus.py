@@ -8,9 +8,11 @@ from gcalc import (PathBundle, StepProcess, TimeGrid, VolatilityBox,
                    exp_cell_weights, ito_integral, lemma31_bounds,
                    qv_integral, ratio_decay_report, simulate_path,
                    weighted_norm)
-from gcalc.calculus import WeightedNormParams, _square_integral_expectation
+from gcalc.calculus import (WeightedNormParams, _square_integral_expectation,
+                            weighted_norms)
 from gcalc.errors import (DegenerateDenominatorError, DimensionError,
                           InputError, WeightOverflowError)
+from gcalc.scenario import _sweep
 
 from conftest import make_lattice
 
@@ -174,6 +176,48 @@ def test_weighted_norm_layout_and_params(small_lat):
         WeightedNormParams(beta=1.0, mu=0.0, nu=1.0)
     with pytest.raises(InputError):
         WeightedNormParams(beta=1.0, mu=1.0, nu=1.0, t_start=-0.5)
+
+
+def reference_weighted_norm(field, lattice, beta, t_start=0.0):
+    """The one-sweep-per-norm implementation that weighted_norms replaced."""
+    tail_axes = tuple(range(1 + lattice.d, field.ndim))
+    sq = np.sum(field * field, axis=tail_axes) if tail_axes else field * field
+    weights = exp_cell_weights(lattice.time, beta, t_start)
+
+    def step_cost(k, _c):
+        return (weights[k] * sq[k])[..., None]
+
+    zero = np.zeros(lattice.space.shape + (1,))
+    total = _sweep(lattice, zero, step_cost)[lattice.origin_index]
+    return float(math.sqrt(max(total[0], 0.0)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("t_start", [0.0, 0.5])
+def test_weighted_norms_equal_per_entry_norms(small_lat, dim, t_start):
+    lat = small_lat if dim == 1 else make_lattice(
+        lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41, grid_points=3)
+    rng = np.random.default_rng(5)
+    layout = (lat.steps + 1,) + lat.space.shape
+    fields = [rng.normal(size=layout),                    # no trailing axis
+              rng.normal(size=layout + (2,)),             # rank-1 tail
+              rng.normal(size=layout + (lat.d, 2)),       # rank-2 tail
+              np.zeros(layout + (1,))]
+    betas = (0.0, 1.5, 4.0, 64.0)
+    got = weighted_norms(fields, lat, betas, t_start=t_start)
+    want = np.array([[reference_weighted_norm(f, lat, b, t_start) for b in betas]
+                     for f in fields])
+    assert got.shape == (len(fields), len(betas))
+    assert np.array_equal(got, want)
+    assert weighted_norm(fields[2], lat, 4.0, t_start) == want[2, 2]
+
+
+def test_weighted_norms_layout_and_overflow(small_lat):
+    good = np.zeros((41, 161))
+    with pytest.raises(DimensionError):
+        weighted_norms([good, np.zeros((40, 161))], small_lat, (1.0,))
+    with pytest.raises(WeightOverflowError):
+        weighted_norms([good], small_lat, (1.0, 800.0))
 
 
 # ---------------------------------------------------------------------------

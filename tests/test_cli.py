@@ -5,14 +5,20 @@ tmp_path; one test goes through `python3 -m gcalc.cli` to make sure the
 module entry point stays wired up.
 """
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gcalc.cli import main
+import gcalc
+from gcalc import TerminalFunctional, represent_martingale
+from gcalc.cli import _fields_csv, _fmt, build_experiment, main
+
+from conftest import make_lattice
 
 BOX = {"d": 1, "lower": [1.0], "upper": [4.0]}
 SMALL = {"box": BOX, "time": {"horizon": 1.0, "steps": 20},
@@ -222,12 +228,95 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, mutate, label):
     assert not out.exists(), label
 
 
+def test_oversized_covariance_grid_rejected_before_lattice(tmp_path, monkeypatch):
+    # 182^2 = 33,124 covariance combos would overflow the int16 policy indices
+    def no_lattice(*args):
+        raise AssertionError("lattice built for an invalid box")
+
+    monkeypatch.setattr(gcalc.cli, "build_lattice", no_lattice)
+    cfg = {"box": {"d": 2, "lower": [1.0, 1.0], "upper": [2.0, 2.0],
+                   "grid_points": 182},
+           "time": {"horizon": 1.0, "steps": 4}, "space": {"points": 41},
+           "payoff": {"id": "quadratic"}}
+    rc, out = run_cli(tmp_path, "expect", cfg)
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_non_finite_payoff_exits_3_without_outputs(tmp_path):
+    # the butterfly midpoint (a + b) / 2 overflows, so the payoff is -inf
+    cfg = {**SMALL, "payoff": {"id": "butterfly",
+                               "params": {"a": -1.7e308, "b": -1.6e308}}}
+    rc, out = run_cli(tmp_path, "expect", cfg)
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_config_error_message_names_the_field(tmp_path, capsys):
     cfg = {**SMALL, "payoff": {"id": "quadratic"}, "betas": "nope"}
     rc, _ = run_cli(tmp_path, "expect", cfg)
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "betas" in err
+
+
+# ---------------------------------------------------------------------------
+# fields.csv layout
+# ---------------------------------------------------------------------------
+
+def reference_fields_rows(sol):
+    """The per-cell formatter that the streamed fields.csv rows replaced."""
+    lat = sol.lattice
+    d, n = lat.d, sol.n
+    times = lat.time.times()
+    rows = []
+    zeros = np.zeros(lat.space.shape + (n,))
+    states = lat.states
+    for k in range(lat.steps + 1):
+        k_layer = sol.K_inc[k] if k < lat.steps else zeros
+        for idx in np.ndindex(lat.space.shape):
+            row = [_fmt(times[k])]
+            row += [_fmt(states[idx + (a,)]) for a in range(d)]
+            row += [_fmt(sol.Y[(k,) + idx + (i,)]) for i in range(n)]
+            row += [_fmt(sol.Z[(k,) + idx + (a, i)]) for a in range(d) for i in range(n)]
+            row += [_fmt(sol.eta[(k,) + idx + (i, a)]) for i in range(n) for a in range(d)]
+            row += [_fmt(k_layer[idx + (i,)]) for i in range(n)]
+            rows.append(row)
+    return rows
+
+
+def csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_fields_csv_matches_per_cell_formatter_2d_two_components():
+    lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41,
+                       grid_points=3)
+    payoff = TerminalFunctional(
+        fn=lambda x: np.stack([np.sum(x * x, axis=-1),
+                               np.abs(x[..., 0] - 0.5 * x[..., 1])], axis=-1),
+        lipschitz=100.0, n=2)
+    sol = represent_martingale(payoff, lat)
+    header, rows = _fields_csv(sol)
+    assert header == ["t", "state_1", "state_2", "Y_1", "Y_2",
+                      "Z_11", "Z_12", "Z_21", "Z_22",
+                      "eta_11", "eta_12", "eta_21", "eta_22", "K_1", "K_2"]
+    assert csv_text(header, rows) == csv_text(header, reference_fields_rows(sol))
+
+
+def test_represent_fields_csv_matches_per_cell_formatter(tmp_path):
+    cfg = {**SMALL, "payoff": {"id": "abs"}}
+    rc, out = run_cli(tmp_path, "represent", cfg)
+    assert rc == 0
+    ctx = build_experiment(cfg, "represent", None, None)
+    sol = represent_martingale(ctx.payoff, ctx.lattice)
+    header, _ = _fields_csv(sol)
+    want = csv_text(header, reference_fields_rows(sol))
+    assert (out / "fields.csv").read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +330,16 @@ def test_module_invocation_matches_in_process(tmp_path):
     rc, out_in = run_cli(tmp_path, "expect", cfg, name="inproc")
     assert rc == 0
     out_sub = tmp_path / "subproc"
+    # The child runs in tmp_path, so a relative PYTHONPATH would not find
+    # the package: put the directory holding the imported gcalc first.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gcalc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gcalc.cli", "expect", "--config", str(path),
          "--out", str(out_sub)],
-        capture_output=True, text=True, cwd=str(tmp_path))
+        capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out_sub / "expectation.csv").read_bytes() == \
         (out_in / "expectation.csv").read_bytes()

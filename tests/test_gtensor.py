@@ -116,6 +116,10 @@ def test_box_validation():
         VolatilityBox(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(InputError):
         VolatilityBox(np.array([1.0]), np.array([2.0]), grid_points_per_axis=1)
+    # policy indices are int16: 181^2 = 32,761 combos fit, 182^2 do not
+    VolatilityBox(np.ones(2), np.full(2, 2.0), grid_points_per_axis=181)
+    with pytest.raises(InputError):
+        VolatilityBox(np.ones(2), np.full(2, 2.0), grid_points_per_axis=182)
 
 
 def test_box_grid_and_corners():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gcalc import (GBsdeParams, TerminalFunctional, apriori_check,
+from gcalc import (Driver, GBsdeParams, TerminalFunctional, apriori_check,
                    cauchy_sequence_check, exp_cell_weights,
                    representation_bound_check, solve_gbsde, sup_estimate_check)
 from gcalc.catalog import make_driver
@@ -127,6 +127,14 @@ def test_eta_mismatch_flag(small_lat):
 # ---------------------------------------------------------------------------
 # running-maximum estimate
 # ---------------------------------------------------------------------------
+
+def test_non_finite_driver_delta_rejected(small_lat):
+    sol, _ = solve_gbsde(plain(linear_payoff()), small_lat)
+    inf_f = Driver(fn=lambda t, y, z, eta: np.full(y.shape, np.inf), lipschitz=0.0)
+    params2 = GBsdeParams(terminal=linear_payoff(), f=inf_f, g=zero_qv_driver(1, 1))
+    with pytest.raises(InputError):
+        apriori_check(plain(linear_payoff()), params2, small_lat, solutions=(sol, sol))
+
 
 def test_sup_estimate_cash_shift(small_lat):
     rep = sup_estimate_check(plain(quad_payoff()), plain(shifted_quad(0.1)),

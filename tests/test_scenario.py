@@ -67,10 +67,11 @@ def test_terminal_functional_validation(small_lat):
     bad_shape = TerminalFunctional(fn=lambda x: x[..., 0], lipschitz=1.0)
     with pytest.raises(DimensionError):
         bad_shape.evaluate(np.zeros((5, 1)))
-    nan = TerminalFunctional(fn=lambda x: np.full(x.shape[:-1] + (1,), np.nan),
-                             lipschitz=0.0)
-    with pytest.raises(InputError):
-        nan.evaluate(np.zeros((5, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        non_finite = TerminalFunctional(
+            fn=lambda x, v=bad: np.full(x.shape[:-1] + (1,), v), lipschitz=0.0)
+        with pytest.raises(InputError):
+            non_finite.evaluate(np.zeros((5, 1)))
     # declared slope is half the true one -> the sampler must notice
     liar = TerminalFunctional(fn=lambda x: 2.0 * x, lipschitz=1.0)
     with pytest.raises(InputError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, classical_oracle,
-                   compensator_mc_check, extract_integrands,
+                   compensator_mc_check, extract_integrands, picard_step,
                    represent_martingale, residual_check, solve_gbsde)
 from gcalc.catalog import make_driver
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
@@ -107,6 +107,18 @@ def test_driver_validation():
     assert np.array_equal(zf.fn(0.0, np.zeros((5, 2)), None, None), np.zeros((5, 2)))
     zg = zero_qv_driver(2, 1)
     assert zg.fn(0.0, np.zeros((5, 2)), None, None).shape == (5, 2, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # spot check: inf - inf
+def test_non_finite_driver_values_rejected(small_lat):
+    def filled(v, tail=()):
+        return Driver(fn=lambda t, y, z, eta: np.full(y.shape + tail, v), lipschitz=0.0)
+
+    for f, g in ((filled(np.inf), zero_qv_driver(1, 1)),
+                 (zero_dt_driver(1), filled(-np.inf, (1,)))):
+        params = GBsdeParams(terminal=const_payoff(1.0), f=f, g=g)
+        with pytest.raises(InputError):
+            solve_gbsde(params, small_lat)
 
 
 def test_spot_check_rejects_understated_lipschitz(small_lat):
@@ -287,3 +299,20 @@ def test_triple_distance_zero_and_scaling(small_lat):
     assert base == pytest.approx(1.0, rel=1e-12)
     assert triple_distance_sq(2.0 * dy1, dz, de, small_lat, 0.0) == \
         pytest.approx(4.0 * base, rel=1e-12)
+
+
+def test_distances_by_beta_match_per_beta_recomputation(small_lat):
+    f = make_driver("linear-in-y", 1, 1, params={"r": -0.5})
+    g = make_driver("qv-constant", 1, 1, params={"gamma": 0.25}, role="qv")
+    params = GBsdeParams(terminal=linear_payoff(), f=f, g=g)
+    _, rep = solve_gbsde(params, small_lat)
+    assert rep.iterations >= 3
+    fields = (np.zeros((41, 161, 1)), np.zeros((41, 161, 1, 1)),
+              np.zeros((41, 161, 1, 1)))
+    for i in range(rep.iterations):
+        step = picard_step(fields, params, small_lat)
+        delta = (step.Y - fields[0], step.Z - fields[1], step.eta - fields[2])
+        assert rep.distances[i] == math.sqrt(triple_distance_sq(*delta, small_lat, 0.0))
+        for b in BETA_SCAN:
+            assert rep.distances_by_beta[b][i] == triple_distance_sq(*delta, small_lat, b)
+        fields = (step.Y, step.Z, step.eta)
