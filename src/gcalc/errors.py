@@ -20,7 +20,7 @@ class InputError(GcalcError):
 
 class GridResolutionError(GcalcError):
     """The space grid is too coarse for the requested time step, so the
-    transition stencil would collapse onto a single node."""
+    one-step transition would collapse onto a single node."""
 
 
 class DegenerateBoxError(GcalcError):

@@ -215,18 +215,17 @@ def _running_max_dp(phi: np.ndarray, lattice: Lattice, levels: int = 257) -> flo
     m = grid.shape[0]
     lev = np.searchsorted(grid, phi, side="left")     # smallest level >= value
     lev = np.minimum(lev, m - 1)
-    p = lattice.space.shape[0]
     values = np.maximum(grid[None, :], phi[steps][:, None])   # (p, m)
     level_ids = np.arange(m)[None, :]
-    nc = lattice.combos.shape[0]
     for k in range(steps - 1, -1, -1):
+        padded = lattice.edge_pad(values, 0)
+        padded_lev = lattice.edge_pad(lev[k + 1], 0)
         best = None
-        for c in range(nc):
-            acc = np.zeros((p, m))
-            for idx, w in lattice.stencil(c):
-                child_x = idx[0]                                  # (p,)
-                j = np.maximum(level_ids, lev[k + 1][child_x][:, None])
-                acc += w * values[child_x[:, None], j]
+        for moves in lattice.moves[0]:
+            acc = np.zeros(values.shape)
+            for rows, w in moves:
+                j = np.maximum(level_ids, padded_lev[rows][:, None])
+                acc += w * np.take_along_axis(padded[rows], j, axis=1)
             best = acc if best is None else np.maximum(best, acc)
         own = np.maximum(grid[None, :], phi[k][:, None])
         values = np.maximum(best, own)

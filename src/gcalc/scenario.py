@@ -7,7 +7,9 @@ result over the covariance grid. Off-grid children are written onto the two
 bracketing nodes with nonnegative weights chosen so the branch second moment
 is exact; this keeps quadratic payoffs bias-free, which plain linear
 interpolation does not (its convexity bias at desk-scale grids is an order of
-magnitude above the acceptance tolerances).
+magnitude above the acceptance tolerances). The branch weights are a product
+over axes, so expected child values are formed one axis at a time from shifted
+slices of the edge-padded layer, sharing each leading-axis partial sum.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,7 +181,12 @@ def _axis_allocation(jump: float, h: float) -> list:
 
 
 class Lattice:
-    """Time/space grids plus precomputed transition stencils per covariance."""
+    """Time/space grids plus the separable one-step transition operator.
+
+    moves[a][level] holds, per distinct sigma^2 level of axis a in ascending
+    order, the four `_axis_allocation` moves (up first, then down) as (child
+    slice of the axis padded by edge_pad, 0.5 * weight).
+    """
 
     def __init__(self, time: TimeGrid, space: SpaceGrid, box: VolatilityBox):
         if space.d != box.d:
@@ -196,8 +203,20 @@ class Lattice:
                     f"grid spacing {h:.6g} exceeds the smallest jump "
                     f"{floor_jump:.6g}; refine the space grid or coarsen time")
         self._states = space.states()
-        self._index_cache: dict = {}
-        self._stencils = [self._build_stencil(c) for c in self.combos]
+        self._pad_index = []
+        self.moves = []
+        level_table = []
+        for a, (h, p) in enumerate(zip(space.spacing, space.shape)):
+            levels, level_of_combo = np.unique(self.combos[:, a], return_inverse=True)
+            ups = [_axis_allocation(math.sqrt(s2 * dt), h) for s2 in levels]
+            reach = max(off for up in ups for off, _ in up)
+            self._pad_index.append(np.clip(np.arange(-reach, p + reach), 0, p - 1))
+            self.moves.append([
+                [(slice(reach + off, reach + off + p), 0.5 * w)
+                 for off, w in up + [(-off, w) for off, w in up]]
+                for up in ups])
+            level_table.append(level_of_combo)
+        self._combo_levels = list(zip(*(lv.tolist() for lv in level_table)))
 
     # -- grid conveniences -------------------------------------------------
     @property
@@ -220,51 +239,40 @@ class Lattice:
     def origin_index(self) -> tuple:
         return self.space.origin_index
 
-    def _offset_index(self, axis: int, offset: int) -> np.ndarray:
-        key = (axis, offset)
-        if key not in self._index_cache:
-            p = self.space.shape[axis]
-            self._index_cache[key] = np.clip(np.arange(p) + offset, 0, p - 1)
-        return self._index_cache[key]
+    # -- transition operator -----------------------------------------------
+    def edge_pad(self, values: np.ndarray, a: int, axis: int = 0) -> np.ndarray:
+        """Repeat the boundary nodes of array axis `axis` out to lattice axis a's reach."""
+        return np.take(values, self._pad_index[a], axis=axis)
 
-    def _build_stencil(self, sigma2: np.ndarray) -> list:
-        """List of (per-axis index arrays, weight) pairs for one covariance."""
-        dt = self.dt
-        per_axis = []
-        for a in range(self.d):
-            jump = math.sqrt(sigma2[a] * dt)
-            up = _axis_allocation(jump, self.space.spacing[a])
-            down = [(-off, w) for off, w in up]
-            per_axis.append((up, down))
-        terms = []
-        sign_weight = 0.5 ** self.d
-        for signs in product((0, 1), repeat=self.d):
-            branches = [per_axis[a][signs[a]] for a in range(self.d)]
-            for picks in product(*branches):
-                weight = sign_weight
-                idx = []
-                for a, (off, w) in enumerate(picks):
-                    weight *= w
-                    idx.append(self._offset_index(a, off))
-                terms.append((tuple(idx), weight))
-        return terms
+    def _axis_mean(self, padded: np.ndarray, a: int, level: int, axis: int) -> np.ndarray:
+        """Weighted sum of the shifted slices of one axis level's moves."""
+        lead = (slice(None),) * axis
+        out = None
+        for rows, w in self.moves[a][level]:
+            if w == 0.0:
+                continue
+            part = w * padded[lead + (rows,)]
+            out = part if out is None else np.add(out, part, out=out)
+        return out
 
-    def stencil(self, combo_index: int) -> list:
-        """Transition terms (per-axis child index arrays, weight) for one covariance."""
-        return self._stencils[combo_index]
+    def child_means(self, values: np.ndarray, axis: int = 0):
+        """Yield the expected next-layer values under every covariance, in
+        combo order. Lattice axis a is array axis `axis + a`; the partial
+        means over leading axes are formed once per level prefix and shared
+        by every combo with that prefix."""
+        d = self.d
+        padded = {(): self.edge_pad(values, 0, axis)}
+        for levels in self._combo_levels:
+            for a in range(1, d):
+                if levels[:a] not in padded:
+                    part = self._axis_mean(padded[levels[:a - 1]], a - 1,
+                                           levels[a - 1], axis + a - 1)
+                    padded[levels[:a]] = self.edge_pad(part, a, axis + a)
+            yield self._axis_mean(padded[levels[:-1]], d - 1, levels[-1], axis + d - 1)
 
     def child_mean(self, values: np.ndarray, combo_index: int) -> np.ndarray:
         """Expected next-layer values (*grid, n) under one covariance choice."""
-        out = None
-        for idx, weight in self._stencils[combo_index]:
-            if weight == 0.0:
-                continue
-            if self.d == 1:
-                gathered = values[idx[0]]
-            else:
-                gathered = values[idx[0][:, None], idx[1][None, :]]
-            out = weight * gathered if out is None else out + weight * gathered
-        return out
+        return next(islice(self.child_means(values), combo_index, None))
 
 
 def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Lattice:
@@ -288,7 +296,6 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
-    nc = lattice.combos.shape[0]
     if store:
         all_values = np.empty((n_layers + 1,) + values.shape)
         all_values[n_layers] = values
@@ -296,8 +303,7 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     for k in range(n_layers - 1, -1, -1):
         best = None
         best_idx = None
-        for c in range(nc):
-            cand = lattice.child_mean(values, c)
+        for c, cand in enumerate(lattice.child_means(values)):
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
             if best is None:
@@ -305,10 +311,11 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
                 if store:
                     best_idx = np.zeros(cand.shape, dtype=np.int16)
             else:
+                # candidates are fresh arrays, so the running best is updated in place
                 improved = cand > best
-                best = np.where(improved, cand, best)
+                np.copyto(best, cand, where=improved)
                 if store:
-                    best_idx = np.where(improved, np.int16(c), best_idx)
+                    best_idx[improved] = c
         values = best
         if store:
             all_values[k] = values
@@ -373,14 +380,9 @@ def _expectation_monitored(lattice: Lattice, terminal: TerminalFunctional) -> np
     recorded = np.broadcast_to(axis[:, None, None], (p, p, 1))
     current = np.broadcast_to(axis[None, :, None], (p, p, 1))
     values = terminal.evaluate(current, recorded=recorded)  # (p_u, p_x, n)
-    nc = lattice.combos.shape[0]
     for k in range(lattice.steps - 1, k_mon - 1, -1):
         best = None
-        for c in range(nc):
-            cand = None
-            for idx, weight in lattice._stencils[c]:
-                part = weight * values[:, idx[0], :]
-                cand = part if cand is None else cand + part
+        for cand in lattice.child_means(values, axis=1):
             best = cand if best is None else np.maximum(best, cand)
         values = best
     diag = values[np.arange(p), np.arange(p), :]  # recorded state equals current
@@ -396,13 +398,18 @@ def sublinear_expectation(lattice: Lattice, terminal: TerminalFunctional) -> np.
     return values[lattice.origin_index]
 
 
+def check_indicator(values: np.ndarray) -> np.ndarray:
+    """Return event indicator values after checking that they lie in [0, 1]."""
+    if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+        raise InputError("event indicator must take values in [0, 1]")
+    return values
+
+
 def capacity_estimate(lattice: Lattice, event: TerminalFunctional) -> float:
     """Worst-case probability of an event given by a 0/1 indicator payoff."""
     values = event.evaluate(lattice.states) if event.monitor_time is None else None
     if values is not None:
-        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-            raise InputError("event indicator must take values in [0, 1]")
-        top = _sweep(lattice, values)[lattice.origin_index]
+        top = _sweep(lattice, check_indicator(values))[lattice.origin_index]
     else:
         top = _expectation_monitored(lattice, event)[lattice.origin_index]
     return float(np.clip(top[0], 0.0, 1.0))

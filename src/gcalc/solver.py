@@ -75,8 +75,13 @@ class GBsdeParams:
             dist = (np.linalg.norm(y1 - y2) + np.linalg.norm(z1 - z2)
                     + np.linalg.norm(e1 - e2))
             t = float(rng.uniform(0.0, 1.0))
-            df = np.linalg.norm(self.f.fn(t, y1, z1, e1) - self.f.fn(t, y2, z2, e2))
-            dg = np.linalg.norm(self.g.fn(t, y1, z1, e1) - self.g.fn(t, y2, z2, e2))
+            args = ((y1, z1, e1), (y2, z2, e2))
+            f1, f2 = (np.asarray(self.f.fn(t, *a), dtype=float) for a in args)
+            g1, g2 = (np.asarray(self.g.fn(t, *a), dtype=float) for a in args)
+            if not all(np.isfinite(v).all() for v in (f1, f2, g1, g2)):
+                raise InputError("driver produced non-finite values")
+            df = np.linalg.norm(f1 - f2)
+            dg = np.linalg.norm(g1 - g2)
             if df > self.f.lipschitz * dist * (1 + rtol) + 1e-12:
                 raise InputError(f"dt-driver '{self.f.name}' violates its Lipschitz bound")
             if dg > self.g.lipschitz * dist * (1 + rtol) + 1e-12:

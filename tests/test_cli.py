@@ -252,6 +252,20 @@ def test_non_finite_payoff_exits_3_without_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_driver_exits_3_with_one_stderr_line(tmp_path, capsys):
+    # every driver value is finite, but the accumulated driver term overflows
+    # inside the backward sweep
+    cfg = {"box": BOX, "time": {"horizon": 2.0, "steps": 16},
+           "space": {"points": 101}, "payoff": {"id": "quadratic"},
+           "drivers": {"dt": {"id": "constant", "params": {"c": 1e308}}}}
+    rc, out = run_cli(tmp_path, "solve", cfg)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_config_error_message_names_the_field(tmp_path, capsys):
     cfg = {**SMALL, "payoff": {"id": "quadratic"}, "betas": "nope"}
     rc, _ = run_cli(tmp_path, "expect", cfg)

@@ -1,6 +1,7 @@
 """Lattice construction, backward maximization, and forward simulation."""
 import math
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
                    evaluate_field, nearest_index, sublinear_expectation)
 from gcalc.errors import DimensionError, GridResolutionError, InputError
 from gcalc.gtensor import DiagTensor, g_diag
-from gcalc.scenario import _axis_allocation
+from gcalc.harness import _running_max_dp
+from gcalc.scenario import _axis_allocation, _expectation_monitored, _sweep
 
 from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
 
@@ -182,7 +184,7 @@ def test_running_cost_shifts_by_total_time(small_lat):
     assert field.value_at_origin()[0] == pytest.approx(4.0 + 3.0 * 1.0, abs=1e-9)
 
 
-def test_policy_tie_break_is_lowest_combo(small_lat):
+def test_policy_tie_break_is_lowest_combo(small_lat, small_lat_2d):
     # an identically-zero payoff keeps every candidate bitwise equal, so the
     # scan must keep the first (lexicographically smallest) covariance
     field = conditional_expectation_field(small_lat, const_payoff(0.0))
@@ -190,6 +192,9 @@ def test_policy_tie_break_is_lowest_combo(small_lat):
     assert np.all(field.values == 0.0)
     assert field.policy_sigma2(0).shape == (161, 1, 1)
     assert np.all(field.policy_sigma2(0) == 1.0)
+    field = conditional_expectation_field(small_lat_2d, const_payoff(0.0))
+    assert np.all(field.policy_idx == 0)
+    assert np.all(field.values == 0.0)
 
 
 def test_field_matches_expectation_and_layers(small_lat):
@@ -206,6 +211,171 @@ def test_field_matches_expectation_and_layers(small_lat):
 def test_two_dim_anchor(small_lat_2d):
     val = sublinear_expectation(small_lat_2d, quad_payoff())[0]
     assert val == pytest.approx(2.0 * 2.0 * 1.0, abs=1e-8)   # sum_i sbar_i^2 T
+
+
+# ---------------------------------------------------------------------------
+# separable transition operator against the per-combo stencil it replaced
+# ---------------------------------------------------------------------------
+
+def stencil_terms(lattice, combo_index):
+    """(per-axis clamped child indices, weight) for each of the 4^d branch
+    picks of one covariance: up/down sign patterns in product order, then the
+    two bracketing nodes per axis."""
+    sigma2 = lattice.combos[combo_index]
+    per_axis = []
+    for a in range(lattice.d):
+        up = _axis_allocation(math.sqrt(sigma2[a] * lattice.dt), lattice.space.spacing[a])
+        per_axis.append((up, [(-off, w) for off, w in up]))
+    terms = []
+    for signs in product((0, 1), repeat=lattice.d):
+        for picks in product(*(per_axis[a][s] for a, s in enumerate(signs))):
+            weight = 0.5 ** lattice.d
+            idx = []
+            for a, (off, w) in enumerate(picks):
+                weight *= w
+                p = lattice.space.shape[a]
+                idx.append(np.clip(np.arange(p) + off, 0, p - 1))
+            terms.append((tuple(idx), weight))
+    return terms
+
+
+def stencil_child_mean(lattice, values, combo_index):
+    out = None
+    for idx, weight in stencil_terms(lattice, combo_index):
+        if weight == 0.0:
+            continue
+        if lattice.d == 1:
+            gathered = values[idx[0]]
+        else:
+            gathered = values[idx[0][:, None], idx[1][None, :]]
+        out = weight * gathered if out is None else out + weight * gathered
+    return out
+
+
+def stencil_sweep(lattice, terminal_values, step_cost=None, start_layer=None):
+    """Backward scan over gathered stencil child means; strict improvement
+    keeps the first covariance on ties."""
+    n_layers = lattice.steps if start_layer is None else start_layer
+    values = terminal_values
+    layers, policy = [values], []
+    for k in range(n_layers - 1, -1, -1):
+        best = best_idx = None
+        for c in range(lattice.combos.shape[0]):
+            cand = stencil_child_mean(lattice, values, c)
+            if step_cost is not None:
+                cand = cand + step_cost(k, c)
+            if best is None:
+                best, best_idx = cand, np.zeros(cand.shape, dtype=np.int16)
+            else:
+                improved = cand > best
+                best = np.where(improved, cand, best)
+                best_idx = np.where(improved, np.int16(c), best_idx)
+        values = best
+        layers.append(values)
+        policy.append(best_idx)
+    return np.stack(layers[::-1]), np.stack(policy[::-1])
+
+
+OPERATOR_CASES = [
+    # (lower, upper, steps, points, grid_points)
+    ((1.0,), (4.0,), 8, 69, 2),
+    ((1.0,), (4.0,), 8, 81, 3),
+    ((1.0,), (4.0,), 16, 97, 5),     # sigma^2 = 1 and 4 land on nodes: zero weights
+    ((1.0, 1.0), (2.0, 2.0), 4, 35, 2),
+    ((1.0, 1.0), (2.0, 3.0), 4, (45, 53), 3),
+    ((1.0, 1.0), (2.0, 2.0), 4, (35, 41), 5),
+]
+
+
+@pytest.mark.parametrize("lower,upper,steps,points,grid_points", OPERATOR_CASES)
+def test_separable_operator_matches_stencil(lower, upper, steps, points, grid_points):
+    lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
+                       grid_points=grid_points)
+    rng = np.random.default_rng(len(lower) * 100 + grid_points)
+    nc = lat.combos.shape[0]
+    for tail in ((), (2,), (2, 3)):
+        terminal = rng.standard_normal(lat.space.shape + tail)
+        cost = 0.1 * rng.standard_normal((steps, nc) + lat.space.shape + tail)
+        for step_cost, start in ((None, None), (lambda k, c: cost[k, c], None),
+                                 (lambda k, c: cost[k, c], steps // 2)):
+            want_v, want_p = stencil_sweep(lat, terminal, step_cost, start)
+            got_v, got_p = _sweep(lat, terminal, step_cost, store=True, start_layer=start)
+            plain = _sweep(lat, terminal, step_cost, start_layer=start)
+            assert np.array_equal(plain, got_v[0])
+            if lat.d == 1:
+                assert np.array_equal(got_v, want_v)
+                assert np.array_equal(got_p, want_p)
+            else:
+                assert np.max(np.abs(got_v - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+            # the policy is the first maximizer of the operator's own candidates
+            for k in range(got_p.shape[0]):
+                cands = np.stack(list(lat.child_means(got_v[k + 1])))
+                if step_cost is not None:
+                    cands = cands + np.stack([step_cost(k, c) for c in range(nc)])
+                assert np.array_equal(got_p[k], np.argmax(cands, axis=0))
+        for c in range(nc):
+            got = lat.child_mean(terminal, c)
+            want = stencil_child_mean(lat, terminal, c)
+            if lat.d == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def stencil_monitored(lattice, terminal):
+    """Monitored expectation with the stencil applied along the current-state axis."""
+    k_mon = lattice.time.index_of(terminal.monitor_time)
+    axis = lattice.space.axes[0]
+    p = axis.shape[0]
+    recorded = np.broadcast_to(axis[:, None, None], (p, p, 1))
+    current = np.broadcast_to(axis[None, :, None], (p, p, 1))
+    values = terminal.evaluate(current, recorded=recorded)
+    for k in range(lattice.steps - 1, k_mon - 1, -1):
+        best = None
+        for c in range(lattice.combos.shape[0]):
+            cand = None
+            for idx, weight in stencil_terms(lattice, c):
+                part = weight * values[:, idx[0], :]
+                cand = part if cand is None else cand + part
+            best = cand if best is None else np.maximum(best, cand)
+        values = best
+    diag = values[np.arange(p), np.arange(p), :]
+    return stencil_sweep(lattice, diag, start_layer=k_mon)[0][0]
+
+
+def stencil_running_max_dp(phi, lattice, levels=257):
+    """Running-maximum recursion gathering children through the stencil."""
+    steps = lattice.steps
+    grid = np.unique(np.quantile(phi, np.linspace(0.0, 1.0, levels)))
+    grid[-1] = phi.max()
+    m = grid.shape[0]
+    lev = np.minimum(np.searchsorted(grid, phi, side="left"), m - 1)
+    p = lattice.space.shape[0]
+    values = np.maximum(grid[None, :], phi[steps][:, None])
+    level_ids = np.arange(m)[None, :]
+    for k in range(steps - 1, -1, -1):
+        best = None
+        for c in range(lattice.combos.shape[0]):
+            acc = np.zeros((p, m))
+            for idx, w in stencil_terms(lattice, c):
+                child_x = idx[0]
+                j = np.maximum(level_ids, lev[k + 1][child_x][:, None])
+                acc += w * values[child_x[:, None], j]
+            best = acc if best is None else np.maximum(best, acc)
+        values = np.maximum(best, np.maximum(grid[None, :], phi[k][:, None]))
+    return float(values[lattice.origin_index[0], lev[0][lattice.origin_index[0]]])
+
+
+@pytest.mark.parametrize("steps,points,grid_points", [(8, 81, 3), (16, 97, 5)])
+def test_monitored_and_running_max_match_stencil(steps, points, grid_points):
+    lat = make_lattice(steps=steps, points=points, grid_points=grid_points)
+    for fn in (lambda u, x: np.abs(x - 0.5 * u), lambda u, x: np.maximum(u, x) ** 2):
+        mon = TerminalFunctional(fn=fn, lipschitz=1e3, monitor_time=0.5)
+        assert np.array_equal(_expectation_monitored(lat, mon), stencil_monitored(lat, mon))
+    rng = np.random.default_rng(grid_points)
+    phi = rng.uniform(0.0, 2.0, (steps + 1,) + lat.space.shape)
+    assert _running_max_dp(phi, lat) == stencil_running_max_dp(phi, lat)
+    assert _running_max_dp(phi, lat, levels=17) == stencil_running_max_dp(phi, lat, levels=17)
 
 
 # ---------------------------------------------------------------------------

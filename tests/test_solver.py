@@ -109,7 +109,6 @@ def test_driver_validation():
     assert zg.fn(0.0, np.zeros((5, 2)), None, None).shape == (5, 2, 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # spot check: inf - inf
 def test_non_finite_driver_values_rejected(small_lat):
     def filled(v, tail=()):
         return Driver(fn=lambda t, y, z, eta: np.full(y.shape + tail, v), lipschitz=0.0)
