@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, ConvergenceError, DegenerateBoxError,
                      DegenerateDenominatorError, DimensionError, GcalcError,
                      GridResolutionError, InputError, WeightOverflowError)
-from .gtensor import (DiagTensor, VolatilityBox, colon_product,
-                      correlated_bounds, g_argmax_sigma, g_diag,
-                      g_sym_bruteforce, pos_neg_split, tensor_dot)
+from .gtensor import (DiagTensor, VolatilityBox, g_corner, g_diag,
+                      g_sym_bruteforce)
 from .scenario import (Lattice, SpaceGrid, TerminalFunctional, TimeGrid,
                        build_lattice, capacity_estimate,
                        conditional_expectation_field, control_monte_carlo,

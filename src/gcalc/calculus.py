@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominatorError, DimensionError, InputError,
                      WeightOverflowError)
-from .gtensor import VolatilityBox
+from .gtensor import VolatilityBox, g_corner
 from .scenario import Lattice, TimeGrid, _sweep
 
 # Largest exponent allowed in exponential time weights.
@@ -132,9 +132,9 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
                    tol: float = 1e-10) -> QvBoundsReport:
     """Check the two structural bounds on a bracket integral over [t, s].
 
-    The absolute bound uses K = sqrt(d) * sigma_max^2; the sandwich pairs the
-    positive part of the integrand with one box corner and the negative part
-    with the other, componentwise.
+    The absolute bound uses K = sqrt(d) * sigma_max^2; the sandwich is
+    [-2 G(-eta), 2 G(eta)] dt summed over the window, componentwise, with G
+    the worst-case generator `g_corner`.
     """
     grid = TimeGrid(horizon=float(path.times[-1]), steps=path.steps)
     k_lo = grid.index_of(t)
@@ -152,11 +152,8 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
     frob = np.sqrt(np.sum(eta[sl] ** 2, axis=(1, 2)))
     abs_bound = float(k_const * np.sum(frob) * dt)
 
-    plus = np.clip(eta[sl], 0.0, None)
-    minus = np.clip(-eta[sl], 0.0, None)
-    lo, up = path.box.lower, path.box.upper
-    lower = (np.einsum("knd,d->n", plus, lo) - np.einsum("knd,d->n", minus, up)) * dt
-    upper = (np.einsum("knd,d->n", plus, up) - np.einsum("knd,d->n", minus, lo)) * dt
+    upper = 2.0 * np.sum(g_corner(eta[sl], path.box), axis=0) * dt
+    lower = -2.0 * np.sum(g_corner(-eta[sl], path.box), axis=0) * dt
 
     return QvBoundsReport(
         integral=integral,
@@ -173,24 +170,6 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
 # ---------------------------------------------------------------------------
 # Exponentially weighted norms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightedNormParams:
-    """Weight/penalty parameters shared by the estimate checks."""
-
-    beta: float
-    mu: float
-    nu: float
-    t_start: float = 0.0
-
-    def __post_init__(self):
-        if self.beta < 0.0:
-            raise InputError("beta must be nonnegative")
-        if self.mu <= 0.0 or self.nu <= 0.0:
-            raise InputError("mu and nu must be positive")
-        if self.t_start < 0.0:
-            raise InputError("t_start must be nonnegative")
-
 
 def exp_cell_weights(time: TimeGrid, beta: float, t_start: float = 0.0) -> np.ndarray:
     """Exact integrals of exp(beta * s) over each grid cell in [t_start, T].

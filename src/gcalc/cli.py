@@ -97,7 +97,7 @@ def _build_payoff(cfg: dict, d: int, where: str) -> TerminalFunctional:
     params = _get(cfg, "params", dict, where, default={})
     try:
         return make_payoff(pid, d, params)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -108,8 +108,19 @@ def _build_driver(cfg: dict, n: int, d: int, role: str, where: str) -> Driver:
     params = _get(cfg, "params", dict, where, default={})
     try:
         return make_driver(did, n, d, params, role=role)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _betas(raw: list, horizon: float, where: str) -> list:
+    """Positive weight exponents, keeping those whose weights stay representable."""
+    betas = []
+    for i, b in enumerate(raw):
+        if not isinstance(b, (int, float)) or isinstance(b, bool) or not b > 0:
+            raise ConfigError(f"{where}[{i}]: must be a positive number")
+        if float(b) * horizon <= MAX_EXPONENT:
+            betas.append(float(b))
+    return betas
 
 
 def _build_event(cfg: dict, d: int) -> TerminalFunctional:
@@ -157,14 +168,14 @@ def _build_ratio(cfg: dict, lattice, d: int) -> dict:
     n_max = _get(cfg, "n_max", int, "ratio", default=20)
     if n_max < 1:
         raise ConfigError("ratio.n_max: must be >= 1")
-    extra = _get(cfg, "betas", list, "ratio", default=[])
+    extra = _betas(_get(cfg, "betas", list, "ratio", default=[]), horizon, "ratio.betas")
     try:
         theta = StepProcess(times=np.array(times), state_fns=state_fns("theta"))
         zeta = StepProcess(times=np.array(times), state_fns=state_fns("zeta"))
     except (InputError, DimensionError) as exc:
         raise ConfigError(f"ratio: {exc}") from exc
     return {"theta": theta, "zeta": zeta, "n_max": int(n_max),
-            "betas": [float(b) for b in extra]}
+            "betas": extra}
 
 
 def build_experiment(raw: dict, command: str, seed_override: Optional[int],
@@ -230,13 +241,8 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
         if beta * horizon > MAX_EXPONENT:
             raise ConfigError(f"beta: beta * horizon = {beta * horizon:.3g} "
                               f"overflows the weight range ({MAX_EXPONENT:.0f})")
-    betas_raw = _get(raw, "betas", list, "config", default=list(BETA_GRID))
-    betas = []
-    for i, b in enumerate(betas_raw):
-        if not isinstance(b, (int, float)) or isinstance(b, bool) or b <= 0:
-            raise ConfigError(f"betas[{i}]: must be a positive number")
-        if float(b) * horizon <= MAX_EXPONENT:
-            betas.append(float(b))
+    betas = _betas(_get(raw, "betas", list, "config", default=list(BETA_GRID)),
+                   horizon, "betas")
     if not betas:
         raise ConfigError("betas: every entry overflows the weight range")
 
@@ -531,19 +537,19 @@ def main(argv=None) -> int:
         print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        ctx = build_experiment(raw, args.command, args.seed, args.out)
-    except (ConfigError, InputError, DimensionError, GridResolutionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        # float overflow ends the run here, not as numpy warnings and inf/NaN outputs
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+    # float overflow ends the run here, not as numpy warnings and inf/NaN outputs;
+    # while building, it also covers JSON integers too large for a float
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            ctx = build_experiment(raw, args.command, args.seed, args.out)
+        except (GcalcError, ArithmeticError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        try:
             outputs, files, failed = _RUNNERS[ctx.command](ctx)
-    except (GcalcError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        except (GcalcError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
 
     try:
         _write_outputs(ctx, outputs, files)

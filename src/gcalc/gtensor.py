@@ -1,10 +1,11 @@
-"""Matrix and block-diagonal tensor algebra for volatility uncertainty.
+"""Volatility boxes and the worst-case generator over them.
 
 The state dimension is d and the value dimension is n (both small). A
 "diagonal tensor" is a stack of n diagonal d x d matrices, stored as its
 diagonals only. The worst-case quadratic form over a box of diagonal
-covariance matrices has a closed corner form, implemented here next to a
-brute-force grid version used as its cross-check.
+covariance matrices has a closed corner form (`g_corner`, the one kernel
+every caller uses), implemented here next to a brute-force grid version
+used as its cross-check.
 """
 from __future__ import annotations
 
@@ -16,9 +17,6 @@ from .errors import DimensionError, InputError
 
 # Absolute tolerance for exact algebraic identities.
 ALGEBRA_TOL = 1e-12
-
-# Condition number beyond which a mixing matrix is treated as singular.
-_COND_LIMIT = 1e12
 
 # Largest covariance grid: lattice policies store combo indices as int16.
 MAX_COMBOS = int(np.iinfo(np.int16).max)
@@ -43,20 +41,6 @@ def check_symmetric(a, tol: float = ALGEBRA_TOL) -> np.ndarray:
     return m
 
 
-def colon_product(a, b) -> float:
-    """Frobenius pairing tr(a^T b) of two equal-shaped matrices."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return float(np.sum(ma * mb))
-
-
-def matrix_norm(a) -> float:
-    """Norm induced by the colon product (Frobenius norm)."""
-    m = _as_matrix(a)
-    return float(np.sqrt(np.sum(m * m)))
-
-
 @dataclass(frozen=True)
 class DiagTensor:
     """Stack of n diagonal d x d matrices, stored as an (n, d) diagonal array."""
@@ -78,87 +62,6 @@ class DiagTensor:
     @property
     def d(self) -> int:
         return self.diag.shape[1]
-
-    @property
-    def norm(self) -> float:
-        """sqrt(sum_i block_i : block_i)."""
-        return float(np.sqrt(np.sum(self.diag * self.diag)))
-
-    def blocks(self) -> np.ndarray:
-        """Materialize the (n, d, d) stack of diagonal matrices."""
-        out = np.zeros((self.n, self.d, self.d))
-        idx = np.arange(self.d)
-        out[:, idx, idx] = self.diag
-        return out
-
-    @classmethod
-    def from_blocks(cls, mats) -> "DiagTensor":
-        """Build from an (n, d, d) stack, rejecting off-diagonal content."""
-        a = np.asarray(mats, dtype=float)
-        if a.ndim == 2:
-            a = a[None]
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise DimensionError(f"expected (n, d, d) blocks, got {a.shape}")
-        idx = np.arange(a.shape[1])
-        diags = a[:, idx, idx]
-        rebuilt = np.zeros_like(a)
-        rebuilt[:, idx, idx] = diags
-        if np.max(np.abs(a - rebuilt), initial=0.0) > ALGEBRA_TOL:
-            raise InputError("blocks have off-diagonal entries")
-        return cls(diags)
-
-    def __add__(self, other: "DiagTensor") -> "DiagTensor":
-        self._check_like(other)
-        return DiagTensor(self.diag + other.diag)
-
-    def __sub__(self, other: "DiagTensor") -> "DiagTensor":
-        self._check_like(other)
-        return DiagTensor(self.diag - other.diag)
-
-    def __rmul__(self, scalar: float) -> "DiagTensor":
-        return DiagTensor(float(scalar) * self.diag)
-
-    def _check_like(self, other):
-        if not isinstance(other, DiagTensor) or other.diag.shape != self.diag.shape:
-            raise DimensionError("tensors have different (n, d) shapes")
-
-
-def pos_neg_split(eta: DiagTensor) -> tuple[DiagTensor, DiagTensor]:
-    """Entrywise split eta = plus - minus with both parts nonnegative."""
-    return DiagTensor(np.clip(eta.diag, 0.0, None)), DiagTensor(np.clip(-eta.diag, 0.0, None))
-
-
-def tensor_contract(eta: DiagTensor, gamma) -> np.ndarray:
-    """Componentwise pairing (block_i : gamma) against one symmetric matrix.
-
-    Only the diagonal of gamma survives because the blocks are diagonal.
-    """
-    g = check_symmetric(gamma)
-    if g.shape[0] != eta.d:
-        raise DimensionError(f"gamma is {g.shape}, tensor axis is d={eta.d}")
-    return eta.diag @ np.diag(g)
-
-
-def tensor_dot(lhs, rhs: DiagTensor, gamma=None):
-    """Contractions between vectors / diagonal tensors.
-
-    tensor_dot(eta, theta)        -> d x d diagonal matrix sum_i eta_i^T theta_i
-    tensor_dot(xi, eta)           -> d x d diagonal matrix sum_i xi_i eta_i
-    tensor_dot(xi, eta, gamma)    -> scalar sum_i xi_i (eta_i : gamma)
-    """
-    if not isinstance(rhs, DiagTensor):
-        raise DimensionError("second operand must be a DiagTensor")
-    if isinstance(lhs, DiagTensor):
-        if gamma is not None:
-            raise DimensionError("gamma form takes a vector on the left")
-        lhs._check_like(rhs)
-        return np.diag(np.sum(lhs.diag * rhs.diag, axis=0))
-    xi = np.asarray(lhs, dtype=float)
-    if xi.ndim != 1 or xi.shape[0] != rhs.n:
-        raise DimensionError(f"vector length {xi.shape} does not match n={rhs.n}")
-    if gamma is None:
-        return np.diag(xi @ rhs.diag)
-    return float(xi @ tensor_contract(rhs, gamma))
 
 
 @dataclass(frozen=True)
@@ -228,27 +131,22 @@ class VolatilityBox:
         return bool(np.all(s >= self.lower - tol) and np.all(s <= self.upper + tol))
 
 
+def g_corner(eta: np.ndarray, box: VolatilityBox) -> np.ndarray:
+    """Worst-case half quadratic form over the box, per trailing (d,) row.
+
+    The supremum of 0.5 * (sigma2 : eta) over the box is attained at a
+    corner: upper bound where the diagonal entry is positive, lower bound
+    where it is negative. eta has shape (..., d); the result has shape (...).
+    """
+    return 0.5 * (np.clip(eta, 0.0, None) @ box.upper
+                  - np.clip(-eta, 0.0, None) @ box.lower)
+
+
 def g_diag(eta: DiagTensor, box: VolatilityBox) -> np.ndarray:
-    """Worst-case half quadratic form, componentwise over the block stack.
-
-    For each block the supremum of 0.5 * (sigma2 : block) over the box is
-    attained at a corner: upper bound where the diagonal entry is positive,
-    lower bound where it is negative.
-    """
+    """g_corner of each block of a diagonal tensor, shape (n,)."""
     if eta.d != box.d:
         raise DimensionError(f"tensor d={eta.d} does not match box d={box.d}")
-    plus, minus = pos_neg_split(eta)
-    return 0.5 * (plus.diag @ box.upper - minus.diag @ box.lower)
-
-
-def g_argmax_sigma(eta: DiagTensor, box: VolatilityBox) -> np.ndarray:
-    """Corner covariance diagonals attaining g_diag, shape (n, d).
-
-    Zero entries resolve to the lower bound, matching the lattice tie rule.
-    """
-    if eta.d != box.d:
-        raise DimensionError(f"tensor d={eta.d} does not match box d={box.d}")
-    return np.where(eta.diag > 0.0, box.upper, box.lower)
+    return g_corner(eta.diag, box)
 
 
 def g_sym_bruteforce(a, box: VolatilityBox, points_per_axis: int | None = None) -> float:
@@ -273,34 +171,3 @@ def g_sym_bruteforce(a, box: VolatilityBox, points_per_axis: int | None = None) 
     for j in range(box.d):
         total += np.max(diag_a[j] * axes[j])
     return 0.5 * float(total)
-
-
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """Linear mixing y = P x of an uncorrelated box-volatility state x."""
-
-    mixing: np.ndarray
-    box: VolatilityBox
-
-    def __post_init__(self):
-        p = _as_matrix(self.mixing)
-        if p.shape != (self.box.d, self.box.d):
-            raise DimensionError(f"mixing is {p.shape}, box d={self.box.d}")
-        if np.linalg.cond(p) > _COND_LIMIT:
-            raise InputError("mixing matrix is singular or near-singular")
-        object.__setattr__(self, "mixing", p)
-
-
-def correlated_bounds(spec: CorrelationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise covariance envelope (q_low, q_high) of the mixed state.
-
-    q_high[i, j] = sup over the box of sum_l p_il p_jl sigma2_l, and q_low the
-    infimum; both are attained corner-by-corner through the sign of p_il p_jl.
-    """
-    p = spec.mixing
-    w = np.einsum("il,jl->ijl", p, p)
-    wp = np.clip(w, 0.0, None)
-    wm = np.clip(-w, 0.0, None)
-    q_high = wp @ spec.box.upper - wm @ spec.box.lower
-    q_low = wp @ spec.box.lower - wm @ spec.box.upper
-    return q_low, q_high

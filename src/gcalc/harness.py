@@ -21,8 +21,9 @@ import numpy as np
 from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
                        exp_cell_weights, weighted_norms)
 from .errors import InputError, WeightOverflowError
-from .scenario import Lattice, TerminalFunctional, _sweep
-from .solver import (BsdeSolution, GBsdeParams, _g_corner_value, _triple_sq,
+from .gtensor import g_corner
+from .scenario import Lattice, TerminalFunctional, _sweep, nearest_index
+from .solver import (BsdeSolution, GBsdeParams, _triple_sq,
                      represent_martingale, solve_gbsde)
 
 #: Default exponent grid for the stability estimates.
@@ -63,7 +64,7 @@ def _curvature_cross_terms(delta_y: np.ndarray, delta_eta: np.ndarray,
     2 dY . (G(eta1) - G(eta2)) dt - dY . dEta : d<bracket>, one per beta,
     from one sweep with the betas on the trailing axis."""
     weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
-    g_gap = _g_corner_value(eta1, lattice) - _g_corner_value(eta2, lattice)
+    g_gap = g_corner(eta1, lattice.box) - g_corner(eta2, lattice.box)
     a_field = 2.0 * np.sum(delta_y * g_gap, axis=-1)          # (layers, *grid)
     b_field = np.einsum("...i,...ij->...j", delta_y, delta_eta)
 
@@ -240,7 +241,6 @@ def _realized_sup_mc(phi, lattice: Lattice, n_paths: int = 512, seed: int = 31) 
     dt = lattice.dt
     sig2 = lattice.box.upper
     x = np.zeros((n_paths, d))
-    from .scenario import nearest_index
     best = np.full(n_paths, -np.inf)
     for k in range(lattice.steps + 1):
         idx = nearest_index(lattice.space, x)

@@ -285,14 +285,17 @@ def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Latti
 
 def _sweep(lattice: Lattice, terminal_values: np.ndarray,
            step_cost: Optional[Callable[[int, int], np.ndarray]] = None,
-           store: bool = False, start_layer: Optional[int] = None):
-    """Backward induction from `start_layer` (default last) down to 0.
+           store: bool = False, start_layer: Optional[int] = None,
+           axis: int = 0, stop_layer: int = 0):
+    """Backward induction from `start_layer` (default last) down to
+    `stop_layer` (default 0), with the lattice axes at array axis `axis` on.
 
     step_cost(k, combo_index), when given, must return the cost contribution
     of layer k under that covariance, already carrying its own time weight.
     Ties across the covariance grid keep the lexicographically smallest
     covariance (candidates are scanned in ascending order with a strict
-    improvement test).
+    improvement test). store=True keeps every layer and the policy, and
+    needs the default stop_layer.
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
@@ -300,10 +303,10 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
         all_values = np.empty((n_layers + 1,) + values.shape)
         all_values[n_layers] = values
         policy = np.empty((n_layers,) + values.shape, dtype=np.int16)
-    for k in range(n_layers - 1, -1, -1):
+    for k in range(n_layers - 1, stop_layer - 1, -1):
         best = None
         best_idx = None
-        for c, cand in enumerate(lattice.child_means(values)):
+        for c, cand in enumerate(lattice.child_means(values, axis)):
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
             if best is None:
@@ -380,11 +383,7 @@ def _expectation_monitored(lattice: Lattice, terminal: TerminalFunctional) -> np
     recorded = np.broadcast_to(axis[:, None, None], (p, p, 1))
     current = np.broadcast_to(axis[None, :, None], (p, p, 1))
     values = terminal.evaluate(current, recorded=recorded)  # (p_u, p_x, n)
-    for k in range(lattice.steps - 1, k_mon - 1, -1):
-        best = None
-        for cand in lattice.child_means(values, axis=1):
-            best = cand if best is None else np.maximum(best, cand)
-        values = best
+    values = _sweep(lattice, values, axis=1, stop_layer=k_mon)
     diag = values[np.arange(p), np.arange(p), :]  # recorded state equals current
     return _sweep(lattice, diag, start_layer=k_mon)
 

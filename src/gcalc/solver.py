@@ -17,10 +17,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateBoxError, InputError
+from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _sweep,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
-from .calculus import weighted_norms
+from .calculus import MAX_EXPONENT, weighted_norms
 
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
@@ -184,13 +185,6 @@ def extract_integrands(values: np.ndarray, lattice: Lattice,
     return z, eta
 
 
-def _g_corner_value(eta: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Componentwise worst-case half quadratic form of (..., n, d) diagonals."""
-    plus = np.clip(eta, 0.0, None)
-    minus = np.clip(-eta, 0.0, None)
-    return 0.5 * (plus @ lattice.box.upper - minus @ lattice.box.lower)
-
-
 def _compensator_increments(eta: np.ndarray, policy_idx: np.ndarray,
                             lattice: Lattice) -> np.ndarray:
     """Per-step compensator (G(eta) - half eta : policy covariance) * dt.
@@ -199,7 +193,7 @@ def _compensator_increments(eta: np.ndarray, policy_idx: np.ndarray,
     """
     steps = policy_idx.shape[0]
     sigma_star = lattice.combos[policy_idx]              # (steps, *grid, n, d)
-    g_val = _g_corner_value(eta[:steps], lattice)         # (steps, *grid, n)
+    g_val = g_corner(eta[:steps], lattice.box)            # (steps, *grid, n)
     pinned = 0.5 * np.sum(eta[:steps] * sigma_star, axis=-1)
     return (g_val - pinned) * lattice.dt
 
@@ -295,7 +289,8 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     falls below tol. When beta is not given, the BETA_SCAN grid is searched
     for the smallest weight whose measured per-iteration squared contraction
     stays within the theoretical factor; it is reported as beta0_empirical.
-    Raises ConvergenceError (with the distance trace) when max_iter is hit.
+    Raises ConvergenceError (with the distance trace) when max_iter is hit
+    or as soon as a distance is not finite.
     """
     params.spot_check(lattice.d, np.random.default_rng(0))
     mu2, nu2 = default_penalties(params, lattice)
@@ -307,8 +302,7 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     theoretical = 5.0 * c / lattice.box.sigma_min_sq * (1.0 / mu2 + 1.0 / nu2)
 
     scan = BETA_SCAN if beta is None else (float(beta),)
-    max_beta_t = 0.99 * 700.0
-    scan = tuple(b for b in scan if b * lattice.time.horizon <= max_beta_t)
+    scan = tuple(b for b in scan if b * lattice.time.horizon <= MAX_EXPONENT)
     if not scan:
         raise InputError("all candidate betas overflow the weight range")
 
@@ -330,6 +324,10 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
         sq0, *sq_scan = _triple_sq(weighted_norms(delta, lattice, (0.0,) + scan))[0]
         dist0 = math.sqrt(sq0)
         distances.append(dist0)
+        if not math.isfinite(dist0):
+            raise ConvergenceError(
+                f"Picard distance is not finite ({dist0}) at iteration "
+                f"{len(distances)}", trace=distances)
         for b, sq in zip(scan, sq_scan):
             dist_by_beta[b].append(sq)
         fields = (solution.Y, solution.Z, solution.eta)
@@ -393,7 +391,6 @@ def _replay_component(solution: BsdeSolution, params: GBsdeParams, comp: int,
     z_db = np.zeros((m, steps))      # Z^T dB terms
     g_term = np.zeros((m, steps))    # G(eta) dt terms
     eta_qv = np.zeros((m, steps))    # half eta : bracket increments
-    up, lo = box.upper, box.lower
     for k in range(steps):
         y_all = evaluate_field(space, solution.Y[k], x)        # (m, n)
         z_all = evaluate_field(space, solution.Z[k], x)        # (m, d, n)
@@ -421,9 +418,7 @@ def _replay_component(solution: BsdeSolution, params: GBsdeParams, comp: int,
         f_int[:, k] = f_val * dt
         gqv_int[:, k] = np.sum(g_val * dqv, axis=1)
         z_db[:, k] = np.sum(z_k * db, axis=1)
-        plus = np.clip(eta_k, 0.0, None)
-        minus = np.clip(-eta_k, 0.0, None)
-        g_term[:, k] = 0.5 * (plus @ up - minus @ lo) * dt
+        g_term[:, k] = g_corner(eta_k, box) * dt
         eta_qv[:, k] = 0.5 * np.sum(eta_k * dqv, axis=1)
         x = x + db
     y_path[:, steps] = evaluate_field(space, solution.Y[steps][..., comp], x)
@@ -519,9 +514,7 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
                 sig2 = np.where(eta_k > 0.0, up, lo)
             else:
                 sig2 = np.broadcast_to(table[k], (m, d))
-            plus = np.clip(eta_k, 0.0, None)
-            minus = np.clip(-eta_k, 0.0, None)
-            g_val = 0.5 * (plus @ up - minus @ lo)
+            g_val = g_corner(eta_k, lat.box)
             k_total += (g_val - 0.5 * np.sum(eta_k * sig2, axis=1)) * dt
             signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
             x = x + np.sqrt(sig2 * dt) * signs

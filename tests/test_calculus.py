@@ -8,8 +8,7 @@ from gcalc import (PathBundle, StepProcess, TimeGrid, VolatilityBox,
                    exp_cell_weights, ito_integral, lemma31_bounds,
                    qv_integral, ratio_decay_report, simulate_path,
                    weighted_norm)
-from gcalc.calculus import (WeightedNormParams, _square_integral_expectation,
-                            weighted_norms)
+from gcalc.calculus import _square_integral_expectation, weighted_norms
 from gcalc.errors import (DegenerateDenominatorError, DimensionError,
                           InputError, WeightOverflowError)
 from gcalc.scenario import _sweep
@@ -170,12 +169,6 @@ def test_weighted_norm_layout_and_params(small_lat):
         weighted_norm(np.zeros((40, 161)), small_lat, 1.0)
     with pytest.raises(WeightOverflowError):
         weighted_norm(np.zeros((41, 161)), small_lat, 800.0)
-    with pytest.raises(InputError):
-        WeightedNormParams(beta=-1.0, mu=1.0, nu=1.0)
-    with pytest.raises(InputError):
-        WeightedNormParams(beta=1.0, mu=0.0, nu=1.0)
-    with pytest.raises(InputError):
-        WeightedNormParams(beta=1.0, mu=1.0, nu=1.0, t_start=-0.5)
 
 
 def reference_weighted_norm(field, lattice, beta, t_start=0.0):

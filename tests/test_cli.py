@@ -4,19 +4,23 @@ Most cases drive gcalc.cli.main() in-process with configs written into
 tmp_path; one test goes through `python3 -m gcalc.cli` to make sure the
 module entry point stays wired up.
 """
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
-from gcalc.cli import _fields_csv, _fmt, build_experiment, main
+from gcalc.cli import COMMANDS, _fields_csv, _fmt, build_experiment, main
 
 from conftest import make_lattice
 
@@ -266,6 +270,48 @@ def test_overflowing_driver_exits_3_with_one_stderr_line(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+RATIO = {"theta": [{"id": "linear"}, {"id": "linear"}],
+         "zeta": [{"id": "constant"}, {"id": "constant"}]}
+
+
+@pytest.mark.parametrize("command, extra, label", [
+    ("expect", {"payoff": {"id": "constant", "params": {"c": None}}}, "payoff c null"),
+    ("expect", {"payoff": {"id": "constant", "params": {"c": "x"}}}, "payoff c string"),
+    ("expect", {"payoff": {"id": "linear", "params": {"weights": {"a": 1}}}},
+     "payoff weights object"),
+    ("solve", {"payoff": {"id": "quadratic"},
+               "drivers": {"dt": {"id": "constant", "params": {"c": [1, 2]}}}},
+     "driver c list"),
+    ("solve", {"payoff": {"id": "quadratic"},
+               "drivers": {"dt": {"id": "linear-in-z", "params": {"a": 1e300}}}},
+     "driver Lipschitz overflow"),
+    ("expect", {"payoff": {"id": "constant", "params": {"c": 10 ** 400}}},
+     "payoff c beyond float range"),
+    ("expect", {"payoff": {"id": "quadratic"}, "betas": [10 ** 400]}, "beta beyond float range"),
+    ("ratio-decay", {"ratio": {**RATIO, "betas": [None]}}, "ratio betas null"),
+])
+def test_malformed_param_values_exit_2_with_one_stderr_line(tmp_path, capsys, command,
+                                                            extra, label):
+    rc, out = run_cli(tmp_path, command, {**SMALL, **extra}, name=label.replace(" ", "-"))
+    assert rc == 2, label
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists(), label
+
+
+def test_beta_at_the_weight_exponent_limit_solves(tmp_path):
+    # 695 * horizon sits under the shared 700 exponent limit, so the CLI and
+    # the solver agree that this beta is admissible
+    cfg = {**SMALL, "payoff": {"id": "quadratic"},
+           "drivers": {"dt": {"id": "linear-in-y", "params": {"r": -0.5}}},
+           "beta": 695}
+    rc, out = run_cli(tmp_path, "solve", cfg)
+    assert rc == 0
+    outputs = load_summary(out)["outputs"]
+    assert outputs["converged"] is True
+    assert math.isfinite(outputs["y0"])
+
+
 def test_config_error_message_names_the_field(tmp_path, capsys):
     cfg = {**SMALL, "payoff": {"id": "quadratic"}, "betas": "nope"}
     rc, _ = run_cli(tmp_path, "expect", cfg)
@@ -331,6 +377,149 @@ def test_represent_fields_csv_matches_per_cell_formatter(tmp_path):
     header, _ = _fields_csv(sol)
     want = csv_text(header, reference_fields_rows(sol))
     assert (out / "fields.csv").read_bytes() == want.encode()
+
+
+# ---------------------------------------------------------------------------
+# property-based fuzz: every config ends in finite outputs or one error line
+# ---------------------------------------------------------------------------
+
+MALFORMED = st.sampled_from([None, "x", [1, 2], {"a": 1}, True, -1.0, 0.0, 1e300,
+                             10 ** 400])
+
+
+def small_floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def vectors(d, lo, hi):
+    return st.lists(small_floats(lo, hi), min_size=d, max_size=d)
+
+
+def payoff_params(d):
+    return {"constant": {"c": small_floats(-3.0, 3.0)},
+            "linear": {"weights": vectors(d, -2.0, 2.0)},
+            "quadratic": {}, "neg-quadratic": {},
+            "abs": {"weights": vectors(d, -2.0, 2.0)},
+            "call": {"strike": small_floats(-1.0, 1.0), "weights": vectors(d, -2.0, 2.0)},
+            "butterfly": {"a": small_floats(-2.0, 0.0), "b": small_floats(0.0, 2.0)}}
+
+
+def driver_params(d):
+    return {"zero": {}, "constant": {"c": small_floats(-2.0, 2.0)},
+            "linear-in-y": {"r": small_floats(-1.0, 1.0)},
+            "linear-in-z": {"a": vectors(d, -0.5, 0.5)},
+            "qv-constant": {"gamma": small_floats(-1.0, 1.0)},
+            "clamped-custom-affine": {
+                "alpha": small_floats(-0.5, 0.5), "coef_y": small_floats(-0.5, 0.5),
+                "coef_z": vectors(d, -0.3, 0.3), "coef_eta": vectors(d, 0.0, 0.05),
+                "lo": small_floats(-2.0, -0.5), "hi": small_floats(0.5, 2.0)}}
+
+
+def catalog_entry(draw, table, ids=None):
+    """{"id", "params"} with a random subset of valid params, or one
+    malformed param value."""
+    cid = draw(st.sampled_from(sorted(table) if ids is None else ids))
+    params = {k: draw(v) for k, v in table[cid].items() if draw(st.booleans())}
+    if table[cid] and draw(st.integers(0, 5)) == 0:
+        params[draw(st.sampled_from(sorted(table[cid])))] = draw(MALFORMED)
+    return {"id": cid, "params": params}
+
+
+def betas_near_limit(horizon):
+    # admissible and overflowing weights around beta * horizon = 700
+    return st.floats(min_value=0.9, max_value=1.05).map(lambda f: f * 700.0 / horizon)
+
+
+@st.composite
+def fuzz_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    d = draw(st.sampled_from([1, 2]))
+    lower = draw(vectors(d, 0.5, 2.0))
+    upper = [lo * w for lo, w in zip(lower, draw(vectors(d, 1.0, 2.0)))]
+    horizon = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    # ratio-decay's default partition needs the midpoint on the time grid
+    steps = draw(st.integers(1, 4)) * 2 if command == "ratio-decay" else draw(st.integers(1, 8))
+    # mostly fine enough for the resolution guard
+    # (spacing 12 sigma_max sqrt(T) / (points - 1) <= sigma_min sqrt(T / steps))
+    cap = 61 if d == 1 else 41
+    fine = 12.0 * math.sqrt(max(upper) / min(lower) * steps) + 1.0
+    least = min(cap, max(9, int(fine) + 1))
+    points = draw(st.integers(least // 2, cap // 2)) * 2 + 1
+    cfg = {"box": {"d": d, "lower": lower, "upper": upper,
+                   "grid_points": draw(st.integers(2, 5 if d == 1 else 3))},
+           "time": {"horizon": horizon, "steps": steps},
+           "space": {"points": points}}
+    payoffs = payoff_params(d)
+    drivers = driver_params(d)
+    if command in ("expect", "represent", "solve", "verify-estimates"):
+        cfg["payoff"] = catalog_entry(draw, payoffs)
+    if command in ("solve", "verify-estimates"):
+        cfg["drivers"] = {"dt": catalog_entry(draw, drivers),
+                          "qv": catalog_entry(draw, drivers)}
+        cfg["max_iter"] = draw(st.integers(1, 30))
+        if draw(st.booleans()):
+            cfg["beta"] = draw(betas_near_limit(horizon))
+        if draw(st.booleans()):
+            cfg["betas"] = [1.0, draw(betas_near_limit(horizon))]
+    if command == "capacity":
+        cfg["event"] = {"payoff": catalog_entry(draw, payoffs),
+                        "level": draw(small_floats(-1.0, 2.0)),
+                        "op": draw(st.sampled_from([">=", "<=", ">", "<"]))}
+    if command == "ratio-decay":
+        cfg["ratio"] = {
+            "theta": [catalog_entry(draw, payoffs) for _ in range(2)],
+            "zeta": [catalog_entry(draw, payoffs, ["constant"]) for _ in range(2)],
+            "n_max": draw(st.integers(1, 4)),
+            "betas": draw(st.lists(st.one_of(betas_near_limit(horizon), MALFORMED),
+                                   max_size=2))}
+    return command, cfg
+
+
+def assert_finite_outputs(out_dir):
+    with open(os.path.join(out_dir, "summary.json")) as fh:
+        summary = json.load(fh)
+
+    def walk(v):
+        if isinstance(v, dict):
+            for x in v.values():
+                walk(x)
+        elif isinstance(v, list):
+            for x in v:
+                walk(x)
+        elif isinstance(v, float):
+            assert math.isfinite(v), summary
+    walk(summary)
+    for name in summary["files"]:
+        with open(os.path.join(out_dir, name)) as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for cell in row:
+                    if cell not in ("", "true", "false"):
+                        assert math.isfinite(float(cell)), (name, row)
+
+
+@given(fuzz_configs())
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_cli_fuzz_ends_in_finite_outputs_or_one_error_line(example):
+    command, cfg = example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out_dir = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", path, "--out", out_dir])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4), (rc, lines)
+        # exit 4 is a verification check that ran and failed: its report is
+        # written like a success, plus one stderr line saying so
+        if rc in (0, 4):
+            assert_finite_outputs(out_dir)
+            assert len(lines) == (rc == 4), lines
+        else:
+            assert len(lines) == 1, lines
+            assert not os.path.exists(out_dir)
 
 
 # ---------------------------------------------------------------------------

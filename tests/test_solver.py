@@ -194,6 +194,17 @@ def test_divergence_raises_with_trace(small_lat):
     assert all(v >= 0.0 for v in err.value.trace)
 
 
+def test_non_finite_distance_stops_at_first_iteration():
+    lat = make_lattice(horizon=2.0, steps=16, points=101)
+    huge = make_driver("constant", 1, 1, {"c": 1e308})
+    params = GBsdeParams(terminal=const_payoff(1.0), f=huge, g=zero_qv_driver(1, 1))
+    with pytest.raises(ConvergenceError) as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve_gbsde(params, lat)
+    assert len(err.value.trace) == 1
+    assert not math.isfinite(err.value.trace[0])
+
+
 def test_fixed_beta_and_overflow_guard(small_lat):
     params = no_driver_params(quad_payoff())
     sol, rep = solve_gbsde(params, small_lat, beta=4.0)
