@@ -58,11 +58,18 @@ def _get(cfg: dict, key: str, kinds, where: str, default=_MISSING):
     return val
 
 
+def _float(val, name: str) -> float:
+    try:
+        return float(val)
+    except OverflowError as exc:
+        raise ConfigError(f"{name}: value out of range") from exc
+
+
 def _number(cfg, key, where, default=_MISSING, positive=False):
     val = _get(cfg, key, (int, float), where, default)
     if val is default and default is not _MISSING:
         return val
-    val = float(val)
+    val = _float(val, f"{where}.{key}")
     if not math.isfinite(val):
         raise ConfigError(f"{where}.{key}: must be finite")
     if positive and val <= 0.0:
@@ -118,9 +125,20 @@ def _betas(raw: list, horizon: float, where: str) -> list:
     for i, b in enumerate(raw):
         if not isinstance(b, (int, float)) or isinstance(b, bool) or not b > 0:
             raise ConfigError(f"{where}[{i}]: must be a positive number")
-        if float(b) * horizon <= MAX_EXPONENT:
-            betas.append(float(b))
+        b = _float(b, f"{where}[{i}]")
+        if b * horizon <= MAX_EXPONENT:
+            betas.append(b)
     return betas
+
+
+def _bound_vector(cfg: dict, key: str) -> np.ndarray:
+    vals = _get(cfg, key, list, "box")
+    try:
+        return np.asarray(vals, dtype=float)
+    except OverflowError as exc:
+        raise ConfigError(f"box.{key}: value out of range") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"box.{key}: {exc}") from exc
 
 
 def _build_event(cfg: dict, d: int) -> TerminalFunctional:
@@ -147,11 +165,12 @@ def _build_ratio(cfg: dict, lattice, d: int) -> dict:
     for i, t in enumerate(partition):
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             raise ConfigError(f"ratio.partition[{i}]: expected a number")
+        t = _float(t, f"ratio.partition[{i}]")
         try:
-            lattice.time.index_of(float(t))
+            lattice.time.index_of(t)
         except InputError as exc:
             raise ConfigError(f"ratio.partition[{i}]: {exc}") from exc
-        times.append(float(t))
+        times.append(t)
 
     def state_fns(key):
         specs = _get(cfg, key, list, "ratio")
@@ -192,13 +211,10 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
 
     box_cfg = _get(raw, "box", dict, "config")
     d = _get(box_cfg, "d", int, "box")
-    lower = _get(box_cfg, "lower", list, "box")
-    upper = _get(box_cfg, "upper", list, "box")
+    lower, upper = (_bound_vector(box_cfg, key) for key in ("lower", "upper"))
     grid_points = _get(box_cfg, "grid_points", int, "box", default=5)
     try:
-        box = VolatilityBox(np.asarray(lower, dtype=float),
-                            np.asarray(upper, dtype=float),
-                            grid_points_per_axis=grid_points)
+        box = VolatilityBox(lower, upper, grid_points_per_axis=grid_points)
     except (InputError, DimensionError, ValueError) as exc:
         raise ConfigError(f"box: {exc}") from exc
     if box.d != d:
@@ -477,6 +493,8 @@ def _run_ratio(ctx: Experiment):
     outputs = {"c_max": rep.c_max, "d_min": rep.d_min,
                "final_ratio": float(rep.b_n[-1]),
                "all_within_bound": all_ok}
+    if rep.beta_rows:
+        outputs["beta_rows"] = list(rep.beta_rows)
     return outputs, {"ratio.csv": (header, rows)}, not all_ok
 
 

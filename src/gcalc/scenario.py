@@ -64,6 +64,13 @@ class TimeGrid:
         return int(k)
 
 
+def _check_axis_points(p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise InputError("each axis needs an odd number (>= 3) of points")
+    if p > MAX_POINTS_PER_AXIS:
+        raise InputError(f"points per axis capped at {MAX_POINTS_PER_AXIS}")
+
+
 @dataclass(frozen=True)
 class SpaceGrid:
     """Uniform symmetric grid per axis, always containing the origin."""
@@ -76,10 +83,9 @@ class SpaceGrid:
         if not 1 <= len(axes) <= MAX_DIM:
             raise DimensionError(f"state dimension must be in [1, {MAX_DIM}]")
         for a in axes:
-            if a.ndim != 1 or a.shape[0] < 3 or a.shape[0] % 2 == 0:
+            if a.ndim != 1:
                 raise InputError("each axis needs an odd number (>= 3) of points")
-            if a.shape[0] > MAX_POINTS_PER_AXIS:
-                raise InputError(f"points per axis capped at {MAX_POINTS_PER_AXIS}")
+            _check_axis_points(a.shape[0])
         if self.span_factor < MIN_SPAN_FACTOR:
             raise InputError(f"span_factor must be at least {MIN_SPAN_FACTOR}")
         object.__setattr__(self, "axes", axes)
@@ -94,6 +100,8 @@ class SpaceGrid:
             points = tuple(int(p) for p in points_per_axis)
         if len(points) != box.d:
             raise DimensionError("points_per_axis length does not match box dimension")
+        for p in points:
+            _check_axis_points(p)       # before any axis is allocated
         half_width = span_factor * math.sqrt(box.sigma_max_sq * horizon)
         axes = tuple(np.linspace(-half_width, half_width, p) for p in points)
         return cls(axes=axes, span_factor=span_factor)

@@ -10,6 +10,7 @@ layerwise-implicit single-control solver serves as the degenerate-box oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,6 +27,9 @@ from .calculus import MAX_EXPONENT, weighted_norms
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
 BETA_SCAN = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+#: Most paths one residual_check forward loop carries; path groups share a
+#: loop up to this many, which bounds the per-step term store.
+REPLAY_BATCH_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -371,66 +375,110 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
 # Pathwise replay checks
 # ---------------------------------------------------------------------------
 
-def _replay_component(solution: BsdeSolution, params: GBsdeParams, comp: int,
-                      control, n_paths: int, rng: np.random.Generator):
-    """Replay n_paths forward paths, evaluating all fields along the way.
+def _coin_flips(rng: np.random.Generator, steps: int, m: int, d: int) -> np.ndarray:
+    """Coin flips of one path group as packed bits, shape (steps, bytes).
 
-    The path is driven by `control(k, x_batch, nearest_idx) -> (m, d)`
-    covariance diagonals, or by component `comp`'s argmax policy at the
-    nearest node when control is None. Drivers see the full n-component
-    field values; the budget identity is accumulated for `comp` alone.
+    One (steps, m * d) draw reads the stream exactly as `steps` successive
+    (m, d) draws would; packing keeps a 64 x 256-path Monte Carlo check at
+    half a megabyte instead of 26.
+    """
+    return np.packbits(rng.integers(0, 2, size=(steps, m * d)), axis=1)
+
+
+def _signs(flips_k: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Increment signs of one step, (groups, bytes) bits -> (groups * m, d)."""
+    bits = np.unpackbits(flips_k, axis=-1, count=m * d)
+    return bits.reshape(-1, d) * 2.0 - 1.0
+
+
+def _residual_groups(rng: np.random.Generator, lat: Lattice, n: int,
+                     n_paths: int, n_controls: int):
+    """Path groups of residual_check as (comp, table, flips), drawn lazily
+    in stream order: one argmax-policy group per component (table None),
+    then per random control its (steps, d) covariance table followed by
+    one group per component."""
+    for comp in range(n):
+        yield comp, None, _coin_flips(rng, lat.steps, n_paths, lat.d)
+    for _ in range(n_controls):
+        table = rng.uniform(lat.box.lower, lat.box.upper, size=(lat.steps, lat.d))
+        for comp in range(n):
+            yield comp, table, _coin_flips(rng, lat.steps, n_paths, lat.d)
+
+
+def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
+            m: int) -> list:
+    """Replay path groups of m paths each in one forward loop.
+
+    A group (comp, table, flips) is driven by component comp's argmax
+    policy at the nearest node when table is None (such groups come
+    first), else by the covariance diagonals table[k]. Drivers see the full
+    n-component field values; the budget identity is accumulated for comp
+    alone. Returns per group (largest |Y_t - right side|, smallest Y_t minus
+    the K-free right side, both over t < T, and the terminal gap).
     """
     lat = solution.lattice
-    space, box, dt = lat.space, lat.box, lat.dt
+    space, dt, steps, d = lat.space, lat.dt, lat.steps, lat.d
     times = lat.time.times()
-    m, d, steps = n_paths, lat.d, lat.steps
-    x = np.zeros((m, d))
-    y_path = np.empty((m, steps + 1))
-    f_int = np.zeros((m, steps))     # f dt terms
-    gqv_int = np.zeros((m, steps))   # g : bracket increments
-    z_db = np.zeros((m, steps))      # Z^T dB terms
-    g_term = np.zeros((m, steps))    # G(eta) dt terms
-    eta_qv = np.zeros((m, steps))    # half eta : bracket increments
+    n_groups = len(groups)
+    rows = np.arange(n_groups * m)
+    comp_of = np.repeat([comp for comp, _, _ in groups], m)
+    tables = np.array([t for _, t, _ in groups if t is not None]).reshape(-1, steps, d)
+    n_pol = n_groups - tables.shape[0]
+    pol_rows = n_pol * m
+    flips = np.stack([f for _, _, f in groups], axis=1)     # (steps, groups, bytes)
+    x = np.zeros((rows.size, d))
+    sig2 = np.empty((n_groups, m, d))
+    y_path = np.empty((steps + 1, rows.size))
+    # per step: f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket
+    terms = np.empty((steps, 5, rows.size))
     for k in range(steps):
-        y_all = evaluate_field(space, solution.Y[k], x)        # (m, n)
-        z_all = evaluate_field(space, solution.Z[k], x)        # (m, d, n)
-        eta_all = evaluate_field(space, solution.eta[k], x)    # (m, n, d)
-        y_path[:, k] = y_all[:, comp]
-        idx = nearest_index(space, x)
-        if control is None:
-            sig2 = lat.combos[solution.policy_idx[(k,) + idx + (comp,)]]
-        else:
-            sig2 = np.broadcast_to(np.asarray(control(k, x, idx), dtype=float), (m, d))
+        y_all = evaluate_field(space, solution.Y[k], x)        # (P, n)
+        z_all = evaluate_field(space, solution.Z[k], x)        # (P, d, n)
+        eta_all = evaluate_field(space, solution.eta[k], x)    # (P, n, d)
+        y_path[k] = y_all[rows, comp_of]
+        if n_pol:
+            idx = nearest_index(space, x[:pol_rows])
+            sig2[:n_pol] = lat.combos[solution.policy_idx[
+                (k,) + idx + (comp_of[:pol_rows],)]].reshape(n_pol, m, d)
+        sig2[n_pol:] = tables[:, k, None]
         f_val = np.asarray(params.f.fn(times[k], y_all, z_all, eta_all),
-                           dtype=float)[:, comp]
+                           dtype=float)[rows, comp_of]
         g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
-                           dtype=float)[:, comp, :]
+                           dtype=float)[rows, comp_of]
         # the integrands that close the discrete budget identity are read
         # from the *next* layer's field (the field being incremented); the
         # bracket-driver shift stays at layer k to match the backward step
-        z_k = evaluate_field(space, solution.Z[k + 1], x)[:, :, comp]
+        z_k = evaluate_field(space, solution.Z[k + 1], x)[rows, :, comp_of]
         curv_next = evaluate_field(
             space, solution.eta[k + 1] - 2.0 * solution.g_field[k + 1], x)
-        eta_k = curv_next[:, comp, :] + 2.0 * g_val
-        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
-        db = np.sqrt(sig2 * dt) * signs
-        dqv = sig2 * dt
-        f_int[:, k] = f_val * dt
-        gqv_int[:, k] = np.sum(g_val * dqv, axis=1)
-        z_db[:, k] = np.sum(z_k * db, axis=1)
-        g_term[:, k] = g_corner(eta_k, box) * dt
-        eta_qv[:, k] = 0.5 * np.sum(eta_k * dqv, axis=1)
+        eta_k = curv_next[rows, comp_of] + 2.0 * g_val
+        s2 = sig2.reshape(-1, d)
+        db = np.sqrt(s2 * dt) * _signs(flips[k], m, d)
+        dqv = s2 * dt
+        terms[k, 0] = f_val * dt
+        terms[k, 1] = np.sum(g_val * dqv, axis=1)
+        terms[k, 2] = np.sum(z_k * db, axis=1)
+        terms[k, 3] = g_corner(eta_k, lat.box) * dt
+        terms[k, 4] = 0.5 * np.sum(eta_k * dqv, axis=1)
         x = x + db
-    y_path[:, steps] = evaluate_field(space, solution.Y[steps][..., comp], x)
-    xi = params.terminal.evaluate(x)[:, comp]
-    return y_path, xi, f_int, gqv_int, z_db, g_term, eta_qv
+    y_path[steps] = evaluate_field(space, solution.Y[steps], x)[rows, comp_of]
+    xi = params.terminal.evaluate(x)[rows, comp_of]
 
-
-def _suffix_sum(a: np.ndarray) -> np.ndarray:
-    """Suffix sums with a trailing zero column: out[:, k] = sum a[:, k:]."""
-    out = np.zeros((a.shape[0], a.shape[1] + 1))
-    out[:, :-1] = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-    return out
+    # suffix sums by a backward running sum: the same additions in the same
+    # order as a cumulative sum of the reversed terms
+    acc = np.zeros((5, rows.size))
+    resid = np.zeros(rows.size)
+    margin = np.full(rows.size, np.inf)
+    for k in range(steps - 1, -1, -1):
+        acc += terms[k]
+        free = xi + acc[0] + acc[1] - acc[2]
+        np.minimum(margin, y_path[k] - free, out=margin)
+        np.maximum(resid, np.abs(y_path[k] - (free + acc[3] - acc[4])), out=resid)
+    gap = np.abs(y_path[steps] - xi)
+    return [(float(r.max()), float(mg.min()), float(gp.max()))
+            for r, mg, gp in zip(resid.reshape(n_groups, m),
+                                 margin.reshape(n_groups, m),
+                                 gap.reshape(n_groups, m))]
 
 
 def residual_check(solution: BsdeSolution, params: GBsdeParams,
@@ -443,39 +491,31 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     controls Y_t must dominate the compensator-free right side (reported as
     off_policy_min_margin, which should be no less than a small negative
     tolerance).
+
+    The report depends only on the solution, the drivers, seed, n_paths and
+    n_controls. Random numbers are drawn per path group of n_paths paths: the
+    n policy groups first, then per control its uniform (steps, d) table
+    followed by its n groups; each group's coin flips are one
+    (steps, n_paths * d) draw. Groups share forward loops of at most
+    REPLAY_BATCH_PATHS paths, which changes no report bit.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
-    lat = solution.lattice
     rng = np.random.default_rng(seed)
-    max_resid = 0.0
-    terminal_gap = 0.0
-    for comp in range(solution.n):
-        y_path, xi, f_int, gqv, z_db, g_term, eta_qv = _replay_component(
-            solution, params, comp, None, n_paths, rng)
-        rhs = (xi[:, None] + _suffix_sum(f_int) + _suffix_sum(gqv)
-               - _suffix_sum(z_db) + _suffix_sum(g_term) - _suffix_sum(eta_qv))
-        resid = np.abs(y_path - rhs)
-        max_resid = max(max_resid, float(resid[:, :-1].max()))
-        terminal_gap = max(terminal_gap, float(resid[:, -1].max()))
-
-    off_max = 0.0
+    groups = _residual_groups(rng, solution.lattice, solution.n, n_paths,
+                              n_controls)
+    per_loop = max(1, REPLAY_BATCH_PATHS // n_paths)
+    max_resid = terminal_gap = off_max = 0.0
     off_margin = np.inf
-    for j in range(n_controls):
-        sig2_steps = rng.uniform(lat.box.lower, lat.box.upper,
-                                 size=(lat.steps, lat.d))
-
-        def control(k, x, idx, table=sig2_steps):
-            return table[k]
-
-        for comp in range(solution.n):
-            y_path, xi, f_int, gqv, z_db, g_term, eta_qv = _replay_component(
-                solution, params, comp, control, n_paths, rng)
-            rhs_full = (xi[:, None] + _suffix_sum(f_int) + _suffix_sum(gqv)
-                        - _suffix_sum(z_db) + _suffix_sum(g_term) - _suffix_sum(eta_qv))
-            off_max = max(off_max, float(np.abs(y_path - rhs_full)[:, :-1].max()))
-            rhs_free = xi[:, None] + _suffix_sum(f_int) + _suffix_sum(gqv) - _suffix_sum(z_db)
-            off_margin = min(off_margin, float((y_path - rhs_free)[:, :-1].min()))
+    while batch := list(itertools.islice(groups, per_loop)):
+        for (_, table, _), (resid, margin, gap) in zip(
+                batch, _replay(solution, params, batch, n_paths)):
+            if table is None:
+                max_resid = max(max_resid, resid)
+                terminal_gap = max(terminal_gap, gap)
+            else:
+                off_max = max(off_max, resid)
+                off_margin = min(off_margin, margin)
 
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
                           off_policy_max_residual=off_max,
@@ -493,41 +533,47 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     policy, the curvature-corner rule (the discrete worst-case measure, under
     which K_T vanishes identically), plus random time-dependent corner
     controls. The supremum must sit within three standard errors of zero.
+
+    The report depends only on the solution, seed, n_paths and n_controls.
+    Random numbers are drawn per control of n_paths paths: the coin flips of
+    the policy and of the curvature-corner rule, then per random control its
+    (steps,) corner picks followed by its coin flips, each one
+    (steps, n_paths * d) draw. All controls run in one forward loop.
     """
     lat = solution.lattice
     rng = np.random.default_rng(seed)
     dt = lat.dt
-    steps, d = lat.steps, lat.d
+    steps, d, m = lat.steps, lat.d, n_paths
     corners = lat.box.corners()
     up, lo = lat.box.upper, lat.box.lower
 
-    def run(control_kind, table=None):
-        m = n_paths
-        x = np.zeros((m, d))
-        k_total = np.zeros(m)
-        for k in range(steps):
-            idx = nearest_index(lat.space, x)
-            eta_k = solution.eta[(k,) + idx + (comp,)]        # (m, d)
-            if control_kind == "policy":
-                sig2 = lat.combos[solution.policy_idx[(k,) + idx + (comp,)]]
-            elif control_kind == "eta-corner":
-                sig2 = np.where(eta_k > 0.0, up, lo)
-            else:
-                sig2 = np.broadcast_to(table[k], (m, d))
-            g_val = g_corner(eta_k, lat.box)
-            k_total += (g_val - 0.5 * np.sum(eta_k * sig2, axis=1)) * dt
-            signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
-            x = x + np.sqrt(sig2 * dt) * signs
-        est = float(np.mean(-k_total))
-        se = float(np.std(-k_total, ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
-        return est, se
+    n_tables = max(0, n_controls - 2)
+    flips = [_coin_flips(rng, steps, m, d), _coin_flips(rng, steps, m, d)]
+    tables = np.empty((n_tables, steps, d))
+    for j in range(n_tables):
+        tables[j] = corners[rng.integers(0, corners.shape[0], size=steps)]
+        flips.append(_coin_flips(rng, steps, m, d))
+    flips = np.stack(flips, axis=1)                        # (steps, groups, bytes)
+    n_groups = n_tables + 2
 
-    runs = [run("policy"), run("eta-corner")]
-    for _ in range(max(0, n_controls - 2)):
-        picks = rng.integers(0, corners.shape[0], size=steps)
-        runs.append(run("table", table=corners[picks]))
-    estimates = np.array([r[0] for r in runs])
-    ses = np.array([r[1] for r in runs])
+    x = np.zeros((n_groups * m, d))
+    k_total = np.zeros((n_groups, m))
+    sig2 = np.empty((n_groups, m, d))
+    for k in range(steps):
+        idx = nearest_index(lat.space, x)
+        eta_k = solution.eta[(k,) + idx + (comp,)].reshape(n_groups, m, d)
+        sig2[0] = lat.combos[solution.policy_idx[
+            (k,) + tuple(i[:m] for i in idx) + (comp,)]]
+        sig2[1] = np.where(eta_k[1] > 0.0, up, lo)
+        sig2[2:] = tables[:, k, None]
+        g_val = g_corner(eta_k, lat.box)                   # (groups, m)
+        k_total += (g_val - 0.5 * np.sum(eta_k * sig2, axis=2)) * dt
+        x = x + np.sqrt(sig2.reshape(-1, d) * dt) * _signs(flips[k], m, d)
+    estimates = np.mean(-k_total, axis=1)
+    if m > 1:
+        ses = np.std(-k_total, axis=1, ddof=1) / math.sqrt(m)
+    else:
+        ses = np.full(n_groups, np.inf)
     top = int(np.argmax(estimates))
     sup_est, sup_se = float(estimates[top]), float(ses[top])
     ok = abs(sup_est) <= 3.0 * sup_se + 1e-9

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
+from gcalc.calculus import ratio_decay_report
 from gcalc.cli import COMMANDS, _fields_csv, _fmt, build_experiment, main
 
 from conftest import make_lattice
@@ -152,6 +153,24 @@ def test_ratio_decay_command(tmp_path):
     assert all(r[-1] == "true" for r in rows[1:])
 
 
+def test_ratio_decay_reports_the_requested_beta_rows(tmp_path):
+    ratio = {"theta": [{"id": "linear", "params": {"weights": [0.5]}}] * 2,
+             "zeta": [{"id": "constant", "params": {"c": 1.0}}] * 2, "n_max": 5}
+    rc, out = run_cli(tmp_path, "ratio-decay", {**SMALL, "ratio": ratio}, name="plain")
+    assert rc == 0
+    assert "beta_rows" not in load_summary(out)["outputs"]
+
+    cfg = {**SMALL, "ratio": {**ratio, "betas": [1, 5, 50]}}
+    rc, out = run_cli(tmp_path, "ratio-decay", cfg, name="betas")
+    assert rc == 0
+    ctx = build_experiment(cfg, "ratio-decay", None, None)
+    rep = ratio_decay_report(ctx.ratio["theta"], ctx.ratio["zeta"], ctx.lattice,
+                             betas=ctx.ratio["betas"], n_max=ctx.ratio["n_max"])
+    rows = load_summary(out)["outputs"]["beta_rows"]
+    assert [r["beta"] for r in rows] == [1.0, 5.0, 50.0]
+    assert rows == [dict(r) for r in rep.beta_rows]
+
+
 def test_verify_estimates_passes_on_unit_floor_box(tmp_path):
     cfg = {**SMALL, "payoff": {"id": "linear"}, "betas": [1.0]}
     rc, out = run_cli(tmp_path, "verify-estimates", cfg)
@@ -247,6 +266,19 @@ def test_oversized_covariance_grid_rejected_before_lattice(tmp_path, monkeypatch
     assert not out.exists()
 
 
+def test_huge_space_grid_rejected_before_any_axis_is_built(tmp_path, monkeypatch, capsys):
+    def no_axis(*args, **kwargs):
+        raise AssertionError("grid axis allocated before the point count was checked")
+
+    monkeypatch.setattr(np, "linspace", no_axis)
+    cfg = {**SMALL, "space": {"points": 4_000_001}, "payoff": {"id": "quadratic"}}
+    rc, out = run_cli(tmp_path, "expect", cfg)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists()
+
+
 def test_non_finite_payoff_exits_3_without_outputs(tmp_path):
     # the butterfly midpoint (a + b) / 2 overflows, so the payoff is -inf
     cfg = {**SMALL, "payoff": {"id": "butterfly",
@@ -273,6 +305,12 @@ def test_overflowing_driver_exits_3_with_one_stderr_line(tmp_path, capsys):
 RATIO = {"theta": [{"id": "linear"}, {"id": "linear"}],
          "zeta": [{"id": "constant"}, {"id": "constant"}]}
 
+# the field a 400-digit JSON integer sits in, as the error line names it
+OUT_OF_RANGE_FIELD = {"beta beyond float range": "betas[0]",
+                      "horizon beyond float range": "time.horizon",
+                      "box lower beyond float range": "box.lower",
+                      "ratio partition beyond float range": "ratio.partition[1]"}
+
 
 @pytest.mark.parametrize("command, extra, label", [
     ("expect", {"payoff": {"id": "constant", "params": {"c": None}}}, "payoff c null"),
@@ -289,6 +327,14 @@ RATIO = {"theta": [{"id": "linear"}, {"id": "linear"}],
      "payoff c beyond float range"),
     ("expect", {"payoff": {"id": "quadratic"}, "betas": [10 ** 400]}, "beta beyond float range"),
     ("ratio-decay", {"ratio": {**RATIO, "betas": [None]}}, "ratio betas null"),
+    ("expect", {"payoff": {"id": "quadratic"}, "time": {"horizon": 10 ** 400, "steps": 20}},
+     "horizon beyond float range"),
+    ("expect", {"payoff": {"id": "quadratic"}, "box": {**BOX, "lower": [10 ** 400]}},
+     "box lower beyond float range"),
+    ("ratio-decay", {"ratio": {**RATIO, "partition": [0.0, 10 ** 400, 1.0]}},
+     "ratio partition beyond float range"),
+    ("expect", {"payoff": {"id": "quadratic"}, "box": {**BOX, "lower": [{"a": 1}]}},
+     "box lower object"),
 ])
 def test_malformed_param_values_exit_2_with_one_stderr_line(tmp_path, capsys, command,
                                                             extra, label):
@@ -296,7 +342,10 @@ def test_malformed_param_values_exit_2_with_one_stderr_line(tmp_path, capsys, co
     assert rc == 2, label
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    if label in OUT_OF_RANGE_FIELD:
+        assert f"{OUT_OF_RANGE_FIELD[label]}: value out of range" in err[0], err
     assert not out.exists(), label
+
 
 
 def test_beta_at_the_weight_exponent_limit_solves(tmp_path):

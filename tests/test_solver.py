@@ -13,12 +13,16 @@ import pytest
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, classical_oracle,
                    compensator_mc_check, extract_integrands, picard_step,
                    represent_martingale, residual_check, solve_gbsde)
-from gcalc.catalog import make_driver
+from gcalc.catalog import make_driver, make_payoff
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
-from gcalc.solver import (BETA_SCAN, default_penalties, triple_distance_sq,
-                          zero_dt_driver, zero_qv_driver)
+from gcalc.gtensor import g_corner
+from gcalc.scenario import evaluate_field, nearest_index
+from gcalc.solver import (BETA_SCAN, CompensatorReport, ResidualReport,
+                          default_penalties, triple_distance_sq, zero_dt_driver,
+                          zero_qv_driver)
 
-from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
+from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
+                      quad_payoff)
 
 
 def no_driver_params(terminal, d=1):
@@ -271,6 +275,213 @@ def test_compensator_supremum_mc(small_lat):
     assert cm.sup_estimate <= 3.0 * cm.sup_se + 1e-9
     assert len(cm.estimates) == 24                # policy + corner + 22 tables
     assert len(cm.standard_errors) == len(cm.estimates)
+
+
+# The per-control replay that residual_check and compensator_mc_check ran
+# before they batched their controls, kept as the reference: one forward
+# loop and one set of suffix sums per (control, component).
+
+def _ref_replay_component(solution, params, comp, control, n_paths, rng):
+    lat = solution.lattice
+    space, box, dt = lat.space, lat.box, lat.dt
+    times = lat.time.times()
+    m, d, steps = n_paths, lat.d, lat.steps
+    x = np.zeros((m, d))
+    y_path = np.empty((m, steps + 1))
+    f_int = np.zeros((m, steps))
+    gqv_int = np.zeros((m, steps))
+    z_db = np.zeros((m, steps))
+    g_term = np.zeros((m, steps))
+    eta_qv = np.zeros((m, steps))
+    for k in range(steps):
+        y_all = evaluate_field(space, solution.Y[k], x)
+        z_all = evaluate_field(space, solution.Z[k], x)
+        eta_all = evaluate_field(space, solution.eta[k], x)
+        y_path[:, k] = y_all[:, comp]
+        idx = nearest_index(space, x)
+        if control is None:
+            sig2 = lat.combos[solution.policy_idx[(k,) + idx + (comp,)]]
+        else:
+            sig2 = np.broadcast_to(np.asarray(control(k, x, idx), dtype=float), (m, d))
+        f_val = np.asarray(params.f.fn(times[k], y_all, z_all, eta_all),
+                           dtype=float)[:, comp]
+        g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
+                           dtype=float)[:, comp, :]
+        z_k = evaluate_field(space, solution.Z[k + 1], x)[:, :, comp]
+        curv_next = evaluate_field(
+            space, solution.eta[k + 1] - 2.0 * solution.g_field[k + 1], x)
+        eta_k = curv_next[:, comp, :] + 2.0 * g_val
+        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
+        db = np.sqrt(sig2 * dt) * signs
+        dqv = sig2 * dt
+        f_int[:, k] = f_val * dt
+        gqv_int[:, k] = np.sum(g_val * dqv, axis=1)
+        z_db[:, k] = np.sum(z_k * db, axis=1)
+        g_term[:, k] = g_corner(eta_k, box) * dt
+        eta_qv[:, k] = 0.5 * np.sum(eta_k * dqv, axis=1)
+        x = x + db
+    y_path[:, steps] = evaluate_field(space, solution.Y[steps][..., comp], x)
+    xi = params.terminal.evaluate(x)[:, comp]
+    return y_path, xi, f_int, gqv_int, z_db, g_term, eta_qv
+
+
+def _ref_suffix_sum(a):
+    out = np.zeros((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+    return out
+
+
+def _ref_residual_check(solution, params, n_paths, seed, n_controls):
+    lat = solution.lattice
+    rng = np.random.default_rng(seed)
+    S = _ref_suffix_sum
+    max_resid = terminal_gap = 0.0
+    for comp in range(solution.n):
+        y_path, xi, f_int, gqv, z_db, g_term, eta_qv = _ref_replay_component(
+            solution, params, comp, None, n_paths, rng)
+        rhs = (xi[:, None] + S(f_int) + S(gqv) - S(z_db) + S(g_term) - S(eta_qv))
+        resid = np.abs(y_path - rhs)
+        max_resid = max(max_resid, float(resid[:, :-1].max()))
+        terminal_gap = max(terminal_gap, float(resid[:, -1].max()))
+    off_max = 0.0
+    off_margin = np.inf
+    for _ in range(n_controls):
+        table = rng.uniform(lat.box.lower, lat.box.upper, size=(lat.steps, lat.d))
+        for comp in range(solution.n):
+            y_path, xi, f_int, gqv, z_db, g_term, eta_qv = _ref_replay_component(
+                solution, params, comp, lambda k, x, idx: table[k], n_paths, rng)
+            rhs_full = (xi[:, None] + S(f_int) + S(gqv) - S(z_db) + S(g_term)
+                        - S(eta_qv))
+            off_max = max(off_max, float(np.abs(y_path - rhs_full)[:, :-1].max()))
+            rhs_free = xi[:, None] + S(f_int) + S(gqv) - S(z_db)
+            off_margin = min(off_margin, float((y_path - rhs_free)[:, :-1].min()))
+    return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
+                          off_policy_max_residual=off_max,
+                          off_policy_min_margin=off_margin,
+                          n_paths=n_paths, n_controls=n_controls, seed=seed)
+
+
+def _ref_compensator_mc_check(solution, n_controls, n_paths, seed, comp):
+    lat = solution.lattice
+    rng = np.random.default_rng(seed)
+    steps, d, m = lat.steps, lat.d, n_paths
+    corners = lat.box.corners()
+
+    def run(kind, table=None):
+        x = np.zeros((m, d))
+        k_total = np.zeros(m)
+        for k in range(steps):
+            idx = nearest_index(lat.space, x)
+            eta_k = solution.eta[(k,) + idx + (comp,)]
+            if kind == "policy":
+                sig2 = lat.combos[solution.policy_idx[(k,) + idx + (comp,)]]
+            elif kind == "eta-corner":
+                sig2 = np.where(eta_k > 0.0, lat.box.upper, lat.box.lower)
+            else:
+                sig2 = np.broadcast_to(table[k], (m, d))
+            g_val = g_corner(eta_k, lat.box)
+            k_total += (g_val - 0.5 * np.sum(eta_k * sig2, axis=1)) * lat.dt
+            signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
+            x = x + np.sqrt(sig2 * lat.dt) * signs
+        est = float(np.mean(-k_total))
+        se = float(np.std(-k_total, ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
+        return est, se
+
+    runs = [run("policy"), run("eta-corner")]
+    for _ in range(max(0, n_controls - 2)):
+        picks = rng.integers(0, corners.shape[0], size=steps)
+        runs.append(run("table", table=corners[picks]))
+    estimates = np.array([r[0] for r in runs])
+    ses = np.array([r[1] for r in runs])
+    top = int(np.argmax(estimates))
+    sup_est, sup_se = float(estimates[top]), float(ses[top])
+    return CompensatorReport(sup_estimate=sup_est, sup_se=sup_se,
+                             estimates=estimates, standard_errors=ses,
+                             ok=abs(sup_est) <= 3.0 * sup_se + 1e-9)
+
+
+def _assert_reports_equal(got, want, label):
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and bool(np.all(a == b)), (label, name, a, b)
+        else:
+            assert a == b, (label, name, a, b)
+
+
+def _two_component_payoff():
+    return TerminalFunctional(
+        fn=lambda x: np.concatenate([np.abs(x), np.clip(x - 0.5, 0.0, None)], axis=-1),
+        lipschitz=1.0, n=2)
+
+
+def _replay_case(name, small_lat):
+    """(solution, params) of one equivalence case."""
+    if name in ("desk abs", "desk butterfly"):
+        payoff = make_payoff(name.split()[1], 1)
+        return represent_martingale(payoff, desk_lattice()), no_driver_params(payoff)
+    if name == "call, linear-in-z dt, linear-in-y qv":
+        params = GBsdeParams(
+            terminal=make_payoff("call", 1),
+            f=make_driver("linear-in-z", 1, 1, {"a": [0.3]}),
+            g=make_driver("linear-in-y", 1, 1, {"r": -0.4}, role="qv"))
+        lat = small_lat
+    elif name == "butterfly, clamped-custom-affine":
+        params = GBsdeParams(
+            terminal=make_payoff("butterfly", 1),
+            f=make_driver("clamped-custom-affine", 1, 1, {"coef_eta": 0.03}),
+            g=zero_qv_driver(1, 1))
+        lat = small_lat
+    elif name == "2-d abs, linear-in-z dt and qv":
+        params = GBsdeParams(
+            terminal=make_payoff("abs", 2),
+            f=make_driver("linear-in-z", 1, 2, {"a": [0.3, -0.2]}),
+            g=make_driver("linear-in-z", 1, 2, {"a": [0.1, 0.2]}, role="qv"))
+        lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=6, points=45,
+                           grid_points=3)
+    else:
+        params = GBsdeParams(
+            terminal=_two_component_payoff(),
+            f=make_driver("linear-in-y", 2, 1, {"r": -0.3}),
+            g=make_driver("linear-in-z", 2, 1, {"a": [0.2]}, role="qv"))
+        lat = small_lat
+    return solve_gbsde(params, lat)[0], params
+
+
+# name, residual (n_paths, n_controls) sizes, MC (n_paths, n_controls) sizes,
+# MC component
+REPLAY_CASES = [
+    ("desk abs", [(64, 8), (1, 1)], [(256, 64), (1, 3)], 0),
+    ("desk butterfly", [(17, 5)], [(64, 8), (300, 0)], 0),
+    ("call, linear-in-z dt, linear-in-y qv", [(64, 8), (300, 2), (2, 0)],
+     [(64, 8), (1, 1)], 0),
+    ("butterfly, clamped-custom-affine", [(64, 8), (33, 3)], [(64, 8)], 0),
+    ("2-d abs, linear-in-z dt and qv", [(64, 8), (17, 5), (1, 2)],
+     [(256, 64), (17, 3), (1, 0)], 0),
+    ("two components", [(64, 8), (17, 5), (300, 1), (1, 0)],
+     [(64, 8), (2, 5)], 1),
+]
+
+
+@pytest.mark.parametrize("name, residual_sizes, mc_sizes, comp", REPLAY_CASES,
+                         ids=[c[0] for c in REPLAY_CASES])
+def test_batched_replay_matches_per_control_reference(small_lat, name, residual_sizes,
+                                                      mc_sizes, comp):
+    sol, params = _replay_case(name, small_lat)
+    for n_paths, n_controls in residual_sizes:
+        label = (name, "residual", n_paths, n_controls)
+        _assert_reports_equal(
+            residual_check(sol, params, n_paths=n_paths, seed=3, n_controls=n_controls),
+            _ref_residual_check(sol, params, n_paths, 3, n_controls), label)
+    for n_paths, n_controls in mc_sizes:
+        label = (name, "mc", n_paths, n_controls)
+        got = compensator_mc_check(sol, n_controls=n_controls, n_paths=n_paths,
+                                   seed=3, comp=comp)
+        _assert_reports_equal(got, _ref_compensator_mc_check(sol, n_controls, n_paths,
+                                                             3, comp), label)
+        assert got.estimates.shape == (max(2, n_controls),)
+        if n_paths == 1:
+            assert np.all(np.isinf(got.standard_errors))
 
 
 # ---------------------------------------------------------------------------
