@@ -212,29 +212,25 @@ def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice
                      betas: Sequence[float], t_start: float = 0.0) -> np.ndarray:
     """weighted_norms of `count` fields given layer by layer: layers(k) lists
     their (*grid, *trailing) values at layer k, so a caller can form derived
-    fields (differences) one layer at a time. The per-layer cost is built on
-    demand (the sweep asks once per covariance), so no
-    (layers, *grid, count * betas) array is ever formed.
+    fields (differences) one layer at a time. The running cost does not
+    depend on the covariance, so the sweep adds it once per layer, after the
+    maximum, and no (layers, *grid, count * betas) array is ever formed.
     """
     grid = lattice.space.shape
     weights = np.stack([exp_cell_weights(lattice.time, b, t_start) for b in betas],
                        axis=-1)                                  # (steps, B)
     columns = count * weights.shape[1]
-    cached = {}
 
     def squared(layer: np.ndarray) -> np.ndarray:
         tail_axes = tuple(range(lattice.d, layer.ndim))
         return np.sum(layer * layer, axis=tail_axes) if tail_axes else layer * layer
 
-    def step_cost(k, _c):
-        if k not in cached:
-            cached.clear()
-            sq = np.stack([squared(layer) for layer in layers(k)], axis=-1)
-            cached[k] = (sq[..., None] * weights[k]).reshape(grid + (columns,))
-        return cached[k]
+    def layer_cost(k):
+        sq = np.stack([squared(layer) for layer in layers(k)], axis=-1)
+        return (sq[..., None] * weights[k]).reshape(grid + (columns,))
 
     zero = np.zeros(grid + (columns,))
-    total = _sweep(lattice, zero, step_cost)[lattice.origin_index]
+    total = _sweep(lattice, zero, layer_cost=layer_cost)[lattice.origin_index]
     return np.sqrt(np.maximum(total, 0.0)).reshape(count, -1)
 
 
@@ -309,11 +305,9 @@ def _square_integral_expectation(proc: StepProcess, lattice: Lattice, beta: floa
         vals = np.asarray(fn(states), dtype=float)
         costs[k] = (w * vals * vals)[..., None]
 
-    def step_cost(k, _c):
-        return costs.get(k, 0.0)
-
     zero = np.zeros(lattice.space.shape + (1,))
-    return float(_sweep(lattice, zero, step_cost)[lattice.origin_index][0])
+    total = _sweep(lattice, zero, layer_cost=lambda k: costs.get(k, 0.0))
+    return float(total[lattice.origin_index][0])
 
 
 def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,

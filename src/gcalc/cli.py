@@ -27,8 +27,8 @@ from .errors import (ConfigError, DimensionError, GcalcError,
 from .gtensor import VolatilityBox
 from .harness import (BETA_GRID, apriori_check, cauchy_sequence_check,
                       representation_bound_check)
-from .scenario import (SpaceGrid, TerminalFunctional, TimeGrid, build_lattice,
-                       check_indicator, conditional_expectation_field)
+from .scenario import (SpaceGrid, TerminalFunctional, TimeGrid, _sweep,
+                       build_lattice, check_indicator)
 from .solver import Driver, GBsdeParams, represent_martingale, solve_gbsde
 
 SCHEMA_VERSION = 1
@@ -332,9 +332,11 @@ def _scalar_or_list(arr: np.ndarray):
 # Command runners: each returns (outputs, {csv name: (header, rows)}, failed)
 # ---------------------------------------------------------------------------
 
-def _origin_series(fld) -> np.ndarray:
-    origin = fld.lattice.origin_index
-    return fld.values[(slice(None),) + origin]          # (layers, n)
+def _origin_series(lattice, terminal_values: np.ndarray) -> np.ndarray:
+    """Worst-case expectation at the origin at every layer, shape
+    (layers, n), from a sweep that keeps the layers but no policy."""
+    layers, _ = _sweep(lattice, terminal_values, store=True, policy=False)
+    return layers[(slice(None),) + lattice.origin_index]
 
 
 def _negated(payoff: TerminalFunctional) -> TerminalFunctional:
@@ -343,11 +345,10 @@ def _negated(payoff: TerminalFunctional) -> TerminalFunctional:
 
 
 def _run_expect(ctx: Experiment):
-    fld = conditional_expectation_field(ctx.lattice, ctx.payoff)
-    fld_low = conditional_expectation_field(ctx.lattice, _negated(ctx.payoff))
-    series = _origin_series(fld)
-    series_low = -_origin_series(fld_low)
-    times = ctx.lattice.time.times()
+    lat = ctx.lattice
+    series = _origin_series(lat, ctx.payoff.evaluate(lat.states))
+    series_low = -_origin_series(lat, _negated(ctx.payoff).evaluate(lat.states))
+    times = lat.time.times()
     n = ctx.payoff.n
     header = ["t"] + [f"value_{i + 1}" for i in range(n)] + \
              [f"lower_{i + 1}" for i in range(n)]
@@ -360,15 +361,23 @@ def _run_expect(ctx: Experiment):
 
 
 def _run_capacity(ctx: Experiment):
-    fld = conditional_expectation_field(ctx.lattice, ctx.event)
-    check_indicator(fld.values[-1])
-    series = np.clip(_origin_series(fld)[:, 0], 0.0, 1.0)
-    times = ctx.lattice.time.times()
+    lat = ctx.lattice
+    indicator = check_indicator(ctx.event.evaluate(lat.states))
+    series = np.clip(_origin_series(lat, indicator)[:, 0], 0.0, 1.0)
+    times = lat.time.times()
     rows = [[_fmt(times[k]), _fmt(series[k])] for k in range(times.shape[0])]
     return {"capacity": float(series[0])}, {"capacity.csv": (["t", "capacity"], rows)}, False
 
 
+def _csv_lines(block: np.ndarray) -> list:
+    """CSV lines (without line ends) of a 2-d float array, from one repr of
+    its rows: a list's repr writes each float as repr(float), the text _fmt
+    writes, and no float repr holds ", " or "],[" ."""
+    return repr(block.tolist())[2:-2].replace(", ", ",").split("],[")
+
+
 def _fields_csv(sol) -> tuple:
+    """Header and the fields.csv text, one block of lines per layer."""
     lat = sol.lattice
     d, n = lat.d, sol.n
     times = lat.time.times()
@@ -378,23 +387,21 @@ def _fields_csv(sol) -> tuple:
               + [f"eta_{i + 1}{a + 1}" for i in range(n) for a in range(d)]
               + [f"K_{i + 1}" for i in range(n)])
     nodes = math.prod(lat.space.shape)
-    states = lat.states.reshape(nodes, d)
+    states = [line + "," for line in _csv_lines(lat.states.reshape(nodes, d))]
     zeros = np.zeros((nodes, n))
 
-    def rows():
-        # One layer at a time, nodes in C order; repr of a Python float is
-        # the same text _fmt writes for a numpy float.
+    def blocks():
+        # nodes in C order; the time opens every line through the join
         for k in range(lat.steps + 1):
-            layer = np.concatenate(
-                [np.full((nodes, 1), times[k]), states,
-                 sol.Y[k].reshape(nodes, n), sol.Z[k].reshape(nodes, d * n),
+            fields = np.concatenate(
+                [sol.Y[k].reshape(nodes, n), sol.Z[k].reshape(nodes, d * n),
                  sol.eta[k].reshape(nodes, n * d),
                  sol.K_inc[k].reshape(nodes, n) if k < lat.steps else zeros],
                 axis=1)
-            for row in layer.tolist():
-                yield list(map(repr, row))
+            t = repr(float(times[k])) + ","
+            yield t + ("\n" + t).join(map(str.__add__, states, _csv_lines(fields))) + "\n"
 
-    return header, rows()
+    return header, blocks()
 
 
 def _run_represent(ctx: Experiment):
@@ -515,7 +522,11 @@ def _write_outputs(ctx: Experiment, outputs: dict, files: dict) -> list:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            for row in rows:
+                if isinstance(row, str):    # a block of formatted lines
+                    fh.write(row)
+                else:
+                    writer.writerow(row)
         written.append(path)
     summary = {"schema_version": SCHEMA_VERSION,
                "package_version": __version__,

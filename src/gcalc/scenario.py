@@ -255,12 +255,17 @@ class Lattice:
     def _axis_mean(self, padded: np.ndarray, a: int, level: int, axis: int) -> np.ndarray:
         """Weighted sum of the shifted slices of one axis level's moves."""
         lead = (slice(None),) * axis
-        out = None
+        out = buf = None
         for rows, w in self.moves[a][level]:
             if w == 0.0:
                 continue
-            part = w * padded[lead + (rows,)]
-            out = part if out is None else np.add(out, part, out=out)
+            if out is None:
+                out = w * padded[lead + (rows,)]
+                continue
+            if buf is None:
+                buf = np.empty_like(out)
+            np.multiply(w, padded[lead + (rows,)], out=buf)
+            np.add(out, buf, out=out)
         return out
 
     def child_means(self, values: np.ndarray, axis: int = 0):
@@ -294,45 +299,61 @@ def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Latti
 def _sweep(lattice: Lattice, terminal_values: np.ndarray,
            step_cost: Optional[Callable[[int, int], np.ndarray]] = None,
            store: bool = False, start_layer: Optional[int] = None,
-           axis: int = 0, stop_layer: int = 0):
+           axis: int = 0, stop_layer: int = 0,
+           layer_cost: Optional[Callable[[int], np.ndarray]] = None,
+           policy: bool = True):
     """Backward induction from `start_layer` (default last) down to
     `stop_layer` (default 0), with the lattice axes at array axis `axis` on.
 
-    step_cost(k, combo_index), when given, must return the cost contribution
-    of layer k under that covariance, already carrying its own time weight.
-    Ties across the covariance grid keep the lexicographically smallest
-    covariance (candidates are scanned in ascending order with a strict
-    improvement test). store=True keeps every layer and the policy, and
-    needs the default stop_layer.
+    Running costs come in two kinds, each already carrying its own time
+    weight. step_cost(k, combo_index) depends on the covariance and is added
+    to every candidate of layer k. layer_cost(k) does not; it is added once,
+    to the maximum. That is exact: rounding is monotone, so
+    max_c fl(a_c + b) == fl(max_c a_c + b).
+
+    store=True keeps every layer, needs the default stop_layer and returns
+    (layers, policy); otherwise only the last layer computed is returned.
+    The policy scans the candidates in combo order with a strict improvement
+    test, so ties keep the lexicographically smallest covariance; it ranks
+    the candidates without layer_cost. Without a policy (store=False, or
+    policy=False, which returns None in its place) the candidates are
+    reduced with np.maximum(candidate, best), which keeps `best` on ties,
+    signed zeros included, so the values carry the scan's bits; unlike the
+    scan, it propagates NaN.
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
+    track = store and policy
     if store:
         all_values = np.empty((n_layers + 1,) + values.shape)
         all_values[n_layers] = values
-        policy = np.empty((n_layers,) + values.shape, dtype=np.int16)
+    if track:
+        best_policy = np.empty((n_layers,) + values.shape, dtype=np.int16)
     for k in range(n_layers - 1, stop_layer - 1, -1):
         best = None
-        best_idx = None
         for c, cand in enumerate(lattice.child_means(values, axis)):
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
+            # candidates are fresh arrays, so the running best is updated in place
             if best is None:
                 best = cand
-                if store:
+                if track:
                     best_idx = np.zeros(cand.shape, dtype=np.int16)
-            else:
-                # candidates are fresh arrays, so the running best is updated in place
+            elif track:
                 improved = cand > best
                 np.copyto(best, cand, where=improved)
-                if store:
-                    best_idx[improved] = c
+                best_idx[improved] = c
+            else:
+                np.maximum(cand, best, out=best)
+        if layer_cost is not None:
+            best += layer_cost(k)
         values = best
         if store:
             all_values[k] = values
-            policy[k] = best_idx
+        if track:
+            best_policy[k] = best_idx
     if store:
-        return all_values, policy
+        return all_values, (best_policy if track else None)
     return values
 
 
@@ -361,7 +382,13 @@ def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional
     """Full worst-case conditional expectation field of a terminal payoff.
 
     running_cost(k, states, sigma2) -> (*grid, n), interpreted per unit time,
-    is added as cost * dt inside the per-covariance maximization.
+    is added as cost * dt inside the per-covariance maximization. The maximum
+    runs over the box grid's covariance combos (`lattice.combos`). Each child
+    mean is piecewise affine in sigma2, with breakpoints where a move lands
+    on a node, so the maximum over the whole box sits at a corner or a
+    breakpoint, and a grid can give the exact box supremum only when the
+    running cost is affine in sigma2 too; any other cost can peak between
+    grid levels.
     """
     if terminal.monitor_time is not None:
         raise InputError("field extraction supports terminal-state payoffs only; "

@@ -501,6 +501,8 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
+    if n_controls < 0:
+        raise InputError("n_controls must be nonnegative")
     rng = np.random.default_rng(seed)
     groups = _residual_groups(rng, solution.lattice, solution.n, n_paths,
                               n_controls)
@@ -540,6 +542,12 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     (steps,) corner picks followed by its coin flips, each one
     (steps, n_paths * d) draw. All controls run in one forward loop.
     """
+    if n_paths <= 0:
+        raise InputError("n_paths must be positive")
+    if n_controls < 0:
+        raise InputError("n_controls must be nonnegative")
+    if not 0 <= comp < solution.n:
+        raise InputError(f"comp must be in [0, {solution.n})")
     lat = solution.lattice
     rng = np.random.default_rng(seed)
     dt = lat.dt

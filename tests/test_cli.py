@@ -6,6 +6,7 @@ module entry point stays wired up.
 """
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
 from gcalc.calculus import ratio_decay_report
-from gcalc.cli import COMMANDS, _fields_csv, _fmt, build_experiment, main
+from gcalc.cli import (COMMANDS, _fields_csv, _fmt, _write_outputs,
+                       build_experiment, main)
 
 from conftest import make_lattice
 
@@ -402,7 +405,24 @@ def csv_text(header, rows):
     return buf.getvalue()
 
 
-def test_fields_csv_matches_per_cell_formatter_2d_two_components():
+def assert_same_lines(got, want):
+    """Text equality that names the first differing line (a plain == on
+    megabytes of text makes pytest build a slow diff)."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"line {i + 1} differs"
+    assert len(got_lines) == len(want_lines)
+
+
+def written_fields_csv(tmp_path, sol):
+    """fields.csv as _write_outputs writes it."""
+    ctx = types.SimpleNamespace(out_dir=str(tmp_path / "fields"), command="represent",
+                                seed=0, config={})
+    _write_outputs(ctx, {}, {"fields.csv": _fields_csv(sol)})
+    return (tmp_path / "fields" / "fields.csv").read_text()
+
+
+def test_fields_csv_matches_per_cell_formatter_2d_two_components(tmp_path):
     lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41,
                        grid_points=3)
     payoff = TerminalFunctional(
@@ -410,11 +430,30 @@ def test_fields_csv_matches_per_cell_formatter_2d_two_components():
                                np.abs(x[..., 0] - 0.5 * x[..., 1])], axis=-1),
         lipschitz=100.0, n=2)
     sol = represent_martingale(payoff, lat)
-    header, rows = _fields_csv(sol)
+    header, _ = _fields_csv(sol)
     assert header == ["t", "state_1", "state_2", "Y_1", "Y_2",
                       "Z_11", "Z_12", "Z_21", "Z_22",
                       "eta_11", "eta_12", "eta_21", "eta_22", "K_1", "K_2"]
-    assert csv_text(header, rows) == csv_text(header, reference_fields_rows(sol))
+    assert_same_lines(written_fields_csv(tmp_path, sol),
+                      csv_text(header, reference_fields_rows(sol)))
+
+
+def test_fields_csv_writes_special_floats_like_the_per_cell_formatter(tmp_path):
+    lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=2, points=41,
+                       grid_points=2)
+    payoff = TerminalFunctional(fn=lambda x: np.stack([x[..., 0], x[..., 1]], axis=-1),
+                                lipschitz=2.0, n=2)
+    sol = represent_martingale(payoff, lat)
+    specials = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300, 0.0, 1.5])
+    sol = dataclasses.replace(
+        sol, **{name: np.resize(np.roll(specials, shift), getattr(sol, name).shape)
+                for shift, name in enumerate(("Y", "Z", "eta", "K_inc"))})
+    header, _ = _fields_csv(sol)
+    text = written_fields_csv(tmp_path, sol)
+    assert_same_lines(text, csv_text(header, reference_fields_rows(sol)))
+    cells = set(text.replace("\n", ",").split(","))
+    assert {"-0.0", "5e-324", "1e+16", "1e-05", "0.30000000000000004",
+            "-1e+300"} <= cells
 
 
 def test_represent_fields_csv_matches_per_cell_formatter(tmp_path):

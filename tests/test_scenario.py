@@ -14,6 +14,8 @@ from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
 from gcalc.errors import DimensionError, GridResolutionError, InputError
 from gcalc.gtensor import DiagTensor, g_diag
 from gcalc.harness import _running_max_dp
+from gcalc.calculus import (StepProcess, _square_integral_expectation,
+                            exp_cell_weights, weighted_norms)
 from gcalc.scenario import _axis_allocation, _expectation_monitored, _sweep
 
 from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
@@ -320,6 +322,142 @@ def test_separable_operator_matches_stencil(lower, upper, steps, points, grid_po
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def scan_sweep(lattice, terminal_values, step_cost=None, start_layer=None,
+               axis=0, stop_layer=0):
+    """Every layer (first to last) of the argmax scan the policy-free sweep
+    replaced: each candidate gets its own cost, and a strict improvement
+    test keeps the earliest covariance on ties."""
+    n_layers = lattice.steps if start_layer is None else start_layer
+    values = terminal_values
+    layers = [values]
+    for k in range(n_layers - 1, stop_layer - 1, -1):
+        best = None
+        for c, cand in enumerate(lattice.child_means(values, axis)):
+            if step_cost is not None:
+                cand = cand + step_cost(k, c)
+            best = cand if best is None else np.where(cand > best, cand, best)
+        values = best
+        layers.append(values)
+    return np.stack(layers[::-1])
+
+
+def per_slice_axis_mean(lattice, padded, a, level, axis):
+    """Lattice._axis_mean as it was, with a fresh product array per slice."""
+    lead = (slice(None),) * axis
+    out = None
+    for rows, w in lattice.moves[a][level]:
+        if w != 0.0:
+            part = w * padded[lead + (rows,)]
+            out = part if out is None else out + part
+    return out
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def signed_zeros(rng, shape, share=0.5):
+    """Random values where a share of the entries are +0.0 or -0.0."""
+    vals = rng.standard_normal(shape)
+    zero = rng.random(shape) < share
+    return np.where(zero, np.where(rng.random(shape) < 0.5, -0.0, 0.0), vals)
+
+
+@pytest.mark.parametrize("lower,upper,steps,points,grid_points", OPERATOR_CASES)
+def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid_points):
+    lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
+                       grid_points=grid_points)
+    rng = np.random.default_rng(7 + len(lower) * 10 + grid_points)
+    nc = lat.combos.shape[0]
+    for a in range(lat.d):
+        values = rng.standard_normal(lat.space.shape + (3,))
+        padded = lat.edge_pad(values, a, axis=a)
+        for level in range(len(lat.moves[a])):
+            assert_same_bits(lat._axis_mean(padded, a, level, a),
+                             per_slice_axis_mean(lat, padded, a, level, a))
+    for tail in ((), (2,), (2, 3)):
+        shape = lat.space.shape + tail
+        # a terminal layer of signed zeros makes every candidate tie at +-0.0
+        for terminal in (rng.standard_normal(shape), signed_zeros(rng, shape, 1.0),
+                         signed_zeros(rng, shape)):
+            layer = signed_zeros(rng, (steps,) + shape)
+            combo = signed_zeros(rng, (steps, nc) + shape)
+            cases = [
+                ({}, {}),
+                ({"layer_cost": lambda k: layer[k]}, {"step_cost": lambda k, c: layer[k]}),
+                ({"step_cost": lambda k, c: combo[k, c]}, {"step_cost": lambda k, c: combo[k, c]}),
+                ({"start_layer": steps // 2, "stop_layer": 1}, {"start_layer": steps // 2, "stop_layer": 1}),
+                ({"layer_cost": lambda k: layer[k], "start_layer": steps - 1},
+                 {"step_cost": lambda k, c: layer[k], "start_layer": steps - 1}),
+            ]
+            for kwargs, ref_kwargs in cases:
+                want = scan_sweep(lat, terminal, **ref_kwargs)
+                assert_same_bits(_sweep(lat, terminal, **kwargs), want[0])
+                if kwargs.get("stop_layer", 0) == 0:
+                    got, policy = _sweep(lat, terminal, store=True, policy=False, **kwargs)
+                    assert policy is None
+                    assert_same_bits(got, want)
+    if lat.d == 1:
+        # the monitored sweep: lattice axis at array axis 1, stopping early
+        p = lat.space.shape[0]
+        for terminal in (rng.standard_normal((p, p, 1)), signed_zeros(rng, (p, p, 1), 1.0)):
+            want = scan_sweep(lat, terminal, axis=1, stop_layer=steps // 2)
+            assert_same_bits(_sweep(lat, terminal, axis=1, stop_layer=steps // 2), want[0])
+
+
+def scan_weighted_norms(fields, lattice, betas, t_start=0.0):
+    """weighted_norms through the argmax scan, the squared fields added to
+    every candidate."""
+    weights = np.stack([exp_cell_weights(lattice.time, b, t_start) for b in betas], axis=-1)
+
+    def squared(f):
+        tail = tuple(range(1 + lattice.d, f.ndim))
+        return np.sum(f * f, axis=tail) if tail else f * f
+
+    sq = np.stack([squared(f) for f in fields], axis=-1)       # (layers, *grid, F)
+    grid = lattice.space.shape
+
+    def cost(k, _c):
+        return (sq[k][..., None] * weights[k]).reshape(grid + (-1,))
+
+    zero = np.zeros(grid + (len(fields) * len(betas),))
+    total = scan_sweep(lattice, zero, cost)[0][lattice.origin_index]
+    return np.sqrt(np.maximum(total, 0.0)).reshape(len(fields), -1)
+
+
+@pytest.mark.parametrize("lower,upper,steps,points,grid_points",
+                         [OPERATOR_CASES[2], OPERATOR_CASES[4]])
+@pytest.mark.parametrize("t_start", [0.0, 0.5])
+def test_weighted_norms_match_argmax_scan(lower, upper, steps, points, grid_points, t_start):
+    lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
+                       grid_points=grid_points)
+    rng = np.random.default_rng(3)
+    layout = (lat.steps + 1,) + lat.space.shape
+    fields = [rng.normal(size=layout), signed_zeros(rng, layout + (2,)),
+              rng.normal(size=layout + (lat.d, 2)), np.zeros(layout)]
+    betas = (0.0, 1.5, 64.0)
+    assert_same_bits(weighted_norms(fields, lat, betas, t_start),
+                     scan_weighted_norms(fields, lat, betas, t_start))
+    proc = StepProcess(times=np.array([0.0, 0.5, 1.0]),
+                       state_fns=(lambda x: x[..., 0], lambda x: 1.0 + x[..., -1] ** 2))
+    for beta in (0.0, 2.0):
+        want = scan_sweep(lat, np.zeros(lat.space.shape + (1,)), lambda k, c: (
+            reference_square_cost(proc, lat, beta, k)))[0][lat.origin_index][0]
+        assert _square_integral_expectation(proc, lat, beta) == want
+
+
+def reference_square_cost(proc, lat, beta, k):
+    """Running cost of _square_integral_expectation at layer k."""
+    for i, fn in enumerate(proc.state_fns):
+        if lat.time.index_of(proc.times[i]) == k:
+            t0, t1 = proc.times[i], proc.times[i + 1]
+            w = t1 - t0 if beta == 0.0 else (math.exp(beta * t1) - math.exp(beta * t0)) / beta
+            vals = np.asarray(fn(lat.states), dtype=float)
+            return (w * vals * vals)[..., None]
+    return 0.0
 
 
 def stencil_monitored(lattice, terminal):

@@ -277,6 +277,22 @@ def test_compensator_supremum_mc(small_lat):
     assert len(cm.standard_errors) == len(cm.estimates)
 
 
+def test_replay_checks_reject_bad_sizes(small_lat):
+    payoff = make_payoff("abs", 1)
+    sol = represent_martingale(payoff, small_lat)
+    params = no_driver_params(payoff)
+    for kwargs in ({"n_paths": 0}, {"n_paths": -4}, {"n_controls": -1},
+                   {"comp": 1}, {"comp": -1}):
+        with pytest.raises(InputError):
+            compensator_mc_check(sol, **kwargs)
+    with pytest.raises(InputError):
+        residual_check(sol, params, n_controls=-3)
+    # the smallest valid sizes still run: policy and curvature-corner groups
+    cm = compensator_mc_check(sol, n_controls=0, n_paths=1, seed=2)
+    assert cm.estimates.shape == (2,) and np.all(np.isinf(cm.standard_errors))
+    assert residual_check(sol, params, n_paths=1, n_controls=0).n_controls == 0
+
+
 # The per-control replay that residual_check and compensator_mc_check ran
 # before they batched their controls, kept as the reference: one forward
 # loop and one set of suffix sums per (control, component).
