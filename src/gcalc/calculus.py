@@ -281,9 +281,6 @@ class RatioDecayReport:
     n_values: np.ndarray
     beta_n: np.ndarray
     b_n: np.ndarray
-    t_n: np.ndarray
-    l_n: np.ndarray
-    m_n: np.ndarray
     beta_rows: tuple
     window: tuple
 
@@ -322,8 +319,8 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
         E[int exp(beta_n s) theta_s^2 ds] / (beta_n E[int exp(beta_n s) zeta_s^2 ds])
 
     which is bounded by 1/n. The supplied processes are elementary, hence
-    equal to their own step approximations: the approximation diagnostics
-    t_n, l_n, m_n reduce to b_n, 1, 1.
+    equal to their own step approximations, so the approximation
+    diagnostics t_n, l_n, m_n reduce to b_n, 1, 1 and are not kept.
     """
     horizon = lattice.time.horizon
     for proc in (theta, zeta):
@@ -362,7 +359,6 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
     return RatioDecayReport(
         c_max=float(c_max), d_min=float(d_min),
         n_values=n_values, beta_n=beta_n, b_n=b_n,
-        t_n=b_n.copy(), l_n=np.ones_like(b_n), m_n=np.ones_like(b_n),
         beta_rows=tuple(beta_rows),
         window=(float(theta.times[0]), float(theta.times[-1])),
     )

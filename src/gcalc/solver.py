@@ -623,7 +623,7 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice,
         return z, eta
 
     for k in range(lattice.steps - 1, -1, -1):
-        anchor = lattice.child_mean(values[k + 1], 0)
+        anchor = next(lattice.child_means(values[k + 1]))   # combo 0; all coincide
         y = anchor.copy()
         g_prev = np.zeros(anchor.shape + (lattice.d,))
         for _ in range(max_inner):

@@ -233,8 +233,6 @@ def test_ratio_decay_identical_processes(small_lat):
     assert np.all(rep.b_n <= 1.0 / rep.n_values + 1e-12)
     assert rep.beta_rows[0]["ratio"] == pytest.approx(
         rep.beta_rows[0]["numerator"] / rep.beta_rows[0]["denominator"])
-    assert np.array_equal(rep.t_n, rep.b_n)
-    assert np.all(rep.l_n == 1.0) and np.all(rep.m_n == 1.0)
 
 
 def test_ratio_decay_exact_two_process_case(small_lat):

@@ -154,6 +154,10 @@ def test_ratio_decay_command(tmp_path):
                        "pass"]
     assert len(rows) == 21
     assert all(r[-1] == "true" for r in rows[1:])
+    # elementary processes are their own step approximations: t_n, l_n, m_n
+    # are the ratio, 1 and 1
+    assert all(r[4] == r[2] for r in rows[1:])
+    assert all(r[5] == "1.0" and r[6] == "1.0" for r in rows[1:])
 
 
 def test_ratio_decay_reports_the_requested_beta_rows(tmp_path):

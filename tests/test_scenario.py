@@ -316,7 +316,7 @@ def test_separable_operator_matches_stencil(lower, upper, steps, points, grid_po
                     cands = cands + np.stack([step_cost(k, c) for c in range(nc)])
                 assert np.array_equal(got_p[k], np.argmax(cands, axis=0))
         for c in range(nc):
-            got = lat.child_mean(terminal, c)
+            got = list(lat.child_means(terminal))[c]
             want = stencil_child_mean(lat, terminal, c)
             if lat.d == 1:
                 assert np.array_equal(got, want)
@@ -324,17 +324,16 @@ def test_separable_operator_matches_stencil(lower, upper, steps, points, grid_po
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def scan_sweep(lattice, terminal_values, step_cost=None, start_layer=None,
-               axis=0, stop_layer=0):
+def scan_sweep(lattice, terminal_values, step_cost=None, start_layer=None):
     """Every layer (first to last) of the argmax scan the policy-free sweep
     replaced: each candidate gets its own cost, and a strict improvement
     test keeps the earliest covariance on ties."""
     n_layers = lattice.steps if start_layer is None else start_layer
     values = terminal_values
     layers = [values]
-    for k in range(n_layers - 1, stop_layer - 1, -1):
+    for k in range(n_layers - 1, -1, -1):
         best = None
-        for c, cand in enumerate(lattice.child_means(values, axis)):
+        for c, cand in enumerate(lattice.child_means(values)):
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
             best = cand if best is None else np.where(cand > best, cand, best)
@@ -343,9 +342,9 @@ def scan_sweep(lattice, terminal_values, step_cost=None, start_layer=None,
     return np.stack(layers[::-1])
 
 
-def per_slice_axis_mean(lattice, padded, a, level, axis):
+def per_slice_axis_mean(lattice, padded, a, level):
     """Lattice._axis_mean as it was, with a fresh product array per slice."""
-    lead = (slice(None),) * axis
+    lead = (slice(None),) * a
     out = None
     for rows, w in lattice.moves[a][level]:
         if w != 0.0:
@@ -374,10 +373,10 @@ def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid
     nc = lat.combos.shape[0]
     for a in range(lat.d):
         values = rng.standard_normal(lat.space.shape + (3,))
-        padded = lat.edge_pad(values, a, axis=a)
+        padded = lat.edge_pad(values, a)
         for level in range(len(lat.moves[a])):
-            assert_same_bits(lat._axis_mean(padded, a, level, a),
-                             per_slice_axis_mean(lat, padded, a, level, a))
+            assert_same_bits(lat._axis_mean(padded, a, level),
+                             per_slice_axis_mean(lat, padded, a, level))
     for tail in ((), (2,), (2, 3)):
         shape = lat.space.shape + tail
         # a terminal layer of signed zeros makes every candidate tie at +-0.0
@@ -389,23 +388,16 @@ def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid
                 ({}, {}),
                 ({"layer_cost": lambda k: layer[k]}, {"step_cost": lambda k, c: layer[k]}),
                 ({"step_cost": lambda k, c: combo[k, c]}, {"step_cost": lambda k, c: combo[k, c]}),
-                ({"start_layer": steps // 2, "stop_layer": 1}, {"start_layer": steps // 2, "stop_layer": 1}),
+                ({"start_layer": steps // 2}, {"start_layer": steps // 2}),
                 ({"layer_cost": lambda k: layer[k], "start_layer": steps - 1},
                  {"step_cost": lambda k, c: layer[k], "start_layer": steps - 1}),
             ]
             for kwargs, ref_kwargs in cases:
                 want = scan_sweep(lat, terminal, **ref_kwargs)
                 assert_same_bits(_sweep(lat, terminal, **kwargs), want[0])
-                if kwargs.get("stop_layer", 0) == 0:
-                    got, policy = _sweep(lat, terminal, store=True, policy=False, **kwargs)
-                    assert policy is None
-                    assert_same_bits(got, want)
-    if lat.d == 1:
-        # the monitored sweep: lattice axis at array axis 1, stopping early
-        p = lat.space.shape[0]
-        for terminal in (rng.standard_normal((p, p, 1)), signed_zeros(rng, (p, p, 1), 1.0)):
-            want = scan_sweep(lat, terminal, axis=1, stop_layer=steps // 2)
-            assert_same_bits(_sweep(lat, terminal, axis=1, stop_layer=steps // 2), want[0])
+                got, policy = _sweep(lat, terminal, store=True, policy=False, **kwargs)
+                assert policy is None
+                assert_same_bits(got, want)
 
 
 def scan_weighted_norms(fields, lattice, betas, t_start=0.0):

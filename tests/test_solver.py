@@ -521,6 +521,67 @@ def test_classical_oracle_requires_degenerate_box(small_lat):
         classical_oracle(params, small_lat)
 
 
+def layerwise_oracle(params, lattice, inner_tol=1e-13, max_inner=200):
+    """Value field of the one-pass backward solve, an independent route to
+    the Picard fixed point: per layer, form the child means once, then
+    iterate y <- max_c [C_c + (f + g : sigma2_c) dt] on that layer alone,
+    with the integrands read from y itself."""
+    times = lattice.time.times()
+    y = params.terminal.evaluate(lattice.states)
+    layers = [y]
+    for k in range(lattice.steps - 1, -1, -1):
+        means = np.stack(list(lattice.child_means(y)))       # (combos, *grid, n)
+        y = means.max(axis=0)
+        g = np.zeros(y.shape + (lattice.d,))
+        for _ in range(max_inner):
+            z, eta = extract_integrands(y[None], lattice, g_field=g[None])
+            f = np.asarray(params.f.fn(times[k], y, z[0], eta[0]), dtype=float)
+            g = np.asarray(params.g.fn(times[k], y, z[0], eta[0]), dtype=float)
+            cost = np.stack([f + g @ s2 for s2 in lattice.combos]) * lattice.dt
+            y_new = (means + cost).max(axis=0)
+            gap = np.max(np.abs(y_new - y))
+            y = y_new
+            if gap < inner_tol:
+                break
+        else:
+            raise AssertionError(f"layer {k}: inner iteration did not converge")
+        layers.append(y)
+    return np.stack(layers[::-1])
+
+
+LAYERWISE_CASES = [
+    # (payoff, dt driver, qv driver): every one converges under Picard
+    ("quadratic", ("linear-in-y", {"r": -0.5}), None),
+    ("abs", ("linear-in-z", {"a": [0.3]}), None),
+    ("call", ("constant", {"c": 0.5}), ("qv-constant", {"gamma": 0.25})),
+    ("quadratic", None, ("linear-in-y", {"r": 0.2})),
+    ("call", None, ("linear-in-z", {"a": [0.2]})),
+    ("butterfly", ("clamped-custom-affine", {"coef_eta": 0.03, "coef_y": 0.2}), None),
+]
+
+
+@pytest.mark.parametrize("payoff, dt_driver, qv_driver", LAYERWISE_CASES)
+def test_picard_matches_layerwise_oracle(payoff, dt_driver, qv_driver):
+    lat = make_lattice(steps=16, points=101)
+    f = make_driver(dt_driver[0], 1, 1, dt_driver[1]) if dt_driver else zero_dt_driver(1)
+    g = (make_driver(qv_driver[0], 1, 1, qv_driver[1], role="qv") if qv_driver
+         else zero_qv_driver(1, 1))
+    params = GBsdeParams(terminal=make_payoff(payoff, 1), f=f, g=g)
+    sol, _ = solve_gbsde(params, lat)
+    assert np.max(np.abs(sol.Y - layerwise_oracle(params, lat))) <= 1e-8
+
+
+def test_picard_matches_layerwise_oracle_2d():
+    lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=8, points=51,
+                       grid_points=3)
+    params = GBsdeParams(
+        terminal=make_payoff("abs", 2),
+        f=make_driver("linear-in-z", 1, 2, {"a": [0.3, -0.2]}),
+        g=make_driver("linear-in-z", 1, 2, {"a": [0.1, 0.2]}, role="qv"))
+    sol, _ = solve_gbsde(params, lat)
+    assert np.max(np.abs(sol.Y - layerwise_oracle(params, lat))) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # distance diagnostics
 # ---------------------------------------------------------------------------
