@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DimensionError, InputError,
                      WeightOverflowError)
 from .gtensor import VolatilityBox, g_corner
-from .scenario import Lattice, TimeGrid, _sweep
+from .scenario import Lattice, TimeGrid, _sweep, _walk
 
 # Largest exponent allowed in exponential time weights.
 MAX_EXPONENT = 700.0
@@ -69,20 +69,12 @@ def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
     control(k, x) -> covariance diagonal, broadcastable to (d,), validated
     against the box at every step.
     """
-    rng = np.random.default_rng(seed)
-    d = box.d
-    dt = time.dt
-    x = np.zeros((time.steps + 1, d))
-    qv = np.zeros((time.steps + 1, d))
-    applied = np.zeros((time.steps, d))
-    for k in range(time.steps):
-        sig2 = np.broadcast_to(np.asarray(control(k, x[k]), dtype=float), (d,))
-        if not box.contains(sig2):
-            raise InputError(f"control leaves the volatility box at step {k}")
-        signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
-        x[k + 1] = x[k] + np.sqrt(sig2 * dt) * signs
-        qv[k + 1] = qv[k] + sig2 * dt
-        applied[k] = sig2
+    walk = _walk(time, box, lambda k, x: control(k, x[0]), np.random.default_rng(seed), 1)
+    steps = [(sig2.copy(), x) for sig2, x in walk]
+    applied = np.concatenate([sig2 for sig2, _ in steps])
+    zero = np.zeros((1, box.d))
+    x = np.concatenate([zero] + [x for _, x in steps])
+    qv = np.concatenate([zero, np.cumsum(applied * time.dt, axis=0)])
     return PathBundle(times=time.times(), positions=x, quad_var=qv,
                       control=applied, box=box)
 
@@ -346,6 +338,13 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
         den = beta * _square_integral_expectation(zeta, lattice, beta)
         return num, den, num / den
 
+    # beta_n grows with n, so the loop below would stop at the first beta_n
+    # past the weight limit; check the last one before allocating n_max rows
+    beta_last = float(n_max) * c_max / d_min
+    if beta_last * horizon > MAX_EXPONENT:
+        raise WeightOverflowError(
+            f"beta_n at n_max = {n_max}: beta * horizon = {beta_last * horizon:.3g} "
+            f"exceeds {MAX_EXPONENT}")
     n_values = np.arange(1, n_max + 1)
     beta_n = n_values * c_max / d_min
     b_n = np.array([ratio_at(b)[2] for b in beta_n])

@@ -22,7 +22,7 @@ from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
                        exp_cell_weights, weighted_norms)
 from .errors import InputError, WeightOverflowError
 from .gtensor import g_corner
-from .scenario import Lattice, TerminalFunctional, _sweep, nearest_index
+from .scenario import Lattice, TerminalFunctional, _sweep, _walk, nearest_index
 from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _triple_sq,
                      represent_martingale, solve_gbsde)
 
@@ -225,18 +225,11 @@ def _running_max_dp(phi: np.ndarray, lattice: Lattice, levels: int = 257) -> flo
 
 def _realized_sup_mc(phi, lattice: Lattice, n_paths: int = 512, seed: int = 31) -> float:
     """Expected path maximum under upper-corner covariance; a lower estimate."""
-    rng = np.random.default_rng(seed)
-    d = lattice.d
-    dt = lattice.dt
-    sig2 = lattice.box.upper
-    x = np.zeros((n_paths, d))
-    best = np.full(n_paths, -np.inf)
-    for k in range(lattice.steps + 1):
-        idx = nearest_index(lattice.space, x)
-        best = np.maximum(best, phi[(k,) + idx])
-        if k < lattice.steps:
-            signs = rng.integers(0, 2, size=(n_paths, d)) * 2.0 - 1.0
-            x = x + np.sqrt(sig2 * dt) * signs
+    walk = _walk(lattice.time, lattice.box, lambda k, x: lattice.box.upper,
+                 np.random.default_rng(seed), n_paths)
+    best = phi[(0,) + nearest_index(lattice.space, np.zeros((n_paths, lattice.d)))]
+    for k, (_, x) in enumerate(walk, 1):
+        best = np.maximum(best, phi[(k,) + nearest_index(lattice.space, x)])
     return float(np.mean(best))
 
 

@@ -14,8 +14,6 @@ slices of the edge-padded layer, sharing each leading-axis partial sum.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,7 +29,7 @@ MAX_STEPS = 400
 MAX_POINTS_PER_AXIS = 1025
 MIN_SPAN_FACTOR = 6.0
 
-_MC_CHUNKS = 8  # fixed chunk count so results do not depend on thread count
+_MC_CHUNKS = 8  # fixed seed-stream layout: results depend on seed and n_paths only
 
 
 @dataclass(frozen=True)
@@ -454,34 +452,29 @@ def capacity_estimate(lattice: Lattice, event: TerminalFunctional) -> float:
 # Forward Monte Carlo under a fixed admissible control
 # ---------------------------------------------------------------------------
 
-def _worker_count() -> int:
-    raw = os.environ.get("GCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
+          rng: np.random.Generator, m: int):
+    """Walk m paths from the origin under a covariance control.
 
-
-def _mc_chunk(lattice: Lattice, terminal: TerminalFunctional, control: Callable,
-              m: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    rng = np.random.default_rng(seed_seq)
-    dt = lattice.dt
-    x = np.zeros((m, lattice.d))
-    recorded = None
-    k_mon = None
-    if terminal.monitor_time is not None:
-        k_mon = lattice.time.index_of(terminal.monitor_time)
-    lo, up = lattice.box.lower, lattice.box.upper
-    for k in range(lattice.steps):
-        sig2 = np.asarray(control(k, x), dtype=float)
-        sig2 = np.broadcast_to(sig2, (m, lattice.d))
-        if np.any(sig2 < lo - 1e-9) or np.any(sig2 > up + 1e-9):
+    Per step k, control(k, x) on the (m, d) positions must give covariance
+    diagonals inside the box, broadcastable to (m, d); each axis then moves
+    by +/- sqrt(sig2 * dt) on one fair coin flip. Yields (sig2_k, x_{k+1})
+    and keeps only the current positions.
+    """
+    d = box.d
+    x = np.zeros((m, d))
+    for k in range(time.steps):
+        raw = np.asarray(control(k, x), dtype=float)
+        try:
+            sig2 = np.broadcast_to(raw, (m, d))
+        except ValueError:
+            raise DimensionError(f"control returned shape {raw.shape} at step {k}, "
+                                 f"expected one broadcastable to {(m, d)}") from None
+        if not box.contains(sig2):
             raise InputError(f"control leaves the volatility box at step {k}")
-        signs = rng.integers(0, 2, size=(m, lattice.d)) * 2.0 - 1.0
-        x = x + np.sqrt(sig2 * dt) * signs
-        if k_mon is not None and k + 1 == k_mon:
-            recorded = x.copy()
-    return terminal.evaluate(x, recorded=recorded)
+        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
+        x = x + np.sqrt(sig2 * time.dt) * signs
+        yield sig2, x
 
 
 def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
@@ -490,24 +483,24 @@ def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
 
     control(k, x_batch) must return covariance diagonals inside the box,
     broadcastable to the batch. Returns (estimate, standard_error), each of
-    shape (n,). Results are reproducible for a given seed and do not depend
-    on GCALC_THREADS (the path set is split into fixed chunks).
+    shape (n,). Results depend only on seed and n_paths.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
+    k_mon = None
+    if terminal.monitor_time is not None:
+        k_mon = lattice.time.index_of(terminal.monitor_time)
     chunk_count = min(_MC_CHUNKS, n_paths)
     sizes = [n_paths // chunk_count + (1 if i < n_paths % chunk_count else 0)
              for i in range(chunk_count)]
-    seeds = np.random.SeedSequence(seed).spawn(chunk_count)
-    workers = min(_worker_count(), chunk_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda args: _mc_chunk(lattice, terminal, control, *args),
-                zip(sizes, seeds)))
-    else:
-        parts = [_mc_chunk(lattice, terminal, control, m, s)
-                 for m, s in zip(sizes, seeds)]
+    parts = []
+    for m, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(chunk_count)):
+        recorded = None
+        walk = _walk(lattice.time, lattice.box, control, np.random.default_rng(seed_seq), m)
+        for k, (_, x) in enumerate(walk, 1):
+            if k == k_mon:
+                recorded = x
+        parts.append(terminal.evaluate(x, recorded=recorded))
     vals = np.concatenate(parts, axis=0)
     est = vals.mean(axis=0)
     if n_paths > 1:

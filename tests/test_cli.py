@@ -309,6 +309,18 @@ def test_overflowing_driver_exits_3_with_one_stderr_line(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_huge_ratio_n_max_exits_3_before_allocating(tmp_path, capsys):
+    # beta_n at n = 10^12 is far past the weight limit; the report must say
+    # so before it allocates one row per n
+    ratio = {"theta": [{"id": "linear"}] * 2, "zeta": [{"id": "constant"}] * 2,
+             "n_max": 10 ** 12}
+    rc, out = run_cli(tmp_path, "ratio-decay", {**SMALL, "ratio": ratio})
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+
+
 RATIO = {"theta": [{"id": "linear"}, {"id": "linear"}],
          "zeta": [{"id": "constant"}, {"id": "constant"}]}
 

@@ -1,6 +1,5 @@
 """Lattice construction, backward maximization, and forward simulation."""
 import math
-import os
 from itertools import product
 
 import numpy as np
@@ -13,9 +12,9 @@ from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
                    evaluate_field, nearest_index, sublinear_expectation)
 from gcalc.errors import DimensionError, GridResolutionError, InputError
 from gcalc.gtensor import DiagTensor, g_diag
-from gcalc.harness import _running_max_dp
+from gcalc.harness import _realized_sup_mc, _running_max_dp
 from gcalc.calculus import (StepProcess, _square_integral_expectation,
-                            exp_cell_weights, weighted_norms)
+                            exp_cell_weights, simulate_path, weighted_norms)
 from gcalc.scenario import _axis_allocation, _expectation_monitored, _sweep
 
 from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
@@ -531,21 +530,11 @@ def test_capacity_basics(small_lat):
 # controlled Monte Carlo
 # ---------------------------------------------------------------------------
 
-def test_control_mc_reproducible_and_thread_invariant(small_lat):
+def test_control_mc_reproducible(small_lat):
     ctrl = lambda k, x: np.where(x > 0.0, 4.0, 1.0)
     est1, se1 = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=42)
     est2, _ = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=42)
     assert np.array_equal(est1, est2)
-    old = os.environ.get("GCALC_THREADS")
-    os.environ["GCALC_THREADS"] = "4"
-    try:
-        est3, _ = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=42)
-    finally:
-        if old is None:
-            os.environ.pop("GCALC_THREADS", None)
-        else:
-            os.environ["GCALC_THREADS"] = old
-    assert np.array_equal(est1, est3)
     assert np.all(se1 > 0.0)
     est4, _ = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=43)
     assert not np.array_equal(est1, est4)
@@ -563,10 +552,135 @@ def test_control_mc_bounds_and_errors(small_lat):
         control_monte_carlo(small_lat, quad_payoff(), lambda k, x: 2.0, 0, seed=1)
 
 
+def test_control_of_the_wrong_shape_names_the_step(small_lat_2d):
+    tg = small_lat_2d.time
+    box = small_lat_2d.box
+    bad = lambda k, x: [1.0, 1.5, 2.0] if k == 3 else 1.5
+    with pytest.raises(DimensionError, match=r"step 3.*\(1, 2\)"):
+        simulate_path(tg, box, bad, seed=1)
+    with pytest.raises(DimensionError, match=r"step 3.*\(5, 2\)"):
+        control_monte_carlo(small_lat_2d, quad_payoff(), bad, 40, seed=1)
+
+
 def test_control_mc_constant_top_hits_anchor(small_lat):
     est, se = control_monte_carlo(small_lat, quad_payoff(),
                                   lambda k, x: 4.0, 4000, seed=11)
     assert abs(est[0] - 4.0) <= 4.0 * se[0] + 1e-9
+
+
+# Per-caller loops that `scenario._walk` replaced, kept as references: every
+# caller must draw the same coin flips and do the same arithmetic.
+
+def loop_simulate_path(time, box, control, seed):
+    rng = np.random.default_rng(seed)
+    d = box.d
+    dt = time.dt
+    x = np.zeros((time.steps + 1, d))
+    qv = np.zeros((time.steps + 1, d))
+    applied = np.zeros((time.steps, d))
+    for k in range(time.steps):
+        sig2 = np.broadcast_to(np.asarray(control(k, x[k]), dtype=float), (d,))
+        signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
+        x[k + 1] = x[k] + np.sqrt(sig2 * dt) * signs
+        qv[k + 1] = qv[k] + sig2 * dt
+        applied[k] = sig2
+    return x, qv, applied
+
+
+def loop_control_mc(lattice, terminal, control, n_paths, seed):
+    def chunk(m, seed_seq):
+        rng = np.random.default_rng(seed_seq)
+        x = np.zeros((m, lattice.d))
+        recorded = None
+        k_mon = None
+        if terminal.monitor_time is not None:
+            k_mon = lattice.time.index_of(terminal.monitor_time)
+        for k in range(lattice.steps):
+            sig2 = np.broadcast_to(np.asarray(control(k, x), dtype=float),
+                                   (m, lattice.d))
+            signs = rng.integers(0, 2, size=(m, lattice.d)) * 2.0 - 1.0
+            x = x + np.sqrt(sig2 * lattice.dt) * signs
+            if k_mon is not None and k + 1 == k_mon:
+                recorded = x.copy()
+        return terminal.evaluate(x, recorded=recorded)
+
+    chunk_count = min(8, n_paths)
+    sizes = [n_paths // chunk_count + (1 if i < n_paths % chunk_count else 0)
+             for i in range(chunk_count)]
+    seeds = np.random.SeedSequence(seed).spawn(chunk_count)
+    vals = np.concatenate([chunk(m, s) for m, s in zip(sizes, seeds)], axis=0)
+    est = vals.mean(axis=0)
+    if n_paths > 1:
+        se = vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
+    else:
+        se = np.full(est.shape, np.inf)
+    return est, se
+
+
+def loop_realized_sup_mc(phi, lattice, n_paths=512, seed=31):
+    rng = np.random.default_rng(seed)
+    d = lattice.d
+    sig2 = lattice.box.upper
+    x = np.zeros((n_paths, d))
+    best = np.full(n_paths, -np.inf)
+    for k in range(lattice.steps + 1):
+        idx = nearest_index(lattice.space, x)
+        best = np.maximum(best, phi[(k,) + idx])
+        if k < lattice.steps:
+            signs = rng.integers(0, 2, size=(n_paths, d)) * 2.0 - 1.0
+            x = x + np.sqrt(sig2 * lattice.dt) * signs
+    return float(np.mean(best))
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def smooth_control(box):
+    """A state-dependent control inside the box."""
+    lo, up = box.lower, box.upper
+    return lambda k, x: lo + (up - lo) * 0.5 * (1.0 + np.tanh(x - 0.1 * k))
+
+
+def test_simulate_path_matches_loop_reference(small_lat, small_lat_2d):
+    for lat in (small_lat, small_lat_2d):
+        box = lat.box
+        table = np.random.default_rng(3).uniform(box.lower, box.upper,
+                                                 (lat.steps, lat.d))
+        for control in (lambda k, x: box.upper, lambda k, x: table[k],
+                        smooth_control(box)):
+            for seed in (0, 7):
+                path = simulate_path(lat.time, box, control, seed=seed)
+                x, qv, applied = loop_simulate_path(lat.time, box, control, seed)
+                assert_bits_equal(path.positions, x)
+                assert_bits_equal(path.quad_var, qv)
+                assert_bits_equal(path.control, applied)
+
+
+def test_control_mc_matches_loop_reference(small_lat, small_lat_2d):
+    monitored = TerminalFunctional(
+        fn=lambda u, x: np.concatenate([u * x, np.abs(x - u)], axis=-1),
+        lipschitz=0.0, n=2, monitor_time=0.5)
+    cases = [(small_lat, quad_payoff()), (small_lat, monitored),
+             (small_lat_2d, quad_payoff())]
+    for lat, terminal in cases:
+        for n_paths in (1, 5, 8, 1500):
+            args = (lat, terminal, smooth_control(lat.box), n_paths, 42)
+            est, se = control_monte_carlo(*args)
+            want_est, want_se = loop_control_mc(*args)
+            assert_bits_equal(est, want_est)
+            assert_bits_equal(se, want_se)
+
+
+def test_realized_sup_mc_matches_loop_reference(small_lat, small_lat_2d):
+    rng = np.random.default_rng(11)
+    for lat in (small_lat, small_lat_2d):
+        phi = rng.normal(size=(lat.steps + 1,) + lat.space.shape)
+        assert _realized_sup_mc(phi, lat) == loop_realized_sup_mc(phi, lat)
+        assert (_realized_sup_mc(phi, lat, n_paths=3, seed=5)
+                == loop_realized_sup_mc(phi, lat, n_paths=3, seed=5))
 
 
 # ---------------------------------------------------------------------------
