@@ -332,6 +332,9 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
     if d_min <= 0.0:
         raise DegenerateDenominatorError(
             f"denominator mean square is not bounded away from zero (d_min={d_min:.3g})")
+    if c_max == 0.0:
+        raise InputError("ratio.theta mean square is identically zero, so every "
+                         "beta_n is 0 and each ratio would be 0/0")
 
     def ratio_at(beta: float) -> tuple:
         num = _square_integral_expectation(theta, lattice, beta)

@@ -125,7 +125,9 @@ class PicardReport:
     iterations: int
     converged: bool
     distances: tuple             # stopping-norm (unweighted) distance trace
-    distances_by_beta: dict      # beta -> tuple of squared triple distances
+    distances_by_beta: dict      # beta -> tuple of squared triple distances, for
+                                 # the betas measured at every iteration: scan[0]
+                                 # and, once it fails, each later one that never fails
     contraction_factors: tuple   # squared-distance ratios at reporting beta
     beta: Optional[float]        # reporting beta (empirical beta0 when found)
     beta0_empirical: Optional[float]
@@ -283,6 +285,20 @@ def triple_distance_sq(delta_y, delta_z, delta_eta, lattice: Lattice, beta: floa
     return _triple_sq(weighted_norms((delta_y, delta_z, delta_eta), lattice, (beta,)))[0][0]
 
 
+def _distance_sq(step: BsdeSolution, fields, lattice: Lattice, betas: tuple) -> list:
+    """Squared weighted triple distance between an iterate and its input
+    fields, one entry per beta."""
+    delta = (step.Y - fields[0], step.Z - fields[1], step.eta - fields[2])
+    return _triple_sq(weighted_norms(delta, lattice, betas))[0]
+
+
+def _factors(sq: list, tol: float) -> tuple:
+    """Squared contraction factors of one beta's squared distance trace:
+    ratios of successive entries whose earlier entry clears the noise floor."""
+    floor = max(tol * tol, 1e-28) * 100.0
+    return tuple(sq[i + 1] / sq[i] for i in range(len(sq) - 1) if sq[i] > floor)
+
+
 def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = None,
                 mu: Optional[float] = None, nu: Optional[float] = None,
                 tol: float = 1e-9, max_iter: int = 60,
@@ -295,6 +311,16 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     stays within the theoretical factor; it is reported as beta0_empirical.
     Raises ConvergenceError (with the distance trace) when max_iter is hit
     or as soon as a distance is not finite.
+
+    The scan is lazy: a beta that has failed can never become beta0, and no
+    later beta matters while the first one passes. Each iteration measures
+    beta 0 (the stopping test) and scan[0], which is always kept for the
+    fallback report. When scan[0] fails at iteration i, the first i iterates
+    are recomputed once from the starting fields to measure every later scan
+    beta, and each of them that has not failed is measured from then on
+    until it fails. So the diagnostic costs at most i extra Picard steps and
+    never more norm columns per iteration than a full scan, and every
+    reported number equals the full scan's.
     """
     params.spot_check(lattice.d, np.random.default_rng(0))
     mu2, nu2 = default_penalties(params, lattice)
@@ -310,31 +336,44 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     if not scan:
         raise InputError("all candidate betas overflow the weight range")
 
-    if initial is None:
-        fields = _zero_fields(lattice, params.terminal.n)
-    elif isinstance(initial, BsdeSolution):
-        fields = (initial.Y, initial.Z, initial.eta)
-    else:
-        fields = tuple(np.asarray(a, dtype=float) for a in initial)
+    def starting_fields():
+        # rebuilt for the rerun rather than kept alive through the iteration
+        if initial is None:
+            return _zero_fields(lattice, params.terminal.n)
+        if isinstance(initial, BsdeSolution):
+            return initial.Y, initial.Z, initial.eta
+        return tuple(np.asarray(a, dtype=float) for a in initial)
+
+    def failed(sq: list) -> bool:
+        fac = _factors(sq, tol)
+        return bool(fac) and not max(fac) <= theoretical
 
     distances = []
-    dist_by_beta = {b: [] for b in scan}
+    sq_by_beta = {scan[0]: []}   # betas measured at every iteration so far
+    pending = scan[1:]           # betas measured only once scan[0] fails
+    fields = starting_fields()
     solution = None
     converged = False
     for _ in range(max_iter):
         solution = picard_step(fields, params, lattice)
-        delta = (solution.Y - fields[0], solution.Z - fields[1],
-                 solution.eta - fields[2])
-        sq0, *sq_scan = _triple_sq(weighted_norms(delta, lattice, (0.0,) + scan))[0]
+        betas = tuple(sq_by_beta)
+        sq0, *sq_betas = _distance_sq(solution, fields, lattice, (0.0,) + betas)
         dist0 = math.sqrt(sq0)
         distances.append(dist0)
         if not math.isfinite(dist0):
             raise ConvergenceError(
                 f"Picard distance is not finite ({dist0}) at iteration "
                 f"{len(distances)}", trace=distances)
-        for b, sq in zip(scan, sq_scan):
-            dist_by_beta[b].append(sq)
+        for b, sq in zip(betas, sq_betas):
+            sq_by_beta[b].append(sq)
         fields = (solution.Y, solution.Z, solution.eta)
+        if pending and failed(sq_by_beta[scan[0]]):
+            sq_by_beta.update(_rerun(starting_fields(), params, lattice,
+                                     pending, len(distances)))
+            pending = ()
+        for b in list(sq_by_beta)[1:]:   # scan[0] stays for the fallback report
+            if failed(sq_by_beta[b]):
+                del sq_by_beta[b]
         if dist0 < tol:
             converged = True
             break
@@ -343,18 +382,11 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
             f"no fixed point within {max_iter} iterations (last distance "
             f"{distances[-1]:.3g}, tol {tol:.3g})", trace=distances)
 
-    def factors_at(b: float) -> tuple:
-        sq = dist_by_beta[b]
-        out = []
-        floor = max(tol * tol, 1e-28)
-        for i in range(len(sq) - 1):
-            if sq[i] > floor * 100.0:
-                out.append(sq[i + 1] / sq[i])
-        return tuple(out)
-
+    # the held betas in scan order: every scan beta not held has failed or
+    # comes after scan[0] when scan[0] decides
     beta0 = None
-    for b in scan:
-        fac = factors_at(b)
+    for b, sq in sq_by_beta.items():
+        fac = _factors(sq, tol)
         if fac and max(fac) <= theoretical:
             beta0 = b
             break
@@ -363,12 +395,26 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     report_beta = beta0 if beta0 is not None else scan[0]
     report = PicardReport(
         iterations=len(distances), converged=True, distances=tuple(distances),
-        distances_by_beta={b: tuple(v) for b, v in dist_by_beta.items()},
-        contraction_factors=factors_at(report_beta),
+        distances_by_beta={b: tuple(v) for b, v in sq_by_beta.items()},
+        contraction_factors=_factors(sq_by_beta[report_beta], tol),
         beta=report_beta, beta0_empirical=beta0,
         theoretical_factor=theoretical, mu=math.sqrt(mu2), nu=math.sqrt(nu2),
         tol=tol)
     return solution, report
+
+
+def _rerun(fields, params: GBsdeParams, lattice: Lattice, betas: tuple,
+           iterations: int) -> dict:
+    """Squared distance traces at betas over the first `iterations` Picard
+    iterates from fields; the iterates do not depend on beta, so they repeat
+    the original run's bit for bit."""
+    sq_by_beta = {b: [] for b in betas}
+    for _ in range(iterations):
+        step = picard_step(fields, params, lattice)
+        for b, sq in zip(betas, _distance_sq(step, fields, lattice, betas)):
+            sq_by_beta[b].append(sq)
+        fields = (step.Y, step.Z, step.eta)
+    return sq_by_beta
 
 
 # ---------------------------------------------------------------------------

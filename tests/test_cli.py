@@ -321,6 +321,19 @@ def test_huge_ratio_n_max_exits_3_before_allocating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_ratio_numerator_exits_3_with_its_cause(tmp_path, capsys):
+    # c_max = 0 makes every beta_n 0 and every ratio 0/0
+    zero = {"id": "constant", "params": {"c": 0}}
+    ratio = {"theta": [zero] * 2, "zeta": [{"id": "constant"}] * 2, "n_max": 5}
+    rc, out = run_cli(tmp_path, "ratio-decay", {**SMALL, "ratio": ratio})
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: ratio.theta mean square is identically "
+                   "zero, so every beta_n is 0 and each ratio would be 0/0"]
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 RATIO = {"theta": [{"id": "linear"}, {"id": "linear"}],
          "zeta": [{"id": "constant"}, {"id": "constant"}]}
 

@@ -13,13 +13,15 @@ import pytest
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, classical_oracle,
                    compensator_mc_check, extract_integrands, picard_step,
                    represent_martingale, residual_check, solve_gbsde)
+from gcalc import solver
+from gcalc.calculus import MAX_EXPONENT, weighted_norms
 from gcalc.catalog import make_driver, make_payoff
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
 from gcalc.gtensor import g_corner
 from gcalc.scenario import evaluate_field, nearest_index
 from gcalc.solver import (BETA_SCAN, CompensatorReport, ResidualReport,
-                          default_penalties, triple_distance_sq, zero_dt_driver,
-                          zero_qv_driver)
+                          _triple_sq, _zero_fields, default_penalties,
+                          triple_distance_sq, zero_dt_driver, zero_qv_driver)
 
 from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
                       quad_payoff)
@@ -607,10 +609,129 @@ def test_distances_by_beta_match_per_beta_recomputation(small_lat):
     assert rep.iterations >= 3
     fields = (np.zeros((41, 161, 1)), np.zeros((41, 161, 1, 1)),
               np.zeros((41, 161, 1, 1)))
+    assert BETA_SCAN[0] in rep.distances_by_beta
     for i in range(rep.iterations):
         step = picard_step(fields, params, small_lat)
         delta = (step.Y - fields[0], step.Z - fields[1], step.eta - fields[2])
         assert rep.distances[i] == math.sqrt(triple_distance_sq(*delta, small_lat, 0.0))
-        for b in BETA_SCAN:
-            assert rep.distances_by_beta[b][i] == triple_distance_sq(*delta, small_lat, b)
+        for b, trace in rep.distances_by_beta.items():
+            assert trace[i] == triple_distance_sq(*delta, small_lat, b)
         fields = (step.Y, step.Z, step.eta)
+
+
+# ---------------------------------------------------------------------------
+# lazy beta scan against the full scan
+# ---------------------------------------------------------------------------
+
+def full_scan_solve(params, lattice, beta=None, tol=1e-9, max_iter=60, initial=None):
+    """The Picard loop that measured every BETA_SCAN weight at every
+    iteration, which solve_gbsde's lazy scan replaced. Returns the solution
+    and (iterations, distances, distances_by_beta, beta0, beta, factors)."""
+    mu2, nu2 = default_penalties(params, lattice)
+    theoretical = 5.0 * params.lipschitz / lattice.box.sigma_min_sq * (1.0 / mu2 + 1.0 / nu2)
+    scan = BETA_SCAN if beta is None else (float(beta),)
+    scan = tuple(b for b in scan if b * lattice.time.horizon <= MAX_EXPONENT)
+    fields = (_zero_fields(lattice, params.terminal.n) if initial is None
+              else tuple(np.asarray(a, dtype=float) for a in initial))
+    distances, by_beta = [], {b: [] for b in scan}
+    for _ in range(max_iter):
+        sol = picard_step(fields, params, lattice)
+        delta = (sol.Y - fields[0], sol.Z - fields[1], sol.eta - fields[2])
+        sq0, *sq_scan = _triple_sq(weighted_norms(delta, lattice, (0.0,) + scan))[0]
+        distances.append(math.sqrt(sq0))
+        if not math.isfinite(distances[-1]):
+            raise ConvergenceError("not finite", trace=distances)
+        for b, sq in zip(scan, sq_scan):
+            by_beta[b].append(sq)
+        fields = (sol.Y, sol.Z, sol.eta)
+        if distances[-1] < tol:
+            break
+    else:
+        raise ConvergenceError("no fixed point", trace=distances)
+
+    def factors_at(b):
+        sq, floor = by_beta[b], max(tol * tol, 1e-28)
+        return tuple(sq[i + 1] / sq[i] for i in range(len(sq) - 1)
+                     if sq[i] > floor * 100.0)
+
+    beta0 = None
+    for b in scan:
+        fac = factors_at(b)
+        if fac and max(fac) <= theoretical:
+            beta0 = b
+            break
+        if not fac:
+            break
+    report_beta = beta0 if beta0 is not None else scan[0]
+    return sol, (len(distances), tuple(distances), by_beta, beta0, report_beta,
+                 factors_at(report_beta))
+
+
+def affine_params(payoff, coef_y, coef_eta):
+    f = make_driver("clamped-custom-affine", 1, 1,
+                    {"coef_y": coef_y, "coef_eta": [coef_eta]})
+    return GBsdeParams(terminal=make_payoff(payoff, 1), f=f, g=zero_qv_driver(1, 1))
+
+
+def warm_start(lattice):
+    """Starting fields off the zero fields: the quadratic payoff's
+    representation, shifted up by 0.1."""
+    rep = represent_martingale(make_payoff("quadratic", 1), lattice)
+    return rep.Y + 0.1, rep.Z, rep.eta
+
+
+LAZY_SCAN_CASES = {
+    # beta0 = 1; 128 and 256 would fail late
+    "abs, beta0 1": (affine_params("abs", 0.5, 0.02), {}, 1.0),
+    "butterfly, beta0 16": (affine_params("butterfly", 0.5, 0.02), {}, 16.0),
+    # 1..16 fail, 32 passes, 64..256 fail
+    "quadratic, beta0 32": (affine_params("quadratic", 0.2, 0.03), {}, 32.0),
+    # scan[0] fails, so the rerun has to start from these fields again
+    "quadratic, warm start": (affine_params("quadratic", 0.2, 0.03),
+                              {"initial": warm_start}, 32.0),
+    "butterfly, every beta fails": (affine_params("butterfly", 0.2, 0.03), {}, None),
+    # the first iterate is the fixed point: no measurable factors
+    "zero drivers": (no_driver_params(const_payoff(0.0)), {}, None),
+    "explicit beta": (affine_params("quadratic", 0.2, 0.03), {"beta": 4.0}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(LAZY_SCAN_CASES))
+def test_lazy_beta_scan_matches_full_scan(small_lat, case):
+    params, kwargs, want_beta0 = LAZY_SCAN_CASES[case]
+    if "initial" in kwargs:
+        kwargs = {**kwargs, "initial": kwargs["initial"](small_lat)}
+    sol, rep = solve_gbsde(params, small_lat, **kwargs)
+    ref_sol, (iterations, distances, by_beta, beta0, beta, factors) = \
+        full_scan_solve(params, small_lat, **kwargs)
+    assert rep.beta0_empirical == beta0 == want_beta0
+    assert rep.beta == beta
+    assert rep.contraction_factors == factors
+    assert rep.distances == distances
+    assert rep.iterations == iterations
+    assert np.array_equal(sol.Y, ref_sol.Y)
+    for b, trace in rep.distances_by_beta.items():
+        assert trace == tuple(by_beta[b])
+
+
+def test_lazy_beta_scan_keeps_the_divergence_trace(small_lat):
+    params = affine_params("butterfly", 0.2, 0.03)
+    with pytest.raises(ConvergenceError) as want:
+        full_scan_solve(params, small_lat, max_iter=8)
+    with pytest.raises(ConvergenceError) as got:
+        solve_gbsde(params, small_lat, max_iter=8)
+    assert got.value.trace == want.value.trace
+    assert len(got.value.trace) == 8
+
+
+def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
+    asked = []
+
+    def recording(fields, lattice, betas, t_start=0.0):
+        asked.append(tuple(betas))
+        return weighted_norms(fields, lattice, betas, t_start)
+
+    monkeypatch.setattr(solver, "weighted_norms", recording)
+    _, rep = solve_gbsde(affine_params("abs", 0.5, 0.02), small_lat)
+    assert rep.beta0_empirical == BETA_SCAN[0]
+    assert asked == [(0.0, BETA_SCAN[0])] * rep.iterations
