@@ -13,9 +13,8 @@ from .scenario import (Lattice, SpaceGrid, TerminalFunctional, TimeGrid,
                        build_lattice, capacity_estimate,
                        conditional_expectation_field, control_monte_carlo,
                        evaluate_field, nearest_index, sublinear_expectation)
-from .calculus import (PathBundle, StepProcess, exp_cell_weights, ito_integral,
-                       lemma31_bounds, qv_integral, ratio_decay_report,
-                       simulate_path, weighted_norm)
+from .calculus import (PathBundle, StepProcess, exp_cell_weights, lemma31_bounds,
+                       ratio_decay_report, simulate_path, weighted_norm)
 from .solver import (BsdeSolution, Driver, GBsdeParams, PicardReport,
                      ResidualReport, classical_oracle, compensator_mc_check,
                      extract_integrands, picard_step, represent_martingale,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DimensionError, InputError,
                      WeightOverflowError)
 from .gtensor import VolatilityBox, g_corner
-from .scenario import Lattice, TimeGrid, _sweep, _walk
+from .scenario import Lattice, TimeGrid, _fair_signs, _sweep, _walk
 
 # Largest exponent allowed in exponential time weights.
 MAX_EXPONENT = 700.0
@@ -57,10 +57,6 @@ class PathBundle:
     def steps(self) -> int:
         return self.times.shape[0] - 1
 
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.positions, axis=0)
-
 
 def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
                   seed: int) -> PathBundle:
@@ -69,8 +65,9 @@ def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
     control(k, x) -> covariance diagonal, broadcastable to (d,), validated
     against the box at every step.
     """
-    walk = _walk(time, box, lambda k, x: control(k, x[0]), np.random.default_rng(seed), 1)
-    steps = [(sig2.copy(), x) for sig2, x in walk]
+    walk = _walk(time, box, lambda k, x: control(k, x[0]),
+                 _fair_signs(np.random.default_rng(seed), 1, box.d), 1)
+    steps = [(sig2.copy(), x) for sig2, _, x in walk]
     applied = np.concatenate([sig2 for sig2, _ in steps])
     zero = np.zeros((1, box.d))
     x = np.concatenate([zero] + [x for _, x in steps])
@@ -90,19 +87,6 @@ def _process_values(process, path: PathBundle, shape_tail: tuple) -> np.ndarray:
         raise DimensionError(
             f"process has shape {vals.shape}, expected {(path.steps,) + shape_tail}")
     return vals
-
-
-def ito_integral(z_process, path: PathBundle, n: int = 1) -> np.ndarray:
-    """Forward sum of z_k^T dB_k over the path; z has shape (steps, d, n)."""
-    z = _process_values(z_process, path, (path.box.d, n))
-    return np.einsum("kdn,kd->n", z, path.increments)
-
-
-def qv_integral(eta_process, path: PathBundle, n: int = 1) -> np.ndarray:
-    """Forward sum of (eta_k : d<B>_k) over the path; eta is (steps, n, d)
-    diagonal entries paired against the bracket increments."""
-    eta = _process_values(eta_process, path, (n, path.box.d))
-    return np.einsum("knd,kd->n", eta, np.diff(path.quad_var, axis=0))
 
 
 @dataclass(frozen=True)

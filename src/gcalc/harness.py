@@ -22,7 +22,8 @@ from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
                        exp_cell_weights, weighted_norms)
 from .errors import InputError, WeightOverflowError
 from .gtensor import g_corner
-from .scenario import Lattice, TerminalFunctional, _sweep, _walk, nearest_index
+from .scenario import (Lattice, TerminalFunctional, _fair_signs, _sweep, _walk,
+                       nearest_index)
 from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _triple_sq,
                      represent_martingale, solve_gbsde)
 
@@ -226,9 +227,9 @@ def _running_max_dp(phi: np.ndarray, lattice: Lattice, levels: int = 257) -> flo
 def _realized_sup_mc(phi, lattice: Lattice, n_paths: int = 512, seed: int = 31) -> float:
     """Expected path maximum under upper-corner covariance; a lower estimate."""
     walk = _walk(lattice.time, lattice.box, lambda k, x: lattice.box.upper,
-                 np.random.default_rng(seed), n_paths)
+                 _fair_signs(np.random.default_rng(seed), n_paths, lattice.d), n_paths)
     best = phi[(0,) + nearest_index(lattice.space, np.zeros((n_paths, lattice.d)))]
-    for k, (_, x) in enumerate(walk, 1):
+    for k, (_, _, x) in enumerate(walk, 1):
         best = np.maximum(best, phi[(k,) + nearest_index(lattice.space, x)])
     return float(np.mean(best))
 

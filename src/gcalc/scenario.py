@@ -157,19 +157,6 @@ class TerminalFunctional:
             raise InputError("payoff produced non-finite values")
         return vals
 
-    def spot_check_lipschitz(self, space: SpaceGrid, rng: np.random.Generator,
-                             probes: int = 64, rtol: float = 1e-6) -> None:
-        """Sample state pairs on the grid span and verify the declared bound."""
-        if self.monitor_time is not None:
-            return
-        half = np.array([a[-1] for a in space.axes])
-        a = rng.uniform(-half, half, size=(probes, space.d))
-        b = rng.uniform(-half, half, size=(probes, space.d))
-        gap = np.linalg.norm(self.evaluate(a) - self.evaluate(b), axis=-1)
-        dist = np.linalg.norm(a - b, axis=-1)
-        if np.any(gap > self.lipschitz * dist * (1.0 + rtol) + 1e-12):
-            raise InputError("payoff violates its declared Lipschitz constant")
-
 
 def _axis_allocation(jump: float, h: float) -> list:
     """Split a +jump move onto the two bracketing nodes.
@@ -361,44 +348,20 @@ class ScenarioField:
     values: np.ndarray      # (steps + 1, *grid, n)
     policy_idx: np.ndarray  # (steps, *grid, n) indices into lattice.combos
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
 
-    def value_at_origin(self) -> np.ndarray:
-        return self.values[(0,) + self.lattice.origin_index]
-
-    def policy_sigma2(self, k: int) -> np.ndarray:
-        """Argmax covariance diagonals at layer k, shape (*grid, n, d)."""
-        return self.lattice.combos[self.policy_idx[k]]
-
-
-def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional,
-                                  running_cost: Optional[Callable] = None) -> ScenarioField:
+def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional) -> ScenarioField:
     """Full worst-case conditional expectation field of a terminal payoff.
 
-    running_cost(k, states, sigma2) -> (*grid, n), interpreted per unit time,
-    is added as cost * dt inside the per-covariance maximization. The maximum
-    runs over the box grid's covariance combos (`lattice.combos`). Each child
-    mean is piecewise affine in sigma2, with breakpoints where a move lands
-    on a node, so the maximum over the whole box sits at a corner or a
-    breakpoint, and a grid can give the exact box supremum only when the
-    running cost is affine in sigma2 too; any other cost can peak between
-    grid levels.
+    The maximum runs over the box grid's covariance combos
+    (`lattice.combos`). Each child mean is piecewise affine in sigma2, with
+    breakpoints where a move lands on a node, so the maximum over the whole
+    box sits at a corner or a breakpoint.
     """
     if terminal.monitor_time is not None:
         raise InputError("field extraction supports terminal-state payoffs only; "
                          "monitored payoffs are limited to plain expectations")
     values = terminal.evaluate(lattice.states)
-    step_cost = None
-    if running_cost is not None:
-        dt = lattice.dt
-        states = lattice.states
-
-        def step_cost(k, c):
-            return np.asarray(running_cost(k, states, lattice.combos[c]), dtype=float) * dt
-
-    all_values, policy = _sweep(lattice, values, step_cost, store=True)
+    all_values, policy = _sweep(lattice, values, store=True)
     return ScenarioField(lattice=lattice, values=all_values, policy_idx=policy)
 
 
@@ -452,14 +415,19 @@ def capacity_estimate(lattice: Lattice, event: TerminalFunctional) -> float:
 # Forward Monte Carlo under a fixed admissible control
 # ---------------------------------------------------------------------------
 
+def _fair_signs(rng: np.random.Generator, m: int, d: int) -> Callable:
+    """Sign source of one fresh fair (m, d) coin-flip draw per step."""
+    return lambda k: rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
+
+
 def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
-          rng: np.random.Generator, m: int):
+          signs: Callable, m: int):
     """Walk m paths from the origin under a covariance control.
 
     Per step k, control(k, x) on the (m, d) positions must give covariance
     diagonals inside the box, broadcastable to (m, d); each axis then moves
-    by +/- sqrt(sig2 * dt) on one fair coin flip. Yields (sig2_k, x_{k+1})
-    and keeps only the current positions.
+    by sqrt(sig2 * dt) times the +/-1 entries of signs(k), shape (m, d).
+    Yields (sig2_k, dx_k, x_{k+1}) and keeps only the current positions.
     """
     d = box.d
     x = np.zeros((m, d))
@@ -472,9 +440,9 @@ def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
                                  f"expected one broadcastable to {(m, d)}") from None
         if not box.contains(sig2):
             raise InputError(f"control leaves the volatility box at step {k}")
-        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
-        x = x + np.sqrt(sig2 * time.dt) * signs
-        yield sig2, x
+        dx = np.sqrt(sig2 * time.dt) * signs(k)
+        x = x + dx
+        yield sig2, dx, x
 
 
 def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
@@ -496,8 +464,8 @@ def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
     parts = []
     for m, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(chunk_count)):
         recorded = None
-        walk = _walk(lattice.time, lattice.box, control, np.random.default_rng(seed_seq), m)
-        for k, (_, x) in enumerate(walk, 1):
+        signs = _fair_signs(np.random.default_rng(seed_seq), m, lattice.d)
+        for k, (_, _, x) in enumerate(_walk(lattice.time, lattice.box, control, signs, m), 1):
             if k == k_mon:
                 recorded = x
         parts.append(terminal.evaluate(x, recorded=recorded))

@@ -10,6 +10,7 @@ layerwise-implicit single-control solver serves as the degenerate-box oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateBoxError, InputError
 from .gtensor import g_corner
-from .scenario import (Lattice, TerminalFunctional, _sweep,
+from .scenario import (Lattice, TerminalFunctional, _sweep, _walk,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
 from .calculus import MAX_EXPONENT, weighted_norms
@@ -103,7 +104,6 @@ class BsdeSolution:
     Y: np.ndarray
     Z: np.ndarray
     eta: np.ndarray
-    K_inc: np.ndarray
     policy_idx: np.ndarray
     g_field: np.ndarray
 
@@ -115,9 +115,14 @@ class BsdeSolution:
     def y0(self) -> np.ndarray:
         return self.Y[(0,) + self.lattice.origin_index]
 
-    def policy_sigma2(self) -> np.ndarray:
-        """Argmax covariance diagonals, shape (steps, *grid, n, d)."""
-        return self.lattice.combos[self.policy_idx]
+    @functools.cached_property
+    def K_inc(self) -> np.ndarray:
+        """Per-step compensator increments under the argmax policy, derived
+        from eta on first read; nonnegative because the policy stays inside
+        the box."""
+        steps = self.policy_idx.shape[0]
+        return _compensator_increments(self.eta[:steps],
+                                       self.lattice.combos[self.policy_idx], self.lattice)
 
 
 @dataclass(frozen=True)
@@ -191,17 +196,11 @@ def extract_integrands(values: np.ndarray, lattice: Lattice,
     return z, eta
 
 
-def _compensator_increments(eta: np.ndarray, policy_idx: np.ndarray,
+def _compensator_increments(eta: np.ndarray, sig2: np.ndarray,
                             lattice: Lattice) -> np.ndarray:
-    """Per-step compensator (G(eta) - half eta : policy covariance) * dt.
-
-    Nonnegative by construction because the policy stays inside the box.
-    """
-    steps = policy_idx.shape[0]
-    sigma_star = lattice.combos[policy_idx]              # (steps, *grid, n, d)
-    g_val = g_corner(eta[:steps], lattice.box)            # (steps, *grid, n)
-    pinned = 0.5 * np.sum(eta[:steps] * sigma_star, axis=-1)
-    return (g_val - pinned) * lattice.dt
+    """Compensator increments (G(eta) - half eta : sig2) * dt per trailing
+    (d,) row of eta and of the covariance diagonals sig2."""
+    return (g_corner(eta, lattice.box) - 0.5 * np.sum(eta * sig2, axis=-1)) * lattice.dt
 
 
 def represent_martingale(terminal: TerminalFunctional, lattice: Lattice) -> BsdeSolution:
@@ -209,9 +208,8 @@ def represent_martingale(terminal: TerminalFunctional, lattice: Lattice) -> Bsde
     fld = conditional_expectation_field(lattice, terminal)
     g_zero = np.zeros(fld.values.shape + (lattice.d,))
     z, eta = extract_integrands(fld.values, lattice)
-    k_inc = _compensator_increments(eta, fld.policy_idx, lattice)
     return BsdeSolution(lattice=lattice, Y=fld.values, Z=z, eta=eta,
-                        K_inc=k_inc, policy_idx=fld.policy_idx, g_field=g_zero)
+                        policy_idx=fld.policy_idx, g_field=g_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +248,7 @@ def picard_step(inputs, params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
 
     values, policy = _sweep(lattice, terminal_values, step_cost, store=True)
     z, eta = extract_integrands(values, lattice, g_field=g_vals)
-    k_inc = _compensator_increments(eta, policy, lattice)
-    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta, K_inc=k_inc,
+    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta,
                         policy_idx=policy, g_field=g_vals)
 
 
@@ -472,21 +469,26 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     n_pol = n_groups - tables.shape[0]
     pol_rows = n_pol * m
     flips = np.stack([f for _, _, f in groups], axis=1)     # (steps, groups, bytes)
-    x = np.zeros((rows.size, d))
     sig2 = np.empty((n_groups, m, d))
-    y_path = np.empty((steps + 1, rows.size))
-    # per step: f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket
-    terms = np.empty((steps, 5, rows.size))
-    for k in range(steps):
-        y_all = evaluate_field(space, solution.Y[k], x)        # (P, n)
-        z_all = evaluate_field(space, solution.Z[k], x)        # (P, d, n)
-        eta_all = evaluate_field(space, solution.eta[k], x)    # (P, n, d)
-        y_path[k] = y_all[rows, comp_of]
+
+    def control(k, x):
         if n_pol:
             idx = nearest_index(space, x[:pol_rows])
             sig2[:n_pol] = lat.combos[solution.policy_idx[
                 (k,) + idx + (comp_of[:pol_rows],)]].reshape(n_pol, m, d)
         sig2[n_pol:] = tables[:, k, None]
+        return sig2.reshape(-1, d)
+
+    walk = _walk(lat.time, lat.box, control, lambda k: _signs(flips[k], m, d), rows.size)
+    x = np.zeros((rows.size, d))
+    y_path = np.empty((steps + 1, rows.size))
+    # per step: f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket
+    terms = np.empty((steps, 5, rows.size))
+    for k, (s2, db, x_next) in enumerate(walk):
+        y_all = evaluate_field(space, solution.Y[k], x)        # (P, n)
+        z_all = evaluate_field(space, solution.Z[k], x)        # (P, d, n)
+        eta_all = evaluate_field(space, solution.eta[k], x)    # (P, n, d)
+        y_path[k] = y_all[rows, comp_of]
         f_val = np.asarray(params.f.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[rows, comp_of]
         g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
@@ -498,15 +500,13 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
         curv_next = evaluate_field(
             space, solution.eta[k + 1] - 2.0 * solution.g_field[k + 1], x)
         eta_k = curv_next[rows, comp_of] + 2.0 * g_val
-        s2 = sig2.reshape(-1, d)
-        db = np.sqrt(s2 * dt) * _signs(flips[k], m, d)
         dqv = s2 * dt
         terms[k, 0] = f_val * dt
         terms[k, 1] = np.sum(g_val * dqv, axis=1)
         terms[k, 2] = np.sum(z_k * db, axis=1)
         terms[k, 3] = g_corner(eta_k, lat.box) * dt
         terms[k, 4] = 0.5 * np.sum(eta_k * dqv, axis=1)
-        x = x + db
+        x = x_next
     y_path[steps] = evaluate_field(space, solution.Y[steps], x)[rows, comp_of]
     xi = params.terminal.evaluate(x)[rows, comp_of]
 
@@ -596,7 +596,6 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
         raise InputError(f"comp must be in [0, {solution.n})")
     lat = solution.lattice
     rng = np.random.default_rng(seed)
-    dt = lat.dt
     steps, d, m = lat.steps, lat.d, n_paths
     corners = lat.box.corners()
     up, lo = lat.box.upper, lat.box.lower
@@ -609,20 +608,23 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
         flips.append(_coin_flips(rng, steps, m, d))
     flips = np.stack(flips, axis=1)                        # (steps, groups, bytes)
     n_groups = n_tables + 2
-
-    x = np.zeros((n_groups * m, d))
-    k_total = np.zeros((n_groups, m))
     sig2 = np.empty((n_groups, m, d))
-    for k in range(steps):
+    eta_k = None   # the control leaves each step's nearest-node curvature here
+
+    def control(k, x):
+        nonlocal eta_k
         idx = nearest_index(lat.space, x)
         eta_k = solution.eta[(k,) + idx + (comp,)].reshape(n_groups, m, d)
         sig2[0] = lat.combos[solution.policy_idx[
             (k,) + tuple(i[:m] for i in idx) + (comp,)]]
         sig2[1] = np.where(eta_k[1] > 0.0, up, lo)
         sig2[2:] = tables[:, k, None]
-        g_val = g_corner(eta_k, lat.box)                   # (groups, m)
-        k_total += (g_val - 0.5 * np.sum(eta_k * sig2, axis=2)) * dt
-        x = x + np.sqrt(sig2.reshape(-1, d) * dt) * _signs(flips[k], m, d)
+        return sig2.reshape(-1, d)
+
+    k_total = np.zeros((n_groups, m))
+    for _ in _walk(lat.time, lat.box, control, lambda k: _signs(flips[k], m, d),
+                   n_groups * m):
+        k_total += _compensator_increments(eta_k, sig2, lat)
     estimates = np.mean(-k_total, axis=1)
     if m > 1:
         ses = np.std(-k_total, axis=1, ddof=1) / math.sqrt(m)
@@ -702,6 +704,5 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice,
 
     z, eta = extract_integrands(values, lattice, g_field=g_field)
     policy = np.zeros((lattice.steps,) + lattice.space.shape + (n,), dtype=np.int16)
-    k_inc = _compensator_increments(eta, policy, lattice)
-    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta, K_inc=k_inc,
+    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta,
                         policy_idx=policy, g_field=g_field)

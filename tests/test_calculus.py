@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from gcalc import (PathBundle, StepProcess, TimeGrid, VolatilityBox,
-                   exp_cell_weights, ito_integral, lemma31_bounds,
-                   qv_integral, ratio_decay_report, simulate_path,
-                   weighted_norm)
+                   exp_cell_weights, lemma31_bounds, ratio_decay_report,
+                   simulate_path, weighted_norm)
 from gcalc.calculus import _square_integral_expectation, weighted_norms
 from gcalc.errors import (DegenerateDenominatorError, DimensionError,
                           InputError, WeightOverflowError)
@@ -32,7 +31,7 @@ def test_simulate_path_structure():
     assert np.all(path.positions[0] == 0.0)
     dt = tg.dt
     # every move has magnitude sqrt(sigma^2 dt) per axis
-    assert np.allclose(np.abs(path.increments),
+    assert np.allclose(np.abs(np.diff(path.positions, axis=0)),
                        np.sqrt(np.array([2.0, 1.0]) * dt))
     assert np.allclose(path.quad_var[-1], np.array([2.0, 1.0]) * 2.0)
     again = simulate_path(tg, box2(), lambda k, x: [2.0, 1.0], seed=5)
@@ -55,28 +54,6 @@ def test_path_bundle_validation():
 # ---------------------------------------------------------------------------
 # integrals
 # ---------------------------------------------------------------------------
-
-def test_ito_integral_constant_integrand():
-    tg = TimeGrid(horizon=1.0, steps=32)
-    path = simulate_path(tg, box2(), lambda k, x: [3.0, 1.0], seed=9)
-    z = np.zeros((32, 2, 1))
-    z[:, 0, 0] = 1.0
-    got = ito_integral(z, path)
-    assert got[0] == pytest.approx(path.positions[-1, 0], abs=1e-12)
-    as_callable = ito_integral(lambda k, x: [[1.0], [0.0]], path)
-    assert as_callable[0] == pytest.approx(got[0], abs=1e-14)
-    with pytest.raises(DimensionError):
-        ito_integral(np.zeros((32, 2, 2)), path)
-
-
-def test_qv_integral_constant_integrand():
-    tg = TimeGrid(horizon=1.0, steps=32)
-    path = simulate_path(tg, box2(), lambda k, x: [3.0, 1.0], seed=9)
-    eta = np.ones((32, 1, 2))
-    got = qv_integral(eta, path)
-    assert got[0] == pytest.approx(path.quad_var[-1].sum(), abs=1e-12)
-    assert got[0] == pytest.approx(3.0 + 1.0, abs=1e-12)
-
 
 def test_bracket_bounds_randomized():
     rng = np.random.default_rng(31)

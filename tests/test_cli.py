@@ -474,9 +474,11 @@ def test_fields_csv_writes_special_floats_like_the_per_cell_formatter(tmp_path):
                                 lipschitz=2.0, n=2)
     sol = represent_martingale(payoff, lat)
     specials = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300, 0.0, 1.5])
-    sol = dataclasses.replace(
-        sol, **{name: np.resize(np.roll(specials, shift), getattr(sol, name).shape)
-                for shift, name in enumerate(("Y", "Z", "eta", "K_inc"))})
+    filled = {name: np.resize(np.roll(specials, shift), getattr(sol, name).shape)
+              for shift, name in enumerate(("Y", "Z", "eta", "K_inc"))}
+    k_inc = filled.pop("K_inc")
+    sol = dataclasses.replace(sol, **filled)
+    sol.K_inc = k_inc        # a derived field: set it after replace
     header, _ = _fields_csv(sol)
     text = written_fields_csv(tmp_path, sol)
     assert_same_lines(text, csv_text(header, reference_fields_rows(sol)))

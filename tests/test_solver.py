@@ -51,7 +51,7 @@ def test_represent_convex_quadratic(small_lat):
         assert np.allclose(sol.eta[k, CENTER, 0, 0], 2.0, atol=tol)
     # positive curvature pins the policy to the top covariance (last combo)
     assert np.all(sol.policy_idx[:, CENTER, 0] == small_lat.combos.shape[0] - 1)
-    assert np.all(sol.policy_sigma2()[:, CENTER, 0, 0] == 4.0)
+    assert np.all(small_lat.combos[sol.policy_idx][:, CENTER, 0, 0] == 4.0)
     assert sol.K_inc.min() >= 0.0
     assert np.abs(sol.K_inc[:, CENTER, 0]).max() <= 1e-10
 
@@ -735,3 +735,19 @@ def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
     _, rep = solve_gbsde(affine_params("abs", 0.5, 0.02), small_lat)
     assert rep.beta0_empirical == BETA_SCAN[0]
     assert asked == [(0.0, BETA_SCAN[0])] * rep.iterations
+
+
+def test_compensator_is_computed_once_on_first_read(small_lat, monkeypatch):
+    calls = []
+    original = solver._compensator_increments
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_compensator_increments", counting)
+    # scan[0] fails here, so the lazy beta scan reruns Picard steps too
+    sol, rep = solve_gbsde(affine_params("quadratic", 0.2, 0.03), small_lat)
+    assert rep.iterations > 1 and rep.beta0_empirical == 32.0 and calls == []
+    first = sol.K_inc
+    assert sol.K_inc is first and len(calls) == 1
