@@ -19,6 +19,18 @@ from .scenario import Lattice, TimeGrid, _fair_signs, _sweep, _walk
 
 # Largest exponent allowed in exponential time weights.
 MAX_EXPONENT = 700.0
+#: Default exponent grid for the stability estimates.
+BETA_GRID = tuple(float(2 ** i) for i in range(11))  # 1 .. 1024
+
+
+def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
+    """Filter an exponent grid (BETA_GRID by default) down to the weights
+    with beta * horizon <= MAX_EXPONENT, which stay representable."""
+    src = BETA_GRID if betas is None else tuple(float(b) for b in betas)
+    keep = tuple(b for b in src if b * lattice.time.horizon <= MAX_EXPONENT)
+    if not keep:
+        raise WeightOverflowError("every requested beta overflows the weight range")
+    return keep
 
 
 @dataclass(frozen=True)
@@ -76,19 +88,6 @@ def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
                       control=applied, box=box)
 
 
-def _process_values(process, path: PathBundle, shape_tail: tuple) -> np.ndarray:
-    """Materialize a step process as an array (steps, *shape_tail)."""
-    if callable(process):
-        vals = np.stack([np.asarray(process(k, path.positions[k]), dtype=float)
-                         for k in range(path.steps)])
-    else:
-        vals = np.asarray(process, dtype=float)
-    if vals.shape != (path.steps,) + shape_tail:
-        raise DimensionError(
-            f"process has shape {vals.shape}, expected {(path.steps,) + shape_tail}")
-    return vals
-
-
 @dataclass(frozen=True)
 class QvBoundsReport:
     """Pathwise bracket-integral bounds over one window."""
@@ -104,20 +103,24 @@ class QvBoundsReport:
 
 
 def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
-                   s: Optional[float] = None, n: int = 1,
-                   tol: float = 1e-10) -> QvBoundsReport:
+                   s: Optional[float] = None, n: int = 1) -> QvBoundsReport:
     """Check the two structural bounds on a bracket integral over [t, s].
 
-    The absolute bound uses K = sqrt(d) * sigma_max^2; the sandwich is
+    eta_process holds the integrand per step, shape (steps, n, d). The
+    absolute bound uses K = sqrt(d) * sigma_max^2; the sandwich is
     [-2 G(-eta), 2 G(eta)] dt summed over the window, componentwise, with G
-    the worst-case generator `g_corner`.
+    the worst-case generator `g_corner`. Both hold up to 1e-10.
     """
     grid = TimeGrid(horizon=float(path.times[-1]), steps=path.steps)
     k_lo = grid.index_of(t)
     k_hi = path.steps if s is None else grid.index_of(s)
     if k_hi < k_lo:
         raise InputError("window end precedes window start")
-    eta = _process_values(eta_process, path, (n, path.box.d))
+    eta = np.asarray(eta_process, dtype=float)
+    if eta.shape != (path.steps, n, path.box.d):
+        raise DimensionError(
+            f"process has shape {eta.shape}, expected {(path.steps, n, path.box.d)}")
+    tol = 1e-10
     dqv = np.diff(path.quad_var, axis=0)
     dt = grid.dt
     sl = slice(k_lo, k_hi)
@@ -147,28 +150,21 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
 # Exponentially weighted norms
 # ---------------------------------------------------------------------------
 
-def exp_cell_weights(time: TimeGrid, beta: float, t_start: float = 0.0) -> np.ndarray:
-    """Exact integrals of exp(beta * s) over each grid cell in [t_start, T].
-
-    Cells before t_start get weight zero; t_start must lie on the grid.
-    """
+def exp_cell_weights(time: TimeGrid, beta: float) -> np.ndarray:
+    """Exact integrals of exp(beta * s) over each grid cell of [0, T]."""
     if beta < 0.0:
         raise InputError("beta must be nonnegative")
     if beta * time.horizon > MAX_EXPONENT:
         raise WeightOverflowError(
             f"beta * horizon = {beta * time.horizon:.3g} exceeds {MAX_EXPONENT}")
-    k_lo = time.index_of(t_start)
     t = time.times()
     if beta == 0.0:
-        w = np.diff(t)
-    else:
-        w = np.diff(np.exp(beta * t)) / beta
-    w[:k_lo] = 0.0
-    return w
+        return np.diff(t)
+    return np.diff(np.exp(beta * t)) / beta
 
 
 def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
-                   betas: Sequence[float], t_start: float = 0.0) -> np.ndarray:
+                   betas: Sequence[float]) -> np.ndarray:
     """weighted_norm of every field at every beta, shape (len(fields), len(betas)).
 
     All norms come from one backward sweep: each (field, beta) pair owns a
@@ -181,11 +177,11 @@ def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
         if f.shape[0] != lattice.steps + 1 or f.shape[1:1 + lattice.d] != lattice.space.shape:
             raise DimensionError("field does not match the lattice layout")
     return _layerwise_norms(lambda k: [f[k] for f in fields], len(fields),
-                            lattice, betas, t_start)
+                            lattice, betas)
 
 
 def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice,
-                     betas: Sequence[float], t_start: float = 0.0) -> np.ndarray:
+                     betas: Sequence[float]) -> np.ndarray:
     """weighted_norms of `count` fields given layer by layer: layers(k) lists
     their (*grid, *trailing) values at layer k, so a caller can form derived
     fields (differences) one layer at a time. The running cost does not
@@ -193,7 +189,7 @@ def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice
     maximum, and no (layers, *grid, count * betas) array is ever formed.
     """
     grid = lattice.space.shape
-    weights = np.stack([exp_cell_weights(lattice.time, b, t_start) for b in betas],
+    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas],
                        axis=-1)                                  # (steps, B)
     columns = count * weights.shape[1]
 
@@ -210,15 +206,14 @@ def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice
     return np.sqrt(np.maximum(total, 0.0)).reshape(count, -1)
 
 
-def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float,
-                  t_start: float = 0.0) -> float:
+def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float) -> float:
     """Worst-case exponentially weighted L2 norm of a lattice process.
 
     field has shape (steps + 1, *grid, *trailing); trailing axes are squared
     and summed pointwise. Returns the square root of the worst-case expected
-    time integral of exp(beta s) |field_s|^2 over [t_start, horizon].
+    time integral of exp(beta s) |field_s|^2 over [0, horizon].
     """
-    return float(weighted_norms([field], lattice, [beta], t_start)[0, 0])
+    return float(weighted_norms([field], lattice, [beta])[0, 0])
 
 
 def _state_expectation(lattice: Lattice, values: np.ndarray, layer: int) -> float:
@@ -263,9 +258,7 @@ class RatioDecayReport:
 
 def _square_integral_expectation(proc: StepProcess, lattice: Lattice, beta: float) -> float:
     """Worst-case E of the exp(beta s)-weighted time integral of proc^2."""
-    if beta * lattice.time.horizon > MAX_EXPONENT:
-        raise WeightOverflowError(
-            f"beta * horizon = {beta * lattice.time.horizon:.3g} exceeds {MAX_EXPONENT}")
+    admissible_betas(lattice, (beta,))    # WeightOverflowError past MAX_EXPONENT
     states = lattice.states
     t = proc.times
     costs = {}

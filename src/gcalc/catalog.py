@@ -29,13 +29,12 @@ def _weights(params: dict, d: int) -> np.ndarray:
     return w
 
 
-def make_payoff(payoff_id: str, d: int, params: dict | None = None,
-                domain_radius: float = 50.0) -> TerminalFunctional:
+def make_payoff(payoff_id: str, d: int, params: dict | None = None) -> TerminalFunctional:
     """Build a catalog payoff for a d-dimensional terminal state.
 
-    Scalar payoffs act on u = weights . x (weights default to ones).
-    domain_radius only enters the declared Lipschitz constant of the
-    quadratic entries, which are smooth but not globally Lipschitz.
+    Scalar payoffs act on u = weights . x (weights default to ones). The
+    quadratic entries are smooth but not globally Lipschitz; they declare
+    100 sqrt(d), the Lipschitz constant of |x|^2 on the cube [-50, 50]^d.
     """
     params = dict(params or {})
     if payoff_id == "constant":
@@ -48,10 +47,10 @@ def make_payoff(payoff_id: str, d: int, params: dict | None = None,
                                   lipschitz=float(np.linalg.norm(w)))
     if payoff_id == "quadratic":
         return TerminalFunctional(fn=lambda x: np.sum(x * x, axis=-1)[..., None],
-                                  lipschitz=2.0 * domain_radius * math.sqrt(d))
+                                  lipschitz=100.0 * math.sqrt(d))
     if payoff_id == "neg-quadratic":
         return TerminalFunctional(fn=lambda x: -np.sum(x * x, axis=-1)[..., None],
-                                  lipschitz=2.0 * domain_radius * math.sqrt(d))
+                                  lipschitz=100.0 * math.sqrt(d))
     if payoff_id == "abs":
         w = _weights(params, d)
         return TerminalFunctional(fn=lambda x: np.abs(x @ w)[..., None],

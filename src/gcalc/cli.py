@@ -20,16 +20,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import MAX_EXPONENT, StepProcess, ratio_decay_report
+from .calculus import BETA_GRID, MAX_EXPONENT, StepProcess, ratio_decay_report
 from .catalog import DRIVER_IDS, PAYOFF_IDS, make_driver, make_payoff
 from .errors import (ConfigError, DimensionError, GcalcError,
                      GridResolutionError, InputError)
 from .gtensor import VolatilityBox
-from .harness import (BETA_GRID, apriori_check, cauchy_sequence_check,
+from .harness import (apriori_check, cauchy_sequence_check,
                       representation_bound_check)
 from .scenario import (SpaceGrid, TerminalFunctional, TimeGrid, _sweep,
                        build_lattice, check_indicator)
-from .solver import Driver, GBsdeParams, represent_martingale, solve_gbsde
+from .solver import (Driver, GBsdeParams, _penalty_sq, represent_martingale,
+                     solve_gbsde)
 
 SCHEMA_VERSION = 1
 COMMANDS = ("expect", "represent", "solve", "verify-estimates", "ratio-decay",
@@ -251,19 +252,22 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
     elif command in ("expect", "represent") and payoff is None:
         raise ConfigError("payoff: required for this command")
 
-    beta = None
-    if "beta" in raw:
-        beta = _number(raw, "beta", "config", positive=True)
-        if beta * horizon > MAX_EXPONENT:
-            raise ConfigError(f"beta: beta * horizon = {beta * horizon:.3g} "
-                              f"overflows the weight range ({MAX_EXPONENT:.0f})")
+    # every key is parsed on every command; the rules on what a value does
+    # hold only on the commands that read it
+    beta = _number(raw, "beta", "config", default=None, positive=True)
+    if command == "solve" and beta is not None and beta * horizon > MAX_EXPONENT:
+        raise ConfigError(f"beta: beta * horizon = {beta * horizon:.3g} "
+                          f"overflows the weight range ({MAX_EXPONENT:.0f})")
     betas = _betas(_get(raw, "betas", list, "config", default=list(BETA_GRID)),
                    horizon, "betas")
-    if not betas:
+    if command == "verify-estimates" and not betas:
         raise ConfigError("betas: every entry overflows the weight range")
-
-    mu = _number(raw, "mu", "config", default=None, positive=True) if "mu" in raw else None
-    nu = _number(raw, "nu", "config", default=None, positive=True) if "nu" in raw else None
+    mu = _number(raw, "mu", "config", default=None, positive=True)
+    nu = _number(raw, "nu", "config", default=None, positive=True)
+    if command in ("solve", "verify-estimates"):
+        for name, weight in (("mu", mu), ("nu", nu)):
+            if weight is not None:
+                _penalty_sq(name, weight)     # InputError names the key
     tol = _number(raw, "tol", "config", default=1e-9, positive=True)
     max_iter = _get(raw, "max_iter", int, "config", default=60)
     if max_iter < 1:

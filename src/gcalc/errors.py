@@ -42,7 +42,7 @@ class DegenerateDenominatorError(GcalcError):
     zero, so the ratio is meaningless."""
 
 
-class WeightOverflowError(GcalcError):
+class WeightOverflowError(InputError):
     """An exponential time weight would overflow double precision."""
 
 

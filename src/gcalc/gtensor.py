@@ -31,12 +31,13 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(a, tol: float = ALGEBRA_TOL) -> np.ndarray:
-    """Return `a` as an ndarray after checking square symmetry within tol."""
+def check_symmetric(a) -> np.ndarray:
+    """Return `a` as an ndarray after checking square symmetry within
+    ALGEBRA_TOL."""
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix is {m.shape}, expected square")
-    if np.max(np.abs(m - m.T), initial=0.0) > tol:
+    if np.max(np.abs(m - m.T), initial=0.0) > ALGEBRA_TOL:
         raise InputError("matrix is not symmetric within tolerance")
     return m
 
@@ -126,9 +127,10 @@ class VolatilityBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def contains(self, sigma2, tol: float = 1e-9) -> bool:
+    def contains(self, sigma2) -> bool:
+        """Whether sigma2 lies in the box, up to 1e-9 per bound."""
         s = np.asarray(sigma2, dtype=float)
-        return bool(np.all(s >= self.lower - tol) and np.all(s <= self.upper + tol))
+        return bool(np.all(s >= self.lower - 1e-9) and np.all(s <= self.upper + 1e-9))
 
 
 def g_corner(eta: np.ndarray, box: VolatilityBox) -> np.ndarray:

@@ -18,37 +18,49 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import (MAX_EXPONENT, _layerwise_norms, _state_expectation,
-                       exp_cell_weights, weighted_norms)
-from .errors import InputError, WeightOverflowError
+# BETA_GRID is re-exported: `from gcalc.harness import BETA_GRID` keeps working
+from .calculus import (BETA_GRID, _layerwise_norms, _state_expectation,
+                       admissible_betas, exp_cell_weights, weighted_norms)
+from .errors import InputError
 from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _fair_signs, _sweep, _walk,
                        nearest_index)
-from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _triple_sq,
+from .solver import (GBsdeParams, _driver_fields, _triple_sq, _penalty_sq,
                      represent_martingale, solve_gbsde)
 
-#: Default exponent grid for the stability estimates.
-BETA_GRID = tuple(float(2 ** i) for i in range(11))  # 1 .. 1024
 
-
-def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
-    """Filter an exponent grid down to weights that stay representable."""
-    src = BETA_GRID if betas is None else tuple(float(b) for b in betas)
-    keep = tuple(b for b in src if b * lattice.time.horizon <= MAX_EXPONENT)
-    if not keep:
-        raise WeightOverflowError("every requested beta overflows the weight range")
-    return keep
-
-
-def _driver_delta_fields(params1: GBsdeParams, params2: GBsdeParams,
-                         sol1: BsdeSolution, sol2: BsdeSolution, lattice: Lattice):
-    """delta-f and delta-g step processes: each driver on its own solution."""
+def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
+                      betas, mu: float, nu: float, tol: float,
+                      solutions: Optional[tuple]) -> tuple:
+    """What both stability checks start from: (mu^2, nu^2), both solutions
+    (solved, or reused from `solutions`), the admissible betas, the Y, Z
+    and eta deltas, the deltas of each driver on its own solution, and the
+    worst-case E|dY_T|^2."""
+    squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
+    if solutions is None:
+        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
+        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
+    else:
+        sol1, sol2 = solutions
+    scan = admissible_betas(lattice, betas)
+    deltas = (sol1.Y - sol2.Y, sol1.Z - sol2.Z, sol1.eta - sol2.eta)
     f1, g1 = _driver_fields(params1, lattice, sol1.Y, sol1.Z, sol1.eta)
     f2, g2 = _driver_fields(params2, lattice, sol2.Y, sol2.Z, sol2.eta)
-    df, dg = f1 - f2, g1 - g2
-    if not (np.isfinite(df).all() and np.isfinite(dg).all()):
+    d_f, d_g = f1 - f2, g1 - g2
+    if not (np.isfinite(d_f).all() and np.isfinite(d_g).all()):
         raise InputError("driver produced non-finite values")
-    return df, dg
+    term_y_t = _state_expectation(lattice, np.sum(deltas[0][-1] ** 2, axis=-1),
+                                  lattice.steps)
+    return squares, (sol1, sol2), scan, deltas, (d_f, d_g), term_y_t
+
+
+def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
+                   squares: tuple, lattice: Lattice) -> tuple:
+    """The right-side bracket's three terms: exp(beta T) E|dY_T|^2,
+    |df|^2 / mu^2 and s_max^2 |dg|^2 / nu^2."""
+    mu2, nu2 = squares
+    return (math.exp(beta * lattice.time.horizon) * term_y_t, n_f ** 2 / mu2,
+            lattice.box.sigma_max_sq * n_g ** 2 / nu2)
 
 
 def _curvature_cross_terms(delta_y: np.ndarray, delta_eta: np.ndarray,
@@ -125,24 +137,11 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
     bracket under both constant conventions. The smallest passing beta per
     convention is reported; the conservative verdict is the operative one.
     """
-    if mu <= 0.0 or nu <= 0.0:
-        raise InputError("penalty weights mu, nu must be positive")
-    if solutions is None:
-        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
-        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
-    else:
-        sol1, sol2 = solutions
-    scan = admissible_betas(lattice, betas)
-    d_y = sol1.Y - sol2.Y
-    d_z = sol1.Z - sol2.Z
-    d_eta = sol1.eta - sol2.eta
-    d_f, d_g = _driver_delta_fields(params1, params2, sol1, sol2, lattice)
-
+    squares, (sol1, sol2), scan, (d_y, d_z, d_eta), (d_f, d_g), term_y_t = \
+        _stability_inputs(params1, params2, lattice, betas, mu, nu, tol, solutions)
     s_min = math.sqrt(lattice.box.sigma_min_sq)
     c_printed = (1.0 / s_min, 3.0 / s_min, 1.0 / (s_min * s_min))
     c_cons = 5.0 / (s_min * s_min)
-    s_max_sq = lattice.box.sigma_max_sq
-    term_y_t = _state_expectation(lattice, np.sum(d_y[-1] ** 2, axis=-1), lattice.steps)
 
     norms = weighted_norms((d_y, d_z, d_eta, d_f, d_g), lattice, scan).tolist()
     cross = _curvature_cross_terms(d_y, d_eta, sol1.eta, sol2.eta, lattice, scan)
@@ -151,9 +150,7 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
         lhs_y = n_y ** 2
         lhs_z = n_z ** 2
         lhs_eta = n_eta ** 2
-        t_term = math.exp(b * lattice.time.horizon) * term_y_t
-        t_f = n_f ** 2 / mu ** 2
-        t_g = s_max_sq * n_g ** 2 / nu ** 2
+        t_term, t_f, t_g = _bracket_terms(b, term_y_t, n_f, n_g, squares, lattice)
         bracket = t_term + t_f + t_g
         slack = 1e-12 * (1.0 + bracket)
         printed = tuple(lhs <= c * bracket + slack
@@ -245,14 +242,8 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
     global field maximum, which is cruder but still an upper bound. A Monte
     Carlo realized-sup lower estimate is reported alongside.
     """
-    if solutions is None:
-        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
-        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
-    else:
-        sol1, sol2 = solutions
-    (beta,) = admissible_betas(lattice, (beta,))
-    d_y = sol1.Y - sol2.Y
-    d_f, d_g = _driver_delta_fields(params1, params2, sol1, sol2, lattice)
+    squares, _, (beta,), (d_y, _, _), (d_f, d_g), term_y_t = \
+        _stability_inputs(params1, params2, lattice, (beta,), mu, nu, tol, solutions)
     times = lattice.time.times()
     weights_t = np.exp(beta * times).reshape((-1,) + (1,) * lattice.d)
     phi = weights_t * np.sum(d_y ** 2, axis=-1)     # (layers, *grid)
@@ -265,12 +256,9 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
         exact = False
     lhs_lower = _realized_sup_mc(phi, lattice)
 
-    term_y_t = _state_expectation(lattice, np.sum(d_y[-1] ** 2, axis=-1), lattice.steps)
     (n_f,), (n_g,) = weighted_norms((d_f, d_g), lattice, (beta,)).tolist()
-    bracket = (math.exp(beta * lattice.time.horizon) * term_y_t
-               + n_f ** 2 / mu ** 2
-               + lattice.box.sigma_max_sq * n_g ** 2 / nu ** 2)
-    rhs = 3.0 * bracket
+    t_term, t_f, t_g = _bracket_terms(beta, term_y_t, n_f, n_g, squares, lattice)
+    rhs = 3.0 * (t_term + t_f + t_g)
     ok = lhs_upper <= rhs + 1e-12 * (1.0 + rhs)
     return SupEstimateReport(beta=beta, lhs_upper=lhs_upper, lhs_lower=lhs_lower,
                              rhs=rhs, exact_dp=exact, ok=ok)

@@ -53,10 +53,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Grid index of a time that must sit on the grid."""
+    def index_of(self, t: float) -> int:
+        """Grid index of a time that must sit on the grid, to within 1e-9
+        times max(1, horizon)."""
         k = round(t / self.dt)
-        if not (0 <= k <= self.steps) or abs(k * self.dt - t) > tol * max(1.0, self.horizon):
+        if not (0 <= k <= self.steps) or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise InputError(f"time {t} is not on the grid")
         return int(k)
 

@@ -23,7 +23,7 @@ from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _sweep, _walk,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
-from .calculus import MAX_EXPONENT, weighted_norms
+from .calculus import admissible_betas, weighted_norms
 
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
@@ -70,11 +70,11 @@ class GBsdeParams:
     def lipschitz(self) -> float:
         return max(self.f.lipschitz, self.g.lipschitz)
 
-    def spot_check(self, d: int, rng: np.random.Generator, probes: int = 32,
-                   scale: float = 4.0, rtol: float = 1e-6) -> None:
-        """Probe random argument pairs against the declared Lipschitz bounds."""
-        n = self.terminal.n
-        for _ in range(probes):
+    def spot_check(self, d: int, rng: np.random.Generator) -> None:
+        """Probe 32 random argument pairs in [-4, 4] against the declared
+        Lipschitz bounds, with relative slack 1e-6."""
+        n, scale, rtol = self.terminal.n, 4.0, 1e-6
+        for _ in range(32):
             y1, y2 = rng.uniform(-scale, scale, (2, n))
             z1, z2 = rng.uniform(-scale, scale, (2, d, n))
             e1, e2 = rng.uniform(-scale, scale, (2, n, d))
@@ -296,18 +296,34 @@ def _factors(sq: list, tol: float) -> tuple:
     return tuple(sq[i + 1] / sq[i] for i in range(len(sq) - 1) if sq[i] > floor)
 
 
+def _penalty_sq(name: str, value: float) -> float:
+    """The square of the penalty weight `name`, which must be positive with
+    a square and a reciprocal square that are finite and nonzero floats."""
+    try:
+        sq = float(value) ** 2
+    except OverflowError:
+        sq = math.inf
+    if not (value > 0.0 and 0.0 < sq < math.inf and math.isfinite(1.0 / sq)):
+        raise InputError(f"{name}: must be positive with {name}^2 and 1/{name}^2 "
+                         f"finite and nonzero, got {value!r}")
+    return sq
+
+
 def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = None,
                 mu: Optional[float] = None, nu: Optional[float] = None,
                 tol: float = 1e-9, max_iter: int = 60,
-                initial=None) -> tuple:
+                initial: Optional[tuple] = None) -> tuple:
     """Iterate the contraction map to its fixed point.
 
-    Stops when the unweighted triple distance between successive iterates
-    falls below tol. When beta is not given, the BETA_SCAN grid is searched
-    for the smallest weight whose measured per-iteration squared contraction
-    stays within the theoretical factor; it is reported as beta0_empirical.
-    Raises ConvergenceError (with the distance trace) when max_iter is hit
-    or as soon as a distance is not finite.
+    Starts from `initial`, a (Y, Z, eta) tuple of fields, or from zero
+    fields. Stops when the unweighted triple distance between successive
+    iterates falls below tol. When beta is not given, the BETA_SCAN grid is
+    searched for the smallest weight whose measured per-iteration squared
+    contraction stays within the theoretical factor; it is reported as
+    beta0_empirical. Raises InputError when mu or nu is not positive with a
+    finite nonzero square and reciprocal square, and ConvergenceError (with
+    the distance trace) when max_iter is hit or as soon as a distance is not
+    finite.
 
     The scan is lazy: a beta that has failed can never become beta0, and no
     later beta matters while the first one passes. Each iteration measures
@@ -322,23 +338,18 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     params.spot_check(lattice.d, np.random.default_rng(0))
     mu2, nu2 = default_penalties(params, lattice)
     if mu is not None:
-        mu2 = float(mu) ** 2
+        mu2 = _penalty_sq("mu", mu)
     if nu is not None:
-        nu2 = float(nu) ** 2
+        nu2 = _penalty_sq("nu", nu)
     c = params.lipschitz
     theoretical = 5.0 * c / lattice.box.sigma_min_sq * (1.0 / mu2 + 1.0 / nu2)
 
-    scan = BETA_SCAN if beta is None else (float(beta),)
-    scan = tuple(b for b in scan if b * lattice.time.horizon <= MAX_EXPONENT)
-    if not scan:
-        raise InputError("all candidate betas overflow the weight range")
+    scan = admissible_betas(lattice, BETA_SCAN if beta is None else (beta,))
 
     def starting_fields():
         # rebuilt for the rerun rather than kept alive through the iteration
         if initial is None:
             return _zero_fields(lattice, params.terminal.n)
-        if isinstance(initial, BsdeSolution):
-            return initial.Y, initial.Z, initial.eta
         return tuple(np.asarray(a, dtype=float) for a in initial)
 
     def failed(sq: list) -> bool:
@@ -641,13 +652,13 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
 # Degenerate-box oracle
 # ---------------------------------------------------------------------------
 
-def classical_oracle(params: GBsdeParams, lattice: Lattice,
-                     inner_tol: float = 1e-13, max_inner: int = 200) -> BsdeSolution:
+def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
     """Single-control backward solver for a collapsed volatility box.
 
     Solves each layer's implicit equation y = E[y_next] + (f + g : sigma2) dt
-    by fixed-point iteration with integrands read from the layer itself. This
-    is an independent route to the same fixed point the contraction solver
+    by fixed-point iteration with integrands read from the layer itself,
+    until a sup-norm step below 1e-13 (at most 200 iterations). This is an
+    independent route to the same fixed point the contraction solver
     reaches when the box has zero width.
     """
     if not lattice.box.is_degenerate:
@@ -674,14 +685,14 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice,
         anchor = next(lattice.child_means(values[k + 1]))   # combo 0; all coincide
         y = anchor.copy()
         g_prev = np.zeros(anchor.shape + (lattice.d,))
-        for _ in range(max_inner):
+        for _ in range(200):
             z, eta = layer_integrands(y, g_prev)
             f_val = np.asarray(params.f.fn(times[k], y, z, eta), dtype=float)
             g_val = np.asarray(params.g.fn(times[k], y, z, eta), dtype=float)
             y_new = anchor + (f_val + g_val @ sigma2) * dt
             gap = float(np.max(np.abs(y_new - y)))
             y, g_prev = y_new, g_val
-            if gap < inner_tol:
+            if gap < 1e-13:
                 break
         else:
             raise ConvergenceError(f"layer {k} implicit step did not converge")
@@ -691,12 +702,12 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice,
     # The final layer's bracket coefficients satisfy the same implicit
     # curvature shift with the payoff held fixed.
     g_prev = np.zeros(values[-1].shape + (lattice.d,))
-    for _ in range(max_inner):
+    for _ in range(200):
         z_l, eta_l = layer_integrands(values[-1], g_prev)
         g_new = np.asarray(params.g.fn(times[-1], values[-1], z_l, eta_l), dtype=float)
         gap = float(np.max(np.abs(g_new - g_prev)))
         g_prev = g_new
-        if gap < inner_tol:
+        if gap < 1e-13:
             break
     else:
         raise ConvergenceError("final-layer bracket coefficients did not converge")

@@ -106,15 +106,10 @@ def test_exp_cell_weights():
     assert w.sum() == pytest.approx((math.exp(beta) - 1.0) / beta, rel=1e-14)
     t = tg.times()
     assert np.allclose(w, (np.exp(beta * t[1:]) - np.exp(beta * t[:-1])) / beta)
-    w_half = exp_cell_weights(tg, beta, t_start=0.5)
-    assert np.all(w_half[:5] == 0.0)
-    assert np.array_equal(w_half[5:], w[5:])
     with pytest.raises(WeightOverflowError):
         exp_cell_weights(tg, 800.0)
     with pytest.raises(InputError):
         exp_cell_weights(tg, -1.0)
-    with pytest.raises(InputError):
-        exp_cell_weights(tg, 1.0, t_start=0.123)
 
 
 def test_weighted_norm_constant_field(small_lat):
@@ -148,11 +143,11 @@ def test_weighted_norm_layout_and_params(small_lat):
         weighted_norm(np.zeros((41, 161)), small_lat, 800.0)
 
 
-def reference_weighted_norm(field, lattice, beta, t_start=0.0):
+def reference_weighted_norm(field, lattice, beta):
     """The one-sweep-per-norm implementation that weighted_norms replaced."""
     tail_axes = tuple(range(1 + lattice.d, field.ndim))
     sq = np.sum(field * field, axis=tail_axes) if tail_axes else field * field
-    weights = exp_cell_weights(lattice.time, beta, t_start)
+    weights = exp_cell_weights(lattice.time, beta)
 
     def step_cost(k, _c):
         return (weights[k] * sq[k])[..., None]
@@ -163,8 +158,7 @@ def reference_weighted_norm(field, lattice, beta, t_start=0.0):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("t_start", [0.0, 0.5])
-def test_weighted_norms_equal_per_entry_norms(small_lat, dim, t_start):
+def test_weighted_norms_equal_per_entry_norms(small_lat, dim):
     lat = small_lat if dim == 1 else make_lattice(
         lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41, grid_points=3)
     rng = np.random.default_rng(5)
@@ -174,12 +168,12 @@ def test_weighted_norms_equal_per_entry_norms(small_lat, dim, t_start):
               rng.normal(size=layout + (lat.d, 2)),       # rank-2 tail
               np.zeros(layout + (1,))]
     betas = (0.0, 1.5, 4.0, 64.0)
-    got = weighted_norms(fields, lat, betas, t_start=t_start)
-    want = np.array([[reference_weighted_norm(f, lat, b, t_start) for b in betas]
+    got = weighted_norms(fields, lat, betas)
+    want = np.array([[reference_weighted_norm(f, lat, b) for b in betas]
                      for f in fields])
     assert got.shape == (len(fields), len(betas))
     assert np.array_equal(got, want)
-    assert weighted_norm(fields[2], lat, 4.0, t_start) == want[2, 2]
+    assert weighted_norm(fields[2], lat, 4.0) == want[2, 2]
 
 
 def test_weighted_norms_layout_and_overflow(small_lat):

@@ -253,9 +253,38 @@ def test_malformed_json_exits_2(tmp_path):
 def test_config_errors_exit_2_and_write_nothing(tmp_path, mutate, label):
     cfg = json.loads(json.dumps({**SMALL, "payoff": {"id": "quadratic"}}))
     mutate(cfg)
-    rc, out = run_cli(tmp_path, "expect", cfg, name=label.replace(" ", "-"))
+    # the weight range of beta / betas is checked only by the command that reads it
+    command = {"beta weight overflow": "solve",
+               "all betas overflow": "verify-estimates"}.get(label, "expect")
+    rc, out = run_cli(tmp_path, command, cfg, name=label.replace(" ", "-"))
     assert rc == 2, label
     assert not out.exists(), label
+
+
+@pytest.mark.parametrize("extra", [{"time": {"horizon": 701.0, "steps": 20}},
+                                   {"beta": 800.0, "betas": [800.0]}],
+                         ids=["horizon 701", "beta 800"])
+def test_weights_are_checked_only_by_the_commands_that_read_them(tmp_path, extra):
+    # no weight beta is admissible at horizon 701, and beta 800 overflows at
+    # horizon 1, but expect reads neither beta nor betas
+    rc, out = run_cli(tmp_path, "expect", {**SMALL, "payoff": {"id": "quadratic"}, **extra})
+    assert rc == 0
+    assert_finite_outputs(out)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-estimates"])
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("weight", [1e-200, 1e200])
+def test_unrepresentable_penalty_weight_exits_2_with_one_stderr_line(
+        tmp_path, capsys, command, key, weight):
+    # 1e-200 squares to 0 and 1e200 squares past the float range
+    cfg = {"box": BOX, "time": {"horizon": 1.0, "steps": 16}, "space": {"points": 101},
+           "payoff": {"id": "quadratic"}, key: weight}
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}:"), err
+    assert not out.exists()
 
 
 def test_oversized_covariance_grid_rejected_before_lattice(tmp_path, monkeypatch):
@@ -504,6 +533,8 @@ def test_represent_fields_csv_matches_per_cell_formatter(tmp_path):
 
 MALFORMED = st.sampled_from([None, "x", [1, 2], {"a": 1}, True, -1.0, 0.0, 1e300,
                              10 ** 400])
+# finite floats whose square leaves the float range
+EXTREME = st.sampled_from([1e-200, 1e200])
 
 
 def small_floats(lo, hi):
@@ -580,6 +611,22 @@ def fuzz_configs(draw):
             cfg["beta"] = draw(betas_near_limit(horizon))
         if draw(st.booleans()):
             cfg["betas"] = [1.0, draw(betas_near_limit(horizon))]
+        # solver and harness scalars: each valid or absent, then at most one
+        # of them malformed or extreme
+        shifts = {}
+        scalars = [(cfg, "mu", small_floats(0.1, 10.0)), (cfg, "nu", small_floats(0.1, 10.0)),
+                   (cfg, "tol", small_floats(1e-10, 1e-3)),
+                   (shifts, "payoff_shift", small_floats(-1.0, 1.0)),
+                   (shifts, "f_shift", small_floats(-1.0, 1.0))]
+        for target, key, valid in scalars:
+            if draw(st.booleans()):
+                target[key] = draw(valid)
+        bad = draw(st.integers(-1, len(scalars) - 1))
+        if bad >= 0:
+            target, key, _ = scalars[bad]
+            target[key] = draw(st.one_of(EXTREME, MALFORMED))
+        if shifts:
+            cfg["perturbation"] = shifts
     if command == "capacity":
         cfg["event"] = {"payoff": catalog_entry(draw, payoffs),
                         "level": draw(small_floats(-1.0, 2.0)),

@@ -124,6 +124,19 @@ def test_eta_mismatch_flag(small_lat):
     assert rep.ok   # the bracket absorbs the driver gap
 
 
+@pytest.mark.parametrize("check, args", [(apriori_check, {}),
+                                         (sup_estimate_check, {"beta": 1.0})],
+                         ids=["apriori", "sup"])
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("weight", [1e-200, 1e200, 0.0])
+def test_penalty_weights_are_checked_before_solving(small_lat, check, args, key, weight):
+    # the same rule as solve_gbsde's; mu = 0 used to end sup_estimate_check
+    # in a ZeroDivisionError
+    p = plain(quad_payoff())
+    with pytest.raises(InputError, match=f"^{key}:"):
+        check(p, p, small_lat, **args, **{key: weight})
+
+
 # ---------------------------------------------------------------------------
 # running-maximum estimate
 # ---------------------------------------------------------------------------

@@ -388,10 +388,10 @@ def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid
                 assert_same_bits(got, want)
 
 
-def scan_weighted_norms(fields, lattice, betas, t_start=0.0):
+def scan_weighted_norms(fields, lattice, betas):
     """weighted_norms through the argmax scan, the squared fields added to
     every candidate."""
-    weights = np.stack([exp_cell_weights(lattice.time, b, t_start) for b in betas], axis=-1)
+    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
 
     def squared(f):
         tail = tuple(range(1 + lattice.d, f.ndim))
@@ -410,8 +410,7 @@ def scan_weighted_norms(fields, lattice, betas, t_start=0.0):
 
 @pytest.mark.parametrize("lower,upper,steps,points,grid_points",
                          [OPERATOR_CASES[2], OPERATOR_CASES[4]])
-@pytest.mark.parametrize("t_start", [0.0, 0.5])
-def test_weighted_norms_match_argmax_scan(lower, upper, steps, points, grid_points, t_start):
+def test_weighted_norms_match_argmax_scan(lower, upper, steps, points, grid_points):
     lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
                        grid_points=grid_points)
     rng = np.random.default_rng(3)
@@ -419,8 +418,8 @@ def test_weighted_norms_match_argmax_scan(lower, upper, steps, points, grid_poin
     fields = [rng.normal(size=layout), signed_zeros(rng, layout + (2,)),
               rng.normal(size=layout + (lat.d, 2)), np.zeros(layout)]
     betas = (0.0, 1.5, 64.0)
-    assert_same_bits(weighted_norms(fields, lat, betas, t_start),
-                     scan_weighted_norms(fields, lat, betas, t_start))
+    assert_same_bits(weighted_norms(fields, lat, betas),
+                     scan_weighted_norms(fields, lat, betas))
     proc = StepProcess(times=np.array([0.0, 0.5, 1.0]),
                        state_fns=(lambda x: x[..., 0], lambda x: 1.0 + x[..., -1] ** 2))
     for beta in (0.0, 2.0):

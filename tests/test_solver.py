@@ -187,7 +187,7 @@ def test_initial_guess_does_not_move_fixed_point(small_lat):
             np.zeros((41, 161, 1, 1)))
     sol_b, _ = solve_gbsde(params, small_lat, initial=warm)
     assert abs(sol_a.y0[0] - sol_b.y0[0]) <= 2e-9
-    sol_c, _ = solve_gbsde(params, small_lat, initial=sol_a)
+    sol_c, _ = solve_gbsde(params, small_lat, initial=(sol_a.Y, sol_a.Z, sol_a.eta))
     assert abs(sol_a.y0[0] - sol_c.y0[0]) <= 2e-9
 
 
@@ -218,6 +218,14 @@ def test_fixed_beta_and_overflow_guard(small_lat):
     assert sol.y0[0] == pytest.approx(4.0, abs=1e-9)
     with pytest.raises(InputError):
         solve_gbsde(params, small_lat, beta=1e6)
+
+
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("weight", [1e-200, 1e200, 0.0, -1.0])
+def test_penalty_weight_without_a_finite_nonzero_square_raises(small_lat, key, weight):
+    # 1e-200 squares to 0 and 1e200 squares past the float range
+    with pytest.raises(InputError, match=f"^{key}:"):
+        solve_gbsde(no_driver_params(quad_payoff()), small_lat, **{key: weight})
 
 
 def test_two_components_solve_independently(small_lat):
@@ -523,7 +531,7 @@ def test_classical_oracle_requires_degenerate_box(small_lat):
         classical_oracle(params, small_lat)
 
 
-def layerwise_oracle(params, lattice, inner_tol=1e-13, max_inner=200):
+def layerwise_oracle(params, lattice):
     """Value field of the one-pass backward solve, an independent route to
     the Picard fixed point: per layer, form the child means once, then
     iterate y <- max_c [C_c + (f + g : sigma2_c) dt] on that layer alone,
@@ -535,7 +543,7 @@ def layerwise_oracle(params, lattice, inner_tol=1e-13, max_inner=200):
         means = np.stack(list(lattice.child_means(y)))       # (combos, *grid, n)
         y = means.max(axis=0)
         g = np.zeros(y.shape + (lattice.d,))
-        for _ in range(max_inner):
+        for _ in range(200):
             z, eta = extract_integrands(y[None], lattice, g_field=g[None])
             f = np.asarray(params.f.fn(times[k], y, z[0], eta[0]), dtype=float)
             g = np.asarray(params.g.fn(times[k], y, z[0], eta[0]), dtype=float)
@@ -543,7 +551,7 @@ def layerwise_oracle(params, lattice, inner_tol=1e-13, max_inner=200):
             y_new = (means + cost).max(axis=0)
             gap = np.max(np.abs(y_new - y))
             y = y_new
-            if gap < inner_tol:
+            if gap < 1e-13:
                 break
         else:
             raise AssertionError(f"layer {k}: inner iteration did not converge")
@@ -727,9 +735,9 @@ def test_lazy_beta_scan_keeps_the_divergence_trace(small_lat):
 def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
     asked = []
 
-    def recording(fields, lattice, betas, t_start=0.0):
+    def recording(fields, lattice, betas):
         asked.append(tuple(betas))
-        return weighted_norms(fields, lattice, betas, t_start)
+        return weighted_norms(fields, lattice, betas)
 
     monkeypatch.setattr(solver, "weighted_norms", recording)
     _, rep = solve_gbsde(affine_params("abs", 0.5, 0.02), small_lat)
