@@ -57,10 +57,16 @@ def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Latti
 def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
                    squares: tuple, lattice: Lattice) -> tuple:
     """The right-side bracket's three terms: exp(beta T) E|dY_T|^2,
-    |df|^2 / mu^2 and s_max^2 |dg|^2 / nu^2."""
+    |df|^2 / mu^2 and s_max^2 |dg|^2 / nu^2. A term that overflows raises
+    InputError instead of making the inequality hold trivially."""
     mu2, nu2 = squares
-    return (math.exp(beta * lattice.time.horizon) * term_y_t, n_f ** 2 / mu2,
-            lattice.box.sigma_max_sq * n_g ** 2 / nu2)
+    terms = (math.exp(beta * lattice.time.horizon) * term_y_t, n_f ** 2 / mu2,
+             lattice.box.sigma_max_sq * n_g ** 2 / nu2)
+    for name, value in zip(("exp(beta T) E|dY_T|^2", "|df|^2/mu^2",
+                            "s_max^2 |dg|^2/nu^2"), terms):
+        if not math.isfinite(value):
+            raise InputError(f"bracket term {name} is not finite at beta={beta:g}")
+    return terms
 
 
 def _curvature_cross_terms(delta_y: np.ndarray, delta_eta: np.ndarray,

@@ -121,7 +121,8 @@ class BsdeSolution:
         from eta on first read; nonnegative because the policy stays inside
         the box."""
         steps = self.policy_idx.shape[0]
-        return _compensator_increments(self.eta[:steps],
+        eta = self.eta[:steps]
+        return _compensator_increments(g_corner(eta, self.lattice.box), eta,
                                        self.lattice.combos[self.policy_idx], self.lattice)
 
 
@@ -196,11 +197,11 @@ def extract_integrands(values: np.ndarray, lattice: Lattice,
     return z, eta
 
 
-def _compensator_increments(eta: np.ndarray, sig2: np.ndarray,
+def _compensator_increments(g: np.ndarray, eta: np.ndarray, sig2: np.ndarray,
                             lattice: Lattice) -> np.ndarray:
-    """Compensator increments (G(eta) - half eta : sig2) * dt per trailing
-    (d,) row of eta and of the covariance diagonals sig2."""
-    return (g_corner(eta, lattice.box) - 0.5 * np.sum(eta * sig2, axis=-1)) * lattice.dt
+    """Compensator increments (G - half eta : sig2) * dt per trailing (d,)
+    row of eta and of the covariance diagonals sig2, given G = G(eta)."""
+    return (g - 0.5 * np.sum(eta * sig2, axis=-1)) * lattice.dt
 
 
 def represent_martingale(terminal: TerminalFunctional, lattice: Lattice) -> BsdeSolution:
@@ -468,7 +469,9 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     first), else by the covariance diagonals table[k]. Drivers see the full
     n-component field values; the budget identity is accumulated for comp
     alone. Returns per group (largest |Y_t - right side|, smallest Y_t minus
-    the K-free right side, both over t < T, and the terminal gap).
+    the K-free right side, both over t < T, and the terminal gap). Each step
+    makes one interpolation: the five fields it reads are packed into one
+    layer, so the axis weights are computed once per step.
     """
     lat = solution.lattice
     space, dt, steps, d = lat.space, lat.dt, lat.steps, lat.d
@@ -495,22 +498,28 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     y_path = np.empty((steps + 1, rows.size))
     # per step: f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket
     terms = np.empty((steps, 5, rows.size))
+    grid, n = space.shape, solution.n
+    cuts = np.cumsum([n, d * n, n * d, d * n])
     for k, (s2, db, x_next) in enumerate(walk):
-        y_all = evaluate_field(space, solution.Y[k], x)        # (P, n)
-        z_all = evaluate_field(space, solution.Z[k], x)        # (P, d, n)
-        eta_all = evaluate_field(space, solution.eta[k], x)    # (P, n, d)
+        # Y, Z, eta at layer k, then the integrands that close the discrete
+        # budget identity, read from the *next* layer's field (the field being
+        # incremented); the bracket-driver shift stays at layer k to match the
+        # backward step
+        packed = np.concatenate(
+            [a.reshape(grid + (-1,)) for a in (
+                solution.Y[k], solution.Z[k], solution.eta[k], solution.Z[k + 1],
+                solution.eta[k + 1] - 2.0 * solution.g_field[k + 1])], axis=-1)
+        y_all, z_all, eta_all, z_next, curv_next = np.split(
+            evaluate_field(space, packed, x), cuts, axis=-1)
+        z_all = z_all.reshape(-1, d, n)
+        eta_all = eta_all.reshape(-1, n, d)
         y_path[k] = y_all[rows, comp_of]
         f_val = np.asarray(params.f.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[rows, comp_of]
         g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[rows, comp_of]
-        # the integrands that close the discrete budget identity are read
-        # from the *next* layer's field (the field being incremented); the
-        # bracket-driver shift stays at layer k to match the backward step
-        z_k = evaluate_field(space, solution.Z[k + 1], x)[rows, :, comp_of]
-        curv_next = evaluate_field(
-            space, solution.eta[k + 1] - 2.0 * solution.g_field[k + 1], x)
-        eta_k = curv_next[rows, comp_of] + 2.0 * g_val
+        z_k = z_next.reshape(-1, d, n)[rows, :, comp_of]
+        eta_k = curv_next.reshape(-1, n, d)[rows, comp_of] + 2.0 * g_val
         dqv = s2 * dt
         terms[k, 0] = f_val * dt
         terms[k, 1] = np.sum(g_val * dqv, axis=1)
@@ -554,7 +563,8 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     n policy groups first, then per control its uniform (steps, d) table
     followed by its n groups; each group's coin flips are one
     (steps, n_paths * d) draw. Groups share forward loops of at most
-    REPLAY_BATCH_PATHS paths, which changes no report bit.
+    REPLAY_BATCH_PATHS paths, which changes no report bit; each loop makes
+    one interpolation per step.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
@@ -597,7 +607,8 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     Random numbers are drawn per control of n_paths paths: the coin flips of
     the policy and of the curvature-corner rule, then per random control its
     (steps,) corner picks followed by its coin flips, each one
-    (steps, n_paths * d) draw. All controls run in one forward loop.
+    (steps, n_paths * d) draw. All controls run in one forward loop, which
+    computes G once per node layer and gathers it at the paths' nearest nodes.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
@@ -620,10 +631,10 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     flips = np.stack(flips, axis=1)                        # (steps, groups, bytes)
     n_groups = n_tables + 2
     sig2 = np.empty((n_groups, m, d))
-    eta_k = None   # the control leaves each step's nearest-node curvature here
+    idx = eta_k = None   # set by the control: each step's nearest nodes, their curvature
 
     def control(k, x):
-        nonlocal eta_k
+        nonlocal idx, eta_k
         idx = nearest_index(lat.space, x)
         eta_k = solution.eta[(k,) + idx + (comp,)].reshape(n_groups, m, d)
         sig2[0] = lat.combos[solution.policy_idx[
@@ -633,9 +644,11 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
         return sig2.reshape(-1, d)
 
     k_total = np.zeros((n_groups, m))
-    for _ in _walk(lat.time, lat.box, control, lambda k: _signs(flips[k], m, d),
-                   n_groups * m):
-        k_total += _compensator_increments(eta_k, sig2, lat)
+    for k, _ in enumerate(_walk(lat.time, lat.box, control,
+                                lambda k: _signs(flips[k], m, d), n_groups * m)):
+        g_node = g_corner(solution.eta[k, ..., comp, :], lat.box)
+        k_total += _compensator_increments(g_node[idx].reshape(n_groups, m),
+                                           eta_k, sig2, lat)
     estimates = np.mean(-k_total, axis=1)
     if m > 1:
         ses = np.std(-k_total, axis=1, ddof=1) / math.sqrt(m)

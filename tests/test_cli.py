@@ -287,6 +287,20 @@ def test_unrepresentable_penalty_weight_exits_2_with_one_stderr_line(
     assert not out.exists()
 
 
+def test_overflowing_bracket_term_exits_3_with_one_stderr_line(tmp_path, capsys):
+    # mu = 1e-150 passes the mu^2 rule, but |df|^2 / mu^2 overflows from
+    # beta = 32 on; an infinite bracket would pass those rows trivially
+    cfg = {"box": BOX, "time": {"horizon": 1.0, "steps": 16}, "space": {"points": 101},
+           "payoff": {"id": "quadratic"}, "mu": 1e-150,
+           "perturbation": {"f_shift": 1.0}}
+    rc, out = run_cli(tmp_path, "verify-estimates", cfg)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: bracket term |df|^2/mu^2 is not finite "
+                   "at beta=32"]
+    assert not out.exists()
+
+
 def test_oversized_covariance_grid_rejected_before_lattice(tmp_path, monkeypatch):
     # 182^2 = 33,124 covariance combos would overflow the int16 policy indices
     def no_lattice(*args):

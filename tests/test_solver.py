@@ -441,6 +441,13 @@ def _two_component_payoff():
         lipschitz=1.0, n=2)
 
 
+def _two_component_payoff_2d():
+    return TerminalFunctional(
+        fn=lambda x: np.stack([np.abs(x @ np.array([1.0, -0.5])),
+                               np.clip(x[..., 1] - 0.5, 0.0, None)], axis=-1),
+        lipschitz=1.0, n=2)
+
+
 def _replay_case(name, small_lat):
     """(solution, params) of one equivalence case."""
     if name in ("desk abs", "desk butterfly"):
@@ -465,6 +472,17 @@ def _replay_case(name, small_lat):
             g=make_driver("linear-in-z", 1, 2, {"a": [0.1, 0.2]}, role="qv"))
         lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=6, points=45,
                            grid_points=3)
+    elif name == "2-d two components":
+        # n = d = 2 is the only shape where Z's (d, n) and eta's (n, d)
+        # trailing layouts differ, so a transposed field cannot pass; the
+        # dt-driver reads eta too, which linear-in-z does not
+        params = GBsdeParams(
+            terminal=_two_component_payoff_2d(),
+            f=make_driver("clamped-custom-affine", 2, 2,
+                          {"coef_z": [0.3, -0.2], "coef_eta": [0.03, -0.01]}),
+            g=make_driver("linear-in-z", 2, 2, {"a": [0.1, 0.2]}, role="qv"))
+        lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=6, points=45,
+                           grid_points=3)
     else:
         params = GBsdeParams(
             terminal=_two_component_payoff(),
@@ -486,6 +504,7 @@ REPLAY_CASES = [
      [(256, 64), (17, 3), (1, 0)], 0),
     ("two components", [(64, 8), (17, 5), (300, 1), (1, 0)],
      [(64, 8), (2, 5)], 1),
+    ("2-d two components", [(64, 8), (17, 3), (1, 1)], [(64, 8), (2, 3)], 1),
 ]
 
 
@@ -508,6 +527,29 @@ def test_batched_replay_matches_per_control_reference(small_lat, name, residual_
         assert got.estimates.shape == (max(2, n_controls),)
         if n_paths == 1:
             assert np.all(np.isinf(got.standard_errors))
+
+
+def test_replay_reads_each_field_once_per_step(small_lat, monkeypatch):
+    payoff = make_payoff("abs", 1)
+    sol, params = represent_martingale(payoff, small_lat), no_driver_params(payoff)
+    interpolated, g_shapes = [], []
+
+    def counting_evaluate(space, layer, x):
+        interpolated.append(layer.shape)
+        return evaluate_field(space, layer, x)
+
+    def recording_g(eta, box):
+        g_shapes.append(eta.shape)
+        return g_corner(eta, box)
+
+    monkeypatch.setattr(solver, "evaluate_field", counting_evaluate)
+    monkeypatch.setattr(solver, "g_corner", recording_g)
+    # 1 policy group + 3 controls of 64 paths fill one 256-path forward loop
+    residual_check(sol, params, n_paths=64, n_controls=3)
+    assert len(interpolated) == small_lat.steps + 1
+    g_shapes.clear()
+    compensator_mc_check(sol, n_controls=8, n_paths=16)
+    assert g_shapes == [small_lat.space.shape + (small_lat.d,)] * small_lat.steps
 
 
 # ---------------------------------------------------------------------------
