@@ -338,20 +338,15 @@ def _scalar_or_list(arr: np.ndarray):
 
 def _origin_series(lattice, terminal_values: np.ndarray) -> np.ndarray:
     """Worst-case expectation at the origin at every layer, shape
-    (layers, n), from a sweep that keeps the layers but no policy."""
-    layers, _ = _sweep(lattice, terminal_values, store=True, policy=False)
-    return layers[(slice(None),) + lattice.origin_index]
-
-
-def _negated(payoff: TerminalFunctional) -> TerminalFunctional:
-    return TerminalFunctional(fn=lambda x: -payoff.fn(x),
-                              lipschitz=payoff.lipschitz, n=payoff.n)
+    (layers, n), from a sweep that keeps one node per layer."""
+    return _sweep(lattice, terminal_values, store=lattice.origin_index)
 
 
 def _run_expect(ctx: Experiment):
     lat = ctx.lattice
-    series = _origin_series(lat, ctx.payoff.evaluate(lat.states))
-    series_low = -_origin_series(lat, _negated(ctx.payoff).evaluate(lat.states))
+    values = ctx.payoff.evaluate(lat.states)
+    series = _origin_series(lat, values)
+    series_low = -_origin_series(lat, -values)
     times = lat.time.times()
     n = ctx.payoff.n
     header = ["t"] + [f"value_{i + 1}" for i in range(n)] + \

@@ -279,9 +279,8 @@ def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Latti
 
 def _sweep(lattice: Lattice, terminal_values: np.ndarray,
            step_cost: Optional[Callable[[int, int], np.ndarray]] = None,
-           store: bool = False, start_layer: Optional[int] = None,
-           layer_cost: Optional[Callable[[int], np.ndarray]] = None,
-           policy: bool = True):
+           store=False, start_layer: Optional[int] = None,
+           layer_cost: Optional[Callable[[int], np.ndarray]] = None):
     """Backward induction from `start_layer` (default last) down to layer 0.
 
     The package's only worst-case backward-induction loop. Every trailing
@@ -296,21 +295,25 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     to the maximum. That is exact: rounding is monotone, so
     max_c fl(a_c + b) == fl(max_c a_c + b).
 
-    store=True keeps every layer and returns (layers, policy); otherwise only
-    layer 0 is returned. The policy scans the candidates in combo order with
-    a strict improvement test, so ties keep the lexicographically smallest
-    covariance; it ranks the candidates without layer_cost. Without a policy
-    (store=False, or policy=False, which returns None in its place) the
-    candidates are reduced with np.maximum(candidate, best), which keeps
-    `best` on ties, signed zeros included, so the values carry the scan's
-    bits; unlike the scan, it propagates NaN.
+    `store` takes three forms. False returns layer 0 only. A grid index
+    (such as lattice.origin_index) keeps values[index] of every layer and
+    returns them stacked, first layer first: memory grows with what the
+    index selects, not with the grid. True keeps every layer and returns
+    (layers, policy); only this form tracks a policy. The policy scans the
+    candidates in combo order with a strict improvement test, so ties keep
+    the lexicographically smallest covariance; it ranks the candidates
+    without layer_cost. Without a policy the candidates are reduced with
+    np.maximum(candidate, best), which keeps `best` on ties, signed zeros
+    included, so the values carry the scan's bits; unlike the scan, it
+    propagates NaN.
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
-    track = store and policy
-    if store:
-        all_values = np.empty((n_layers + 1,) + values.shape)
-        all_values[n_layers] = values
+    track = store is True
+    keep = ... if track else store
+    if keep is not False:
+        kept = np.empty((n_layers + 1,) + values[keep].shape)
+        kept[n_layers] = values[keep]
     if track:
         best_policy = np.empty((n_layers,) + values.shape, dtype=np.int16)
     for k in range(n_layers - 1, -1, -1):
@@ -332,13 +335,13 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
         if layer_cost is not None:
             best += layer_cost(k)
         values = best
-        if store:
-            all_values[k] = values
+        if keep is not False:
+            kept[k] = values[keep]
         if track:
             best_policy[k] = best_idx
-    if store:
-        return all_values, (best_policy if track else None)
-    return values
+    if track:
+        return kept, best_policy
+    return values if keep is False else kept
 
 
 @dataclass

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 
 import numpy as np
@@ -132,6 +133,29 @@ def test_capacity_command(tmp_path):
     vals = [float(r[1]) for r in rows[1:]]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert abs(vals[0] - cap) <= 1e-12
+
+
+DESK_2D = {"box": {"d": 2, "lower": [1.0, 1.0], "upper": [2.0, 2.0],
+                   "grid_points": 5},
+           "time": {"horizon": 1.0, "steps": 40}, "space": {"points": 121}}
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("expect", {"payoff": {"id": "quadratic"}}),
+    ("capacity", {"event": {"payoff": {"id": "linear"}, "level": 1.0}}),
+])
+def test_origin_series_memory_stays_below_one_layer_stack(tmp_path, command, extra):
+    # the series reads one node per layer, so no run may hold a
+    # (steps + 1) x nodes x n stack of float64 layers (n = 1 here)
+    stack_bytes = (DESK_2D["time"]["steps"] + 1) * DESK_2D["space"]["points"] ** 2 * 8
+    tracemalloc.start()
+    try:
+        rc, _ = run_cli(tmp_path, command, {**DESK_2D, **extra})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < stack_bytes, f"traced peak {peak} >= one layer stack {stack_bytes}"
 
 
 def test_ratio_decay_command(tmp_path):

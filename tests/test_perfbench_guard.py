@@ -57,7 +57,7 @@ def test_sweep_binds_what_the_node_counter_reads(child):
     sweep = recorder.wrap("scenario.sweep", scenario._sweep)
     sweep(lat, values)                                   # every layer
     sweep(lat, values, start_layer=1)
-    sweep(lattice=lat, terminal_values=values, store=True, policy=False)
+    sweep(lattice=lat, terminal_values=values, store=lat.origin_index)
     per_layer = math.prod(lat.space.shape) * lat.combos.shape[0] * 3
     assert recorder.counters["scenario.sweep.node_updates"] == (4 + 1 + 4) * per_layer
     assert [span[0] for span in recorder.spans] == ["scenario.sweep"] * 3

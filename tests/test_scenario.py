@@ -383,9 +383,10 @@ def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid
             for kwargs, ref_kwargs in cases:
                 want = scan_sweep(lat, terminal, **ref_kwargs)
                 assert_same_bits(_sweep(lat, terminal, **kwargs), want[0])
-                got, policy = _sweep(lat, terminal, store=True, policy=False, **kwargs)
-                assert policy is None
-                assert_same_bits(got, want)
+                every = _sweep(lat, terminal, store=(slice(None),) * lat.d, **kwargs)
+                assert_same_bits(every, want)
+                origin = _sweep(lat, terminal, store=lat.origin_index, **kwargs)
+                assert_same_bits(origin, want[(slice(None),) + lat.origin_index])
 
 
 def scan_weighted_norms(fields, lattice, betas):
