@@ -70,8 +70,9 @@ class VolatilityBox:
     """Axis-aligned box of diagonal covariance matrices.
 
     lower/upper hold the per-axis variance bounds (the diagonals of the two
-    corner matrices). grid_points_per_axis controls the finite variance grid
-    used by lattice maximizations and brute-force checks.
+    corner matrices). grid_points_per_axis sets the finite candidate variance
+    grid of lattice maximizations (which skip its dominated levels) and of
+    brute-force checks.
     """
 
     lower: np.ndarray

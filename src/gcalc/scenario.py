@@ -2,17 +2,19 @@
 
 States live on a uniform grid per axis. One backward step branches each node
 into per-axis up/down moves of size sigma_j * sqrt(dt) for every covariance
-diagonal in the box grid, takes expected child values, and keeps the largest
-result over the covariance grid. Off-grid children are written onto the two
-bracketing nodes with nonnegative weights chosen so the branch second moment
-is exact; this keeps quadratic payoffs bias-free, which plain linear
-interpolation does not (its convexity bias at desk-scale grids is an order of
-magnitude above the acceptance tolerances). The branch weights are a product
-over axes, so expected child values are formed one axis at a time from shifted
-slices of the edge-padded layer, sharing each leading-axis partial sum.
+diagonal in the box grid that is not dominated (see Lattice), takes expected
+child values, and keeps the largest result, which is the maximum over the
+whole box grid. Off-grid children are written onto the two bracketing nodes
+with nonnegative weights chosen so the branch second moment is exact; this
+keeps quadratic payoffs bias-free, which plain linear interpolation does not
+(its convexity bias at desk-scale grids is an order of magnitude above the
+acceptance tolerances). The branch weights are a product over axes, so
+expected child values are formed one axis at a time from shifted slices of
+the edge-padded layer, sharing each leading-axis partial sum.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -177,10 +179,15 @@ class Lattice:
     """Time/space grids plus the separable one-step transition operator.
 
     Lattice axis a is array axis a of every layer it acts on; trailing axes
-    ride along. moves[a][level] holds, per distinct sigma^2 level of axis a
-    in ascending order, the four `_axis_allocation` moves (up first, then
-    down) as (child slice of the axis padded by edge_pad, 0.5 * weight);
-    only this module reads them.
+    ride along. combos is the box grid (`box.sigma2_combos()`) without its
+    dominated levels, still lexicographically ascending. A move's weights
+    are affine in sigma^2 while its bracket m = floor(sigma sqrt(dt) / h)
+    stays the same, so a grid level strictly inside its run of equal m is a
+    convex combination of the run's first and last levels and never beats
+    both; each axis keeps only those two per run. moves[a][level] holds, per
+    kept sigma^2 level of axis a in ascending order, the four
+    `_axis_allocation` moves (up first, then down) as (child slice of the
+    axis padded by edge_pad, 0.5 * weight); only this module reads them.
     """
 
     def __init__(self, time: TimeGrid, space: SpaceGrid, box: VolatilityBox):
@@ -189,7 +196,6 @@ class Lattice:
         self.time = time
         self.space = space
         self.box = box
-        self.combos = box.sigma2_combos()
         dt = time.dt
         floor_jump = math.sqrt(box.sigma_min_sq * dt)
         for h in space.spacing:
@@ -200,18 +206,23 @@ class Lattice:
         self._states = space.states()
         self._pad_index = []
         self.moves = []
-        level_table = []
+        kept_levels = []
         for a, (h, p) in enumerate(zip(space.spacing, space.shape)):
-            levels, level_of_combo = np.unique(self.combos[:, a], return_inverse=True)
+            levels = sorted(set(box.axis_grid(a).tolist()))
             ups = [_axis_allocation(math.sqrt(s2 * dt), h) for s2 in levels]
+            # a level whose two neighbours share its bracket m is dominated
+            m = [None] + [up[0][0] for up in ups] + [None]
+            kept = [i for i in range(len(ups)) if not m[i] == m[i + 1] == m[i + 2]]
+            kept_levels.append([levels[i] for i in kept])
+            ups = [ups[i] for i in kept]
             reach = max(off for up in ups for off, _ in up)
             self._pad_index.append(np.clip(np.arange(-reach, p + reach), 0, p - 1))
             self.moves.append([
                 [(slice(reach + off, reach + off + p), 0.5 * w)
                  for off, w in up + [(-off, w) for off, w in up]]
                 for up in ups])
-            level_table.append(level_of_combo)
-        self._combo_levels = list(zip(*(lv.tolist() for lv in level_table)))
+        self.combos = np.array(list(itertools.product(*kept_levels)))
+        self._combo_levels = list(itertools.product(*(range(len(lv)) for lv in kept_levels)))
 
     # -- grid conveniences -------------------------------------------------
     @property
@@ -290,10 +301,13 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     passes its length as start_layer; k then counts from its first layer.
 
     Running costs come in two kinds, each already carrying its own time
-    weight. step_cost(k, combo_index) depends on the covariance and is added
-    to every candidate of layer k. layer_cost(k) does not; it is added once,
-    to the maximum. That is exact: rounding is monotone, so
-    max_c fl(a_c + b) == fl(max_c a_c + b).
+    weight. step_cost(k, combo_index) depends on the covariance
+    lattice.combos[combo_index] and is added to every candidate of layer k;
+    it must be affine in sigma^2 within a bracket, as the costs of
+    solver.picard_step and harness._curvature_cross_terms are, or the grid
+    levels that Lattice drops could have won. layer_cost(k) does not depend
+    on sigma^2; it is added once, to the maximum. That is exact: rounding is
+    monotone, so max_c fl(a_c + b) == fl(max_c a_c + b).
 
     `store` takes three forms. False returns layer 0 only. A grid index
     (such as lattice.origin_index) keeps values[index] of every layer and
@@ -356,10 +370,12 @@ class ScenarioField:
 def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional) -> ScenarioField:
     """Full worst-case conditional expectation field of a terminal payoff.
 
-    The maximum runs over the box grid's covariance combos
-    (`lattice.combos`). Each child mean is piecewise affine in sigma2, with
+    The maximum runs over the box grid's covariance combos less the
+    dominated levels (`lattice.combos`), and equals the maximum over the
+    whole box grid. Each child mean is piecewise affine in sigma2, with
     breakpoints where a move lands on a node, so the maximum over the whole
-    box sits at a corner or a breakpoint.
+    box sits at a corner or a breakpoint. policy_idx indexes
+    lattice.combos, not box.sigma2_combos().
     """
     if terminal.monitor_time is not None:
         raise InputError("field extraction supports terminal-state payoffs only; "

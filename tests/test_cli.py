@@ -158,6 +158,27 @@ def test_origin_series_memory_stays_below_one_layer_stack(tmp_path, command, ext
     assert peak < stack_bytes, f"traced peak {peak} >= one layer stack {stack_bytes}"
 
 
+def test_expect_leaves_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma lazily, on first use of a function such as
+    # np.isin or np.unique without return_inverse; that adds about 0.5 MB to
+    # the peak RSS of a run, so building the experiment (the lattice
+    # included) and running `expect` must not use one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK_2D, "payoff": {"id": "quadratic"}}))
+    code = ("import sys\n"
+            "from gcalc.cli import main\n"
+            f"rc = main(['expect', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gcalc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_ratio_decay_command(tmp_path):
     cfg = {**SMALL,
            "ratio": {"theta": [{"id": "linear", "params": {"weights": [0.5]}},

@@ -17,7 +17,8 @@ from gcalc.calculus import (StepProcess, _square_integral_expectation,
                             exp_cell_weights, simulate_path, weighted_norms)
 from gcalc.scenario import _axis_allocation, _expectation_monitored, _sweep
 
-from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
+from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
+                      quad_payoff)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +208,10 @@ def test_two_dim_anchor(small_lat_2d):
 # separable transition operator against the per-combo stencil it replaced
 # ---------------------------------------------------------------------------
 
-def stencil_terms(lattice, combo_index):
+def stencil_terms(lattice, sigma2):
     """(per-axis clamped child indices, weight) for each of the 4^d branch
-    picks of one covariance: up/down sign patterns in product order, then the
-    two bracketing nodes per axis."""
-    sigma2 = lattice.combos[combo_index]
+    picks of one covariance diagonal: up/down sign patterns in product order,
+    then the two bracketing nodes per axis."""
     per_axis = []
     for a in range(lattice.d):
         up = _axis_allocation(math.sqrt(sigma2[a] * lattice.dt), lattice.space.spacing[a])
@@ -229,9 +229,9 @@ def stencil_terms(lattice, combo_index):
     return terms
 
 
-def stencil_child_mean(lattice, values, combo_index):
+def stencil_child_mean(lattice, values, sigma2):
     out = None
-    for idx, weight in stencil_terms(lattice, combo_index):
+    for idx, weight in stencil_terms(lattice, sigma2):
         if weight == 0.0:
             continue
         if lattice.d == 1:
@@ -242,16 +242,19 @@ def stencil_child_mean(lattice, values, combo_index):
     return out
 
 
-def stencil_sweep(lattice, terminal_values, step_cost=None, start_layer=None):
-    """Backward scan over gathered stencil child means; strict improvement
-    keeps the first covariance on ties."""
+def stencil_sweep(lattice, terminal_values, step_cost=None, start_layer=None,
+                  combos=None):
+    """Backward scan over gathered stencil child means of every row of
+    `combos` (default lattice.combos); strict improvement keeps the first
+    covariance on ties."""
+    combos = lattice.combos if combos is None else combos
     n_layers = lattice.steps if start_layer is None else start_layer
     values = terminal_values
     layers, policy = [values], []
     for k in range(n_layers - 1, -1, -1):
         best = best_idx = None
-        for c in range(lattice.combos.shape[0]):
-            cand = stencil_child_mean(lattice, values, c)
+        for c, sigma2 in enumerate(combos):
+            cand = stencil_child_mean(lattice, values, sigma2)
             if step_cost is not None:
                 cand = cand + step_cost(k, c)
             if best is None:
@@ -274,6 +277,7 @@ OPERATOR_CASES = [
     ((1.0, 1.0), (2.0, 2.0), 4, 35, 2),
     ((1.0, 1.0), (2.0, 3.0), 4, (45, 53), 3),
     ((1.0, 1.0), (2.0, 2.0), 4, (35, 41), 5),
+    ((1.0, 1.0), (9.0, 9.0), 2, (53, 55), 5),   # levels 1, 3 | 5, 7 | 9: three brackets
 ]
 
 
@@ -305,11 +309,79 @@ def test_separable_operator_matches_stencil(lower, upper, steps, points, grid_po
                 assert np.array_equal(got_p[k], np.argmax(cands, axis=0))
         for c in range(nc):
             got = list(lat.child_means(terminal))[c]
-            want = stencil_child_mean(lat, terminal, c)
+            want = stencil_child_mean(lat, terminal, lat.combos[c])
             if lat.d == 1:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# dominated box-grid levels
+# ---------------------------------------------------------------------------
+
+def bracket(lattice, a, s2):
+    """The bracket m = floor(sigma sqrt(dt) / h) of one level of axis a."""
+    return _axis_allocation(math.sqrt(s2 * lattice.dt), lattice.space.spacing[a])[0][0]
+
+
+PRUNE_CASES = [
+    # (lower, upper, steps, points, grid_points); kept levels in the comments
+    ((1.0,), (6.0,), 8, 101, 11),                # 1, 2.5 | 3, 6: straddles m = 1, 2
+    ((1.0,), (4.0,), 16, 97, 9),                 # 1, 3.625 | 4: 1 and 4 land on nodes
+    ((1.0, 1.0), (3.0, 4.0), 4, (49, 53), 7),    # 1, 3 x 1, 3 | 3.5, 4
+    ((1.0, 2.0), (3.0, 2.0), 4, (49, 45), 5),    # 1, 2.5 | 3 x 2: degenerate axis
+]
+
+
+def test_kept_levels():
+    assert desk_lattice().combos.ravel().tolist() == [1.0, 2.5, 3.25, 4.0]
+    desk_2d = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=40, points=121)
+    assert np.array_equal(desk_2d.combos, desk_2d.box.corners())
+    # h^2 / dt = 1, so the levels 1, 7, 13, 19, 25 sit in brackets 1 to 5
+    spread = make_lattice(upper=(25.0,), steps=4, points=121)
+    assert [bracket(spread, 0, s2) for s2 in spread.combos[:, 0]] == [1, 2, 3, 4, 5]
+    assert np.array_equal(spread.combos, spread.box.sigma2_combos())
+    for lower, upper, steps, points, grid_points in OPERATOR_CASES + PRUNE_CASES:
+        lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
+                           grid_points=grid_points)
+        rows = [tuple(r) for r in lat.combos.tolist()]
+        assert rows == sorted(set(rows))                    # lexicographic, distinct
+        for a in range(lat.d):
+            kept = sorted(set(lat.combos[:, a].tolist()))
+            assert kept[0] == lat.box.lower[a] and kept[-1] == lat.box.upper[a]
+            # per bracket, the smallest and the largest grid level stay
+            runs = {}
+            for s2 in lat.box.axis_grid(a).tolist():
+                runs.setdefault(bracket(lat, a, s2), set()).add(s2)
+            assert kept == sorted(set().union(*({min(r), max(r)} for r in runs.values())))
+        assert rows == list(product(*(sorted(set(lat.combos[:, a].tolist()))
+                                      for a in range(lat.d))))
+
+
+@pytest.mark.parametrize("lower,upper,steps,points,grid_points", PRUNE_CASES)
+def test_pruned_maximum_equals_full_grid_maximum(lower, upper, steps, points, grid_points):
+    lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
+                       grid_points=grid_points)
+    full = lat.box.sigma2_combos()
+    assert lat.combos.shape[0] < full.shape[0]
+    rng = np.random.default_rng(len(lower) * 100 + grid_points)
+    for tail in ((), (2,)):
+        shape = lat.space.shape + tail
+        terminal = rng.standard_normal(shape)
+        f = 0.1 * rng.standard_normal((steps,) + shape)
+        g = 0.1 * rng.standard_normal((steps,) + shape + (lat.d,))
+
+        def affine(combos):
+            return lambda k, c: f[k] + g[k] @ combos[c]
+
+        cases = [({}, {}),
+                 ({"step_cost": affine(lat.combos)}, {"step_cost": affine(full)}),
+                 ({"layer_cost": lambda k: f[k]}, {"step_cost": lambda k, c: f[k]})]
+        for kwargs, ref_kwargs in cases:
+            want = stencil_sweep(lat, terminal, combos=full, **ref_kwargs)[0]
+            got = _sweep(lat, terminal, store=(slice(None),) * lat.d, **kwargs)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def scan_sweep(lattice, terminal_values, step_cost=None, start_layer=None):
@@ -450,9 +522,9 @@ def stencil_monitored(lattice, terminal):
     values = terminal.evaluate(current, recorded=recorded)
     for k in range(lattice.steps - 1, k_mon - 1, -1):
         best = None
-        for c in range(lattice.combos.shape[0]):
+        for sigma2 in lattice.combos:
             cand = None
-            for idx, weight in stencil_terms(lattice, c):
+            for idx, weight in stencil_terms(lattice, sigma2):
                 part = weight * values[:, idx[0], :]
                 cand = part if cand is None else cand + part
             best = cand if best is None else np.maximum(best, cand)
@@ -473,9 +545,9 @@ def stencil_running_max_dp(phi, lattice, levels=257):
     level_ids = np.arange(m)[None, :]
     for k in range(steps - 1, -1, -1):
         best = None
-        for c in range(lattice.combos.shape[0]):
+        for sigma2 in lattice.combos:
             acc = np.zeros((p, m))
-            for idx, w in stencil_terms(lattice, c):
+            for idx, w in stencil_terms(lattice, sigma2):
                 child_x = idx[0]
                 j = np.maximum(level_ids, lev[k + 1][child_x][:, None])
                 acc += w * values[child_x[:, None], j]
