@@ -21,6 +21,9 @@ from .scenario import Lattice, TimeGrid, _fair_signs, _sweep, _walk
 MAX_EXPONENT = 700.0
 #: Default exponent grid for the stability estimates.
 BETA_GRID = tuple(float(2 ** i) for i in range(11))  # 1 .. 1024
+#: Most float64 values one block of derived layers holds: no derived field
+#: costs a full stack, yet one numpy call covers many small layers.
+BLOCK_VALUES = 1 << 16
 
 
 def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
@@ -106,10 +109,9 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
                    s: Optional[float] = None, n: int = 1) -> QvBoundsReport:
     """Check the two structural bounds on a bracket integral over [t, s].
 
-    eta_process holds the integrand per step, shape (steps, n, d). The
-    absolute bound uses K = sqrt(d) * sigma_max^2; the sandwich is
-    [-2 G(-eta), 2 G(eta)] dt summed over the window, componentwise, with G
-    the worst-case generator `g_corner`. Both hold up to 1e-10.
+    eta_process is the integrand per step, (steps, n, d). The absolute bound
+    uses K = sqrt(d) * sigma_max^2, the sandwich [-2 G(-eta), 2 G(eta)] dt
+    summed over the window with G = `g_corner`; both hold up to 1e-10.
     """
     grid = TimeGrid(horizon=float(path.times[-1]), steps=path.steps)
     k_lo = grid.index_of(t)
@@ -163,43 +165,62 @@ def exp_cell_weights(time: TimeGrid, beta: float) -> np.ndarray:
     return np.diff(np.exp(beta * t)) / beta
 
 
+def _block_layers(lattice: Lattice, width: int) -> int:
+    """Layers per block of a reader that forms `width` float64 values per
+    node and layer: BLOCK_VALUES in whole layers, at least one."""
+    return max(1, BLOCK_VALUES // (width * math.prod(lattice.space.shape)))
+
+
+def _layer_reader(load: Callable[[slice], tuple], size: int, stop: int) -> Callable:
+    """read(k): layer k of what load(ks) forms over aligned blocks of `size`
+    layers below `stop`; the last block is kept."""
+    held = [None, ()]
+
+    def read(k):
+        start = k - k % size
+        if held[0] != start:
+            held[:] = None, ()    # let the old block go before the new one forms
+            held[:] = start, load(slice(start, min(start + size, stop)))
+        return [a[k - start] for a in held[1]]
+
+    return read
+
+
 def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
                    betas: Sequence[float]) -> np.ndarray:
-    """weighted_norm of every field at every beta, shape (len(fields), len(betas)).
-
-    All norms come from one backward sweep: each (field, beta) pair owns a
-    trailing value column. This is exact because the sweep maximizes every
-    column independently and the running cost does not depend on the
-    covariance.
+    """weighted_norm of every field at every beta, shape (len(fields), len(betas)),
+    from one backward sweep in which each (field, beta) pair owns a value
+    column: the sweep maximizes every column independently.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
     for f in fields:
         if f.shape[0] != lattice.steps + 1 or f.shape[1:1 + lattice.d] != lattice.space.shape:
             raise DimensionError("field does not match the lattice layout")
-    return _layerwise_norms(lambda k: [f[k] for f in fields], len(fields),
-                            lattice, betas)
+    return _layerwise_norms(lambda ks: [f[ks] for f in fields], len(fields),
+                            lattice, betas, 0)
 
 
-def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice,
-                     betas: Sequence[float]) -> np.ndarray:
-    """weighted_norms of `count` fields given layer by layer: layers(k) lists
-    their (*grid, *trailing) values at layer k, so a caller can form derived
-    fields (differences) one layer at a time. The running cost does not
-    depend on the covariance, so the sweep adds it once per layer, after the
-    maximum, and no (layers, *grid, count * betas) array is ever formed.
-    """
+def _layerwise_norms(layers: Callable[[slice], list], count: int, lattice: Lattice,
+                     betas: Sequence[float], width: int) -> np.ndarray:
+    """weighted_norms of `count` fields that layers(ks) yields over a slice
+    of layers, holding `width` values per node and layer at once. The running
+    cost does not depend on the covariance: it is added once, to the maximum."""
     grid = lattice.space.shape
     weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas],
                        axis=-1)                                  # (steps, B)
     columns = count * weights.shape[1]
 
-    def squared(layer: np.ndarray) -> np.ndarray:
-        tail_axes = tuple(range(lattice.d, layer.ndim))
-        return np.sum(layer * layer, axis=tail_axes) if tail_axes else layer * layer
+    def squared(block: np.ndarray) -> np.ndarray:
+        tail_axes = tuple(range(1 + lattice.d, block.ndim))
+        return np.sum(block * block, axis=tail_axes) if tail_axes else block * block
+
+    def squares(ks):
+        return (np.stack([squared(block) for block in layers(ks)], axis=-1),)
+
+    read = _layer_reader(squares, _block_layers(lattice, width + count), lattice.steps)
 
     def layer_cost(k):
-        sq = np.stack([squared(layer) for layer in layers(k)], axis=-1)
-        return (sq[..., None] * weights[k]).reshape(grid + (columns,))
+        return (read(k)[0][..., None] * weights[k]).reshape(grid + (columns,))
 
     zero = np.zeros(grid + (columns,))
     total = _sweep(lattice, zero, layer_cost=layer_cost)[lattice.origin_index]
@@ -209,9 +230,8 @@ def _layerwise_norms(layers: Callable[[int], list], count: int, lattice: Lattice
 def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float) -> float:
     """Worst-case exponentially weighted L2 norm of a lattice process.
 
-    field has shape (steps + 1, *grid, *trailing); trailing axes are squared
-    and summed pointwise. Returns the square root of the worst-case expected
-    time integral of exp(beta s) |field_s|^2 over [0, horizon].
+    field is (steps + 1, *grid, *trailing): the square root of the worst-case
+    expected integral of exp(beta s) |field_s|^2 over [0, horizon].
     """
     return float(weighted_norms([field], lattice, [beta])[0, 0])
 
@@ -280,16 +300,14 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
                        betas: Sequence[float] = (), n_max: int = 20) -> RatioDecayReport:
     """Weighted-norm ratio of two step processes across a scale of weights.
 
-    c_max is the largest worst-case mean square of the numerator values at
-    their observation times; d_min the smallest guaranteed mean square of the
-    denominator values (via the expectation of minus the square). For each n,
-    beta_n = n * c_max / d_min and b_n is the ratio
+    c_max is the largest worst-case mean square of theta at its observation
+    times, d_min the smallest guaranteed one of zeta. For each n,
+    beta_n = n * c_max / d_min and b_n, bounded by 1/n, is
 
         E[int exp(beta_n s) theta_s^2 ds] / (beta_n E[int exp(beta_n s) zeta_s^2 ds])
 
-    which is bounded by 1/n. The supplied processes are elementary, hence
-    equal to their own step approximations, so the approximation
-    diagnostics t_n, l_n, m_n reduce to b_n, 1, 1 and are not kept.
+    The processes are elementary, so the approximation diagnostics t_n, l_n,
+    m_n reduce to b_n, 1, 1 and are not kept.
     """
     horizon = lattice.time.horizon
     for proc in (theta, zeta):
@@ -318,8 +336,7 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
         den = beta * _square_integral_expectation(zeta, lattice, beta)
         return num, den, num / den
 
-    # beta_n grows with n, so the loop below would stop at the first beta_n
-    # past the weight limit; check the last one before allocating n_max rows
+    # beta_n grows with n: check the last one before allocating n_max rows
     beta_last = float(n_max) * c_max / d_min
     if beta_last * horizon > MAX_EXPONENT:
         raise WeightOverflowError(

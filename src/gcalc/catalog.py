@@ -1,10 +1,8 @@
 """Built-in payoff and driver catalog.
 
-The CLI only accepts entries from this closed catalog because the
-contraction-condition diagnostics need a declared Lipschitz constant for
-every driver; free-form user functions cannot provide one. Programmatic
-users can of course construct TerminalFunctional / Driver instances
-directly.
+The CLI accepts only this closed catalog: the contraction diagnostics need
+a declared Lipschitz constant per driver. Library users can build
+TerminalFunctional / Driver instances directly.
 """
 from __future__ import annotations
 

@@ -1,10 +1,9 @@
 """Batch experiment runner: JSON config in, deterministic CSV/JSON out.
 
-Every run first validates the whole config against module preconditions
-(field-level error messages, exit code 2, no output files), then computes,
-then writes. Identical config and seed produce byte-identical output files.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 verification
-check failed.
+Every run validates the whole config first (field-level messages, exit 2,
+no output files), then computes, then writes; identical config and seed give
+byte-identical files. Exit codes: 0 success, 2 config error, 3 numerical
+failure, 4 verification check failed.
 """
 from __future__ import annotations
 
@@ -20,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import BETA_GRID, MAX_EXPONENT, StepProcess, ratio_decay_report
+from .calculus import (BETA_GRID, MAX_EXPONENT, StepProcess, _block_layers,
+                       _layer_reader, ratio_decay_report)
 from .catalog import DRIVER_IDS, PAYOFF_IDS, make_driver, make_payoff
 from .errors import (ConfigError, DimensionError, GcalcError,
                      GridResolutionError, InputError)
@@ -39,6 +39,12 @@ _TOP_KEYS = {"command", "box", "time", "space", "payoff", "drivers", "beta",
              "betas", "mu", "nu", "tol", "max_iter", "seed", "out", "event",
              "perturbation", "ratio"}
 _MISSING = object()
+#: Memory for the layer stacks of one run: a quarter of an 8 GB host.
+STACK_BUDGET_BYTES = 2 ** 31
+#: (steps + 1) x nodes float64 stacks each command holds (see the README).
+LAYER_STACKS = {"represent": 2.25, "solve": 9.75, "verify-estimates": 13.0}
+#: Largest (steps + 1) x nodes per command.
+MAX_LAYER_NODES = {c: int(STACK_BUDGET_BYTES / (8 * s)) for c, s in LAYER_STACKS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +237,10 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
         time = TimeGrid(horizon=horizon, steps=steps)
         space = SpaceGrid.build(box, horizon, points_per_axis=points,
                                 span_factor=float(span))
+        footprint = (time.steps + 1) * math.prod(space.shape)
+        if footprint > MAX_LAYER_NODES.get(command, footprint):
+            raise InputError(f"(steps + 1) x nodes = {footprint:,} exceeds the "
+                             f"limit of {MAX_LAYER_NODES[command]:,}; use fewer steps or points")
         lattice = build_lattice(time, space, box)
     except (InputError, DimensionError, GridResolutionError) as exc:
         raise ConfigError(f"grids: {exc}") from exc
@@ -388,13 +398,15 @@ def _fields_csv(sol) -> tuple:
     nodes = math.prod(lat.space.shape)
     states = [line + "," for line in _csv_lines(lat.states.reshape(nodes, d))]
     zeros = np.zeros((nodes, n))
+    read = _layer_reader(sol.integrands, _block_layers(lat, 2 * d * n), lat.steps + 1)
 
     def blocks():
         # nodes in C order; the time opens every line through the join
         for k in range(lat.steps + 1):
+            z, eta = read(k)
             fields = np.concatenate(
-                [sol.Y[k].reshape(nodes, n), sol.Z[k].reshape(nodes, d * n),
-                 sol.eta[k].reshape(nodes, n * d),
+                [sol.Y[k].reshape(nodes, n), z.reshape(nodes, d * n),
+                 eta.reshape(nodes, n * d),
                  sol.K_inc[k].reshape(nodes, n) if k < lat.steps else zeros],
                 axis=1)
             t = repr(float(times[k])) + ","

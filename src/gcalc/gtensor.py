@@ -1,11 +1,9 @@
 """Volatility boxes and the worst-case generator over them.
 
-The state dimension is d and the value dimension is n (both small). A
-"diagonal tensor" is a stack of n diagonal d x d matrices, stored as its
-diagonals only. The worst-case quadratic form over a box of diagonal
-covariance matrices has a closed corner form (`g_corner`, the one kernel
-every caller uses), implemented here next to a brute-force grid version
-used as its cross-check.
+A "diagonal tensor" stacks n diagonal d x d matrices as their diagonals.
+The worst-case quadratic form over a box of diagonal covariances has a
+closed corner form (`g_corner`, the one kernel every caller uses), with a
+brute-force grid version as its cross-check.
 """
 from __future__ import annotations
 
@@ -69,10 +67,9 @@ class DiagTensor:
 class VolatilityBox:
     """Axis-aligned box of diagonal covariance matrices.
 
-    lower/upper hold the per-axis variance bounds (the diagonals of the two
-    corner matrices). grid_points_per_axis sets the finite candidate variance
-    grid of lattice maximizations (which skip its dominated levels) and of
-    brute-force checks.
+    lower/upper hold the per-axis variance bounds. grid_points_per_axis sets
+    the candidate variance grid of lattice maximizations (which skip its
+    dominated levels) and of brute-force checks.
     """
 
     lower: np.ndarray
@@ -156,9 +153,8 @@ def g_sym_bruteforce(a, box: VolatilityBox, points_per_axis: int | None = None) 
     """Grid supremum of 0.5 * tr(a sigma2) over diagonal sigma2 in the box.
 
     `a` must be symmetric; only its diagonal couples to diagonal covariances.
-    The grid contains both corner values per axis, so for any matrix the
-    returned value equals the true supremum exactly (the maximizer of a
-    linear function over a box sits at a corner, and corners are on the grid).
+    The grid holds every corner, where a linear function's maximum over a
+    box sits, so the result is the exact supremum.
     """
     m = check_symmetric(a)
     if m.shape[0] != box.d:

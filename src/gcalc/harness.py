@@ -1,14 +1,10 @@
 """Numerical verification of the stability and representation estimates.
 
-Every check here evaluates both sides of an inequality that the solver's
-fixed point is supposed to satisfy, on the same lattice the solution was
-computed on.  Norm-type quantities use the worst-case exponentially weighted
-L2 norm; plain expectations are worst-case lattice expectations.  Two
-constant conventions are evaluated side by side: the sharp per-inequality
-constants {1/s_min, 3/s_min, 1/s_min^2} (s_min the smallest lower volatility)
-and a uniform conservative 5/s_min^2.  The sharp set is dimensionally
-awkward, so a sharp-set failure is reported but never treated as fatal; the
-conservative set is the one acceptance rides on.
+Each check evaluates both sides of an inequality that the solver's fixed
+point should satisfy, on its lattice, with worst-case exponentially weighted
+L2 norms. Two constant sets are evaluated: the sharp {1/s_min, 3/s_min,
+1/s_min^2} (s_min the smallest lower volatility), whose failure is reported
+but not fatal, and the conservative 5/s_min^2 that acceptance rides on.
 """
 from __future__ import annotations
 
@@ -19,23 +15,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 # BETA_GRID is re-exported: `from gcalc.harness import BETA_GRID` keeps working
-from .calculus import (BETA_GRID, _layerwise_norms, _state_expectation,
-                       admissible_betas, exp_cell_weights, weighted_norms)
+from .calculus import (BETA_GRID, _block_layers, _layer_reader, _layerwise_norms,
+                       _state_expectation, admissible_betas, exp_cell_weights)
 from .errors import InputError
 from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _fair_signs, _sweep, _walk,
                        nearest_index)
-from .solver import (GBsdeParams, _driver_fields, _triple_sq, _penalty_sq,
-                     represent_martingale, solve_gbsde)
+from .solver import (GBsdeParams, _driver_fields, _fields_at, _triple_sq,
+                     _penalty_sq, represent_martingale, solve_gbsde)
 
 
 def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                       betas, mu: float, nu: float, tol: float,
                       solutions: Optional[tuple]) -> tuple:
-    """What both stability checks start from: (mu^2, nu^2), both solutions
-    (solved, or reused from `solutions`), the admissible betas, the Y, Z
-    and eta deltas, the deltas of each driver on its own solution, and the
-    worst-case E|dY_T|^2."""
+    """What both stability checks start from: (mu^2, nu^2), both solutions,
+    the admissible betas, deltas(ks) (the Y, Z, eta and driver deltas over a
+    slice of layers), its width and E|dY_T|^2."""
     squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
     if solutions is None:
         sol1, _ = solve_gbsde(params1, lattice, tol=tol)
@@ -43,15 +38,21 @@ def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Latti
     else:
         sol1, sol2 = solutions
     scan = admissible_betas(lattice, betas)
-    deltas = (sol1.Y - sol2.Y, sol1.Z - sol2.Z, sol1.eta - sol2.eta)
-    f1, g1 = _driver_fields(params1, lattice, sol1.Y, sol1.Z, sol1.eta)
-    f2, g2 = _driver_fields(params2, lattice, sol2.Y, sol2.Z, sol2.eta)
-    d_f, d_g = f1 - f2, g1 - g2
-    if not (np.isfinite(d_f).all() and np.isfinite(d_g).all()):
-        raise InputError("driver produced non-finite values")
-    term_y_t = _state_expectation(lattice, np.sum(deltas[0][-1] ** 2, axis=-1),
-                                  lattice.steps)
-    return squares, (sol1, sol2), scan, deltas, (d_f, d_g), term_y_t
+
+    def deltas(ks):
+        fields1, fields2 = _fields_at(sol1, ks), _fields_at(sol2, ks)
+        f1, g1 = _driver_fields(params1, lattice, ks, *fields1)
+        f2, g2 = _driver_fields(params2, lattice, ks, *fields2)
+        d_f, d_g = f1 - f2, g1 - g2
+        if not (np.isfinite(d_f).all() and np.isfinite(d_g).all()):
+            raise InputError("driver produced non-finite values")
+        return tuple(a - b for a, b in zip(fields1, fields2)) + (d_f, d_g)
+
+    width = sol1.n * (4 + 9 * lattice.d)
+    deltas(slice(lattice.steps, None))   # no norm reads the last layer's drivers
+    d_y_t = sol1.Y[-1] - sol2.Y[-1]
+    term_y_t = _state_expectation(lattice, np.sum(d_y_t ** 2, axis=-1), lattice.steps)
+    return squares, (sol1, sol2), scan, deltas, width, term_y_t
 
 
 def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
@@ -69,19 +70,25 @@ def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
     return terms
 
 
-def _curvature_cross_terms(delta_y: np.ndarray, delta_eta: np.ndarray,
-                           eta1: np.ndarray, eta2: np.ndarray,
-                           lattice: Lattice, betas: Sequence[float]) -> list:
+def _curvature_cross_terms(sol1, sol2, lattice: Lattice, betas: Sequence[float]) -> list:
     """Worst case of the weighted time integral of the curvature cross terms
     2 dY . (G(eta1) - G(eta2)) dt - dY . dEta : d<bracket>, one per beta,
     from one sweep with the betas on the trailing axis."""
     weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
-    g_gap = g_corner(eta1, lattice.box) - g_corner(eta2, lattice.box)
-    a_field = 2.0 * np.sum(delta_y * g_gap, axis=-1)          # (layers, *grid)
-    b_field = np.einsum("...i,...ij->...j", delta_y, delta_eta)
+
+    def cross_fields(ks):
+        (y1, _, eta1), (y2, _, eta2) = _fields_at(sol1, ks), _fields_at(sol2, ks)
+        delta_y = y1 - y2
+        g_gap = g_corner(eta1, lattice.box) - g_corner(eta2, lattice.box)
+        return (2.0 * np.sum(delta_y * g_gap, axis=-1),         # (len, *grid)
+                np.einsum("...i,...ij->...j", delta_y, eta1 - eta2))
+
+    width = sol1.n * (3 + 6 * lattice.d)
+    read = _layer_reader(cross_fields, _block_layers(lattice, width), lattice.steps)
 
     def step_cost(k, c):
-        return (a_field[k] - b_field[k] @ lattice.combos[c])[..., None] * weights[k]
+        a_k, b_k = read(k)
+        return (a_k - b_k @ lattice.combos[c])[..., None] * weights[k]
 
     zero = np.zeros(lattice.space.shape + (len(betas),))
     return _sweep(lattice, zero, step_cost)[lattice.origin_index].tolist()
@@ -138,19 +145,19 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                   solutions: Optional[tuple] = None) -> AprioriReport:
     """Evaluate the three parameter-stability inequalities on a beta grid.
 
-    Solves both equations (or reuses `solutions`), forms the field deltas,
-    and compares each squared weighted norm against the shared right-side
-    bracket under both constant conventions. The smallest passing beta per
-    convention is reported; the conservative verdict is the operative one.
+    Compares each squared weighted norm of the field deltas of both
+    solutions (solved, or `solutions`) against the shared right-side bracket
+    under both constant sets and reports the smallest passing beta of each;
+    the conservative verdict is the operative one.
     """
-    squares, (sol1, sol2), scan, (d_y, d_z, d_eta), (d_f, d_g), term_y_t = \
+    squares, (sol1, sol2), scan, deltas, width, term_y_t = \
         _stability_inputs(params1, params2, lattice, betas, mu, nu, tol, solutions)
     s_min = math.sqrt(lattice.box.sigma_min_sq)
     c_printed = (1.0 / s_min, 3.0 / s_min, 1.0 / (s_min * s_min))
     c_cons = 5.0 / (s_min * s_min)
 
-    norms = weighted_norms((d_y, d_z, d_eta, d_f, d_g), lattice, scan).tolist()
-    cross = _curvature_cross_terms(d_y, d_eta, sol1.eta, sol2.eta, lattice, scan)
+    norms = _layerwise_norms(deltas, 5, lattice, scan, width).tolist()
+    cross = _curvature_cross_terms(sol1, sol2, lattice, scan)
     rows = []
     for b, n_y, n_z, n_eta, n_f, n_g, cross_b in zip(scan, *norms, cross):
         lhs_y = n_y ** 2
@@ -177,8 +184,10 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                 return r.beta
         return None
 
-    mismatch = (float(np.max(np.abs(d_y))) < 1e-12
-                and float(np.max(np.abs(d_eta))) > 1e-8)
+    size = _block_layers(lattice, width)
+    blocks = [slice(k, k + size) for k in range(0, lattice.steps + 1, size)]
+    mismatch = (max(float(np.max(np.abs(sol1.Y[ks] - sol2.Y[ks]))) for ks in blocks) < 1e-12
+                and max(float(np.max(np.abs(deltas(ks)[2]))) for ks in blocks) > 1e-8)
     return AprioriReport(rows=tuple(rows),
                          beta0_printed=first_pass(lambda r: r.all_printed),
                          beta0_conservative=first_pass(lambda r: r.all_conservative),
@@ -243,16 +252,15 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
                        solutions: Optional[tuple] = None) -> SupEstimateReport:
     """Check the running-maximum estimate E[sup exp(bt)|dY_t|^2] <= 3 bracket.
 
-    For one-dimensional state the left side is evaluated by an exact-in-the-
-    limit running-max recursion (certified upper estimate); otherwise by the
-    global field maximum, which is cruder but still an upper bound. A Monte
-    Carlo realized-sup lower estimate is reported alongside.
+    In 1-d the left side comes from a running-max recursion (a certified
+    upper estimate, exact in the limit), else from the global field maximum;
+    a Monte Carlo realized-sup lower estimate is reported alongside.
     """
-    squares, _, (beta,), (d_y, _, _), (d_f, d_g), term_y_t = \
+    squares, (sol1, sol2), (beta,), deltas, width, term_y_t = \
         _stability_inputs(params1, params2, lattice, (beta,), mu, nu, tol, solutions)
     times = lattice.time.times()
     weights_t = np.exp(beta * times).reshape((-1,) + (1,) * lattice.d)
-    phi = weights_t * np.sum(d_y ** 2, axis=-1)     # (layers, *grid)
+    phi = weights_t * np.sum((sol1.Y - sol2.Y) ** 2, axis=-1)     # (layers, *grid)
 
     if lattice.d == 1:
         lhs_upper = _running_max_dp(phi, lattice)
@@ -262,7 +270,8 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
         exact = False
     lhs_lower = _realized_sup_mc(phi, lattice)
 
-    (n_f,), (n_g,) = weighted_norms((d_f, d_g), lattice, (beta,)).tolist()
+    (n_f,), (n_g,) = _layerwise_norms(lambda ks: deltas(ks)[3:5], 2, lattice,
+                                      (beta,), width).tolist()
     t_term, t_f, t_g = _bracket_terms(beta, term_y_t, n_f, n_g, squares, lattice)
     rhs = 3.0 * (t_term + t_f + t_g)
     ok = lhs_upper <= rhs + 1e-12 * (1.0 + rhs)
@@ -306,7 +315,8 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
     xi_sq = np.sum(sol.Y[-1] ** 2, axis=-1)
     moment = _state_expectation(lattice, xi_sq, lattice.steps)
     factor = 5.0 / lattice.box.sigma_min_sq
-    (lhs_by_beta,) = _triple_sq(weighted_norms((sol.Y, sol.Z, sol.eta), lattice, scan))
+    (lhs_by_beta,) = _triple_sq(_layerwise_norms(
+        lambda ks: _fields_at(sol, ks), 3, lattice, scan, 2 * sol.n * lattice.d))
     rows = []
     beta0 = None
     for b, lhs in zip(scan, lhs_by_beta):
@@ -343,10 +353,9 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
                           beta: float) -> CauchyReport:
     """Pairwise solution distances against payoff distances at a shared beta.
 
-    Every pair of payoffs in the sequence must satisfy the same bound the
-    representation check uses, with the right side driven by the worst-case
-    second moment of the payoff difference. Shrinking payoff gaps must pull
-    the solution triples together (the Cauchy property on the lattice).
+    Every pair of payoffs must satisfy the representation bound with the
+    worst-case second moment of the payoff difference on the right, so
+    shrinking payoff gaps pull the solution triples together.
     """
     if len(terminals) < 2:
         raise InputError("need at least two payoffs to compare")
@@ -356,14 +365,13 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     horizon = lattice.time.horizon
     index_pairs = [(m, n) for m in range(len(sols)) for n in range(m + 1, len(sols))]
 
-    def pair_gaps(k):
-        # formed per layer: all pair differences at once would add
-        # 3 * len(index_pairs) full fields to the peak memory
-        return [getattr(sols[m], f)[k] - getattr(sols[n], f)[k]
-                for m, n in index_pairs for f in ("Y", "Z", "eta")]
+    def pair_gaps(ks):   # one difference at a time: each is squared and let go
+        fields = [_fields_at(s, ks) for s in sols]
+        return (a - b for m, n in index_pairs for a, b in zip(fields[m], fields[n]))
 
-    lhs_by_pair = _triple_sq(_layerwise_norms(pair_gaps, 3 * len(index_pairs),
-                                              lattice, (beta,)))
+    lhs_by_pair = _triple_sq(_layerwise_norms(
+        pair_gaps, 3 * len(index_pairs), lattice, (beta,),
+        (len(sols) + 1) * sols[0].n * (1 + 2 * lattice.d)))
     gap_sq = np.stack([np.sum((sols[m].Y[-1] - sols[n].Y[-1]) ** 2, axis=-1)
                        for m, n in index_pairs], axis=-1)
     moments = _sweep(lattice, gap_sq)[lattice.origin_index].tolist()

@@ -1,16 +1,12 @@
 """Worst-case expectation engine on a recombining state lattice.
 
-States live on a uniform grid per axis. One backward step branches each node
-into per-axis up/down moves of size sigma_j * sqrt(dt) for every covariance
-diagonal in the box grid that is not dominated (see Lattice), takes expected
-child values, and keeps the largest result, which is the maximum over the
-whole box grid. Off-grid children are written onto the two bracketing nodes
-with nonnegative weights chosen so the branch second moment is exact; this
-keeps quadratic payoffs bias-free, which plain linear interpolation does not
-(its convexity bias at desk-scale grids is an order of magnitude above the
-acceptance tolerances). The branch weights are a product over axes, so
-expected child values are formed one axis at a time from shifted slices of
-the edge-padded layer, sharing each leading-axis partial sum.
+One backward step branches each node of a uniform grid into per-axis up/down
+moves of sigma_j * sqrt(dt) for every covariance of the box grid that is not
+dominated (see Lattice) and keeps the largest expected child value. Off-grid
+children go onto the two bracketing nodes with nonnegative weights that make
+the branch second moment exact, so quadratic payoffs stay bias-free. The
+weights are a product over axes, so child means are formed one axis at a
+time from shifted slices of the edge-padded layer.
 """
 from __future__ import annotations
 
@@ -180,14 +176,14 @@ class Lattice:
 
     Lattice axis a is array axis a of every layer it acts on; trailing axes
     ride along. combos is the box grid (`box.sigma2_combos()`) without its
-    dominated levels, still lexicographically ascending. A move's weights
-    are affine in sigma^2 while its bracket m = floor(sigma sqrt(dt) / h)
-    stays the same, so a grid level strictly inside its run of equal m is a
-    convex combination of the run's first and last levels and never beats
-    both; each axis keeps only those two per run. moves[a][level] holds, per
-    kept sigma^2 level of axis a in ascending order, the four
-    `_axis_allocation` moves (up first, then down) as (child slice of the
-    axis padded by edge_pad, 0.5 * weight); only this module reads them.
+    dominated levels, lexicographically ascending. A move's weights are
+    affine in sigma^2 within a bracket m = floor(sigma sqrt(dt) / h), and a
+    level landing on node m + 1 exactly ends bracket m's affine piece too.
+    So a level strictly inside its run of equal m, or the last of the run
+    when the next level lands on a node, is a convex combination of its
+    neighbours and never beats both; each axis drops it. moves[a][level]
+    holds per kept level of axis a, ascending, the four `_axis_allocation`
+    moves (up, then down) as (slice of the edge-padded axis, 0.5 * weight).
     """
 
     def __init__(self, time: TimeGrid, space: SpaceGrid, box: VolatilityBox):
@@ -210,9 +206,12 @@ class Lattice:
         for a, (h, p) in enumerate(zip(space.spacing, space.shape)):
             levels = sorted(set(box.axis_grid(a).tolist()))
             ups = [_axis_allocation(math.sqrt(s2 * dt), h) for s2 in levels]
-            # a level whose two neighbours share its bracket m is dominated
-            m = [None] + [up[0][0] for up in ups] + [None]
-            kept = [i for i in range(len(ups)) if not m[i] == m[i + 1] == m[i + 2]]
+            # dominated: the left neighbour shares bracket m and the right one
+            # closes it, sharing it or landing on node m + 1 (w_hi == 0)
+            m = [up[0][0] for up in ups]
+            closes = [mi - (up[1][1] == 0.0) for mi, up in zip(m, ups)]
+            kept = [i for i in range(len(ups)) if i in (0, len(ups) - 1)
+                    or not m[i - 1] == m[i] == closes[i + 1]]
             kept_levels.append([levels[i] for i in kept])
             ups = [ups[i] for i in kept]
             reach = max(off for up in ups for off, _ in up)
@@ -224,7 +223,7 @@ class Lattice:
         self.combos = np.array(list(itertools.product(*kept_levels)))
         self._combo_levels = list(itertools.product(*(range(len(lv)) for lv in kept_levels)))
 
-    # -- grid conveniences -------------------------------------------------
+    # -- grid conveniences
     @property
     def d(self) -> int:
         return self.space.d
@@ -245,7 +244,7 @@ class Lattice:
     def origin_index(self) -> tuple:
         return self.space.origin_index
 
-    # -- transition operator -----------------------------------------------
+    # -- transition operator
     def edge_pad(self, values: np.ndarray, a: int) -> np.ndarray:
         """Repeat the boundary nodes of axis a out to that axis's reach."""
         return np.take(values, self._pad_index[a], axis=a)
@@ -296,30 +295,22 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
 
     The package's only worst-case backward-induction loop. Every trailing
     axis of terminal_values (*grid, *trailing) is an independent value
-    column, so state beyond the grid (a recorded monitoring state, a
-    running-maximum level) rides on one. A stage that stops short of layer 0
-    passes its length as start_layer; k then counts from its first layer.
+    column (a monitoring state or running-maximum level rides on one). A
+    stage that stops short of layer 0 passes its length as start_layer.
 
-    Running costs come in two kinds, each already carrying its own time
-    weight. step_cost(k, combo_index) depends on the covariance
-    lattice.combos[combo_index] and is added to every candidate of layer k;
-    it must be affine in sigma^2 within a bracket, as the costs of
-    solver.picard_step and harness._curvature_cross_terms are, or the grid
-    levels that Lattice drops could have won. layer_cost(k) does not depend
-    on sigma^2; it is added once, to the maximum. That is exact: rounding is
+    step_cost(k, combo_index), time weight included, is added to every
+    candidate of layer k; it must be affine in sigma^2 within a bracket, or
+    the levels that Lattice drops could have won. layer_cost(k) does not
+    depend on sigma^2 and is added once, to the maximum: rounding is
     monotone, so max_c fl(a_c + b) == fl(max_c a_c + b).
 
-    `store` takes three forms. False returns layer 0 only. A grid index
-    (such as lattice.origin_index) keeps values[index] of every layer and
-    returns them stacked, first layer first: memory grows with what the
-    index selects, not with the grid. True keeps every layer and returns
-    (layers, policy); only this form tracks a policy. The policy scans the
-    candidates in combo order with a strict improvement test, so ties keep
-    the lexicographically smallest covariance; it ranks the candidates
-    without layer_cost. Without a policy the candidates are reduced with
-    np.maximum(candidate, best), which keeps `best` on ties, signed zeros
-    included, so the values carry the scan's bits; unlike the scan, it
-    propagates NaN.
+    store=False returns layer 0; a grid index (such as
+    lattice.origin_index) returns values[index] of every layer, first layer
+    first; True returns (every layer, policy). The policy scans the combos
+    in order with a strict improvement test, so ties keep the smallest
+    covariance, and ranks without layer_cost. Without a policy,
+    np.maximum(candidate, best) keeps `best` on ties, signed zeros
+    included, so the values carry the scan's bits (but propagate NaN).
     """
     n_layers = lattice.steps if start_layer is None else start_layer
     values = np.asarray(terminal_values, dtype=float)
@@ -368,15 +359,9 @@ class ScenarioField:
 
 
 def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional) -> ScenarioField:
-    """Full worst-case conditional expectation field of a terminal payoff.
-
-    The maximum runs over the box grid's covariance combos less the
-    dominated levels (`lattice.combos`), and equals the maximum over the
-    whole box grid. Each child mean is piecewise affine in sigma2, with
-    breakpoints where a move lands on a node, so the maximum over the whole
-    box sits at a corner or a breakpoint. policy_idx indexes
-    lattice.combos, not box.sigma2_combos().
-    """
+    """Full worst-case conditional expectation field of a terminal payoff,
+    the maximum over the whole box grid; policy_idx indexes lattice.combos,
+    not box.sigma2_combos()."""
     if terminal.monitor_time is not None:
         raise InputError("field extraction supports terminal-state payoffs only; "
                          "monitored payoffs are limited to plain expectations")
@@ -444,10 +429,9 @@ def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
           signs: Callable, m: int):
     """Walk m paths from the origin under a covariance control.
 
-    Per step k, control(k, x) on the (m, d) positions must give covariance
-    diagonals inside the box, broadcastable to (m, d); each axis then moves
-    by sqrt(sig2 * dt) times the +/-1 entries of signs(k), shape (m, d).
-    Yields (sig2_k, dx_k, x_{k+1}) and keeps only the current positions.
+    Per step k, control(k, x) gives covariance diagonals inside the box,
+    broadcastable to (m, d); each axis moves by sqrt(sig2 * dt) times the
+    +/-1 entries of signs(k). Yields (sig2_k, dx_k, x_{k+1}).
     """
     d = box.d
     x = np.zeros((m, d))

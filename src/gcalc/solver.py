@@ -1,12 +1,11 @@
 """Second-order BSDE engine under volatility uncertainty.
 
-The value field of a worst-case conditional expectation is decomposed into a
-gradient integrand Z (spatial central differences), a curvature integrand eta
-(second differences, shifted by twice the bracket driver so the pathwise
-budget identity closes under every admissible control), and a nondecreasing
-compensator K that vanishes under the argmax covariance policy. A damped
-fixed-point driver loop produces the coupled solution; an independent
-layerwise-implicit single-control solver serves as the degenerate-box oracle.
+A worst-case value field Y is decomposed into a gradient integrand Z, a
+curvature integrand eta (shifted by twice the bracket driver so the pathwise
+budget identity closes under every admissible control) and a nondecreasing
+compensator K that vanishes under the argmax policy. A fixed-point loop
+solves the coupled equation; a layerwise-implicit single-control solver is
+the degenerate-box oracle.
 """
 from __future__ import annotations
 
@@ -23,7 +22,8 @@ from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _sweep, _walk,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
-from .calculus import admissible_betas, weighted_norms
+from .calculus import (_block_layers, _layer_reader, _layerwise_norms,
+                       admissible_betas, weighted_norms)
 
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
@@ -96,16 +96,16 @@ class GBsdeParams:
 
 @dataclass
 class BsdeSolution:
-    """Lattice solution fields. Shapes: Y (steps+1, *grid, n);
-    Z (steps+1, *grid, d, n); eta (steps+1, *grid, n, d);
-    K_inc (steps, *grid, n); policy_idx (steps, *grid, n)."""
+    """Lattice solution fields. Shapes: Y (steps+1, *grid, n); policy_idx
+    and K_inc (steps, *grid, n); g_field, the bracket coefficients,
+    (steps+1, *grid, n, d) or None (no curvature shift). Z (.., d, n) and
+    eta (.., n, d) are derived: package readers take blocks of layers from
+    integrands(ks); the full stacks are built on first read."""
 
     lattice: Lattice
     Y: np.ndarray
-    Z: np.ndarray
-    eta: np.ndarray
     policy_idx: np.ndarray
-    g_field: np.ndarray
+    g_field: Optional[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -115,15 +115,29 @@ class BsdeSolution:
     def y0(self) -> np.ndarray:
         return self.Y[(0,) + self.lattice.origin_index]
 
+    def integrands(self, ks: slice) -> tuple:
+        """(Z, eta) over the layers ks."""
+        g = None if self.g_field is None else self.g_field[ks]
+        return extract_integrands(self.Y[ks], self.lattice, g)
+
+    _stacks = functools.cached_property(lambda self: self.integrands(slice(None)))
+    Z = property(lambda self: self._stacks[0])
+    eta = property(lambda self: self._stacks[1])
+
     @functools.cached_property
     def K_inc(self) -> np.ndarray:
         """Per-step compensator increments under the argmax policy, derived
-        from eta on first read; nonnegative because the policy stays inside
-        the box."""
+        from eta a block of layers at a time on first read; nonnegative
+        because the policy stays inside the box."""
+        lat = self.lattice
         steps = self.policy_idx.shape[0]
-        eta = self.eta[:steps]
-        return _compensator_increments(g_corner(eta, self.lattice.box), eta,
-                                       self.lattice.combos[self.policy_idx], self.lattice)
+        out = np.empty(self.policy_idx.shape)
+        size = _block_layers(lat, 3 * lat.d * self.n)
+        for ks in (slice(k, min(k + size, steps)) for k in range(0, steps, size)):
+            eta = self.integrands(ks)[1]
+            out[ks] = _compensator_increments(g_corner(eta, lat.box), eta,
+                                              lat.combos[self.policy_idx[ks]], lat)
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,31 +183,27 @@ class CompensatorReport:
 # Field extraction
 # ---------------------------------------------------------------------------
 
-def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    w = np.moveaxis(values, axis, 0)
-    out = np.empty_like(w)
-    out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    out[0] = out[1]      # one-sided: reuse the adjacent interior estimate
-    out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
-
-
 def extract_integrands(values: np.ndarray, lattice: Lattice,
                        g_field: Optional[np.ndarray] = None):
-    """Gradient and curvature integrands of a value field.
-
-    values has shape (layers, *grid, n). The curvature integrand is the
-    spatial second difference plus twice the bracket-driver coefficients,
-    which is the coefficient the bracket picks up in the budget identity.
-    """
-    spacing = lattice.space.spacing
-    grads = [np.gradient(values, spacing[a], axis=1 + a, edge_order=1)
-             for a in range(lattice.d)]
-    z = np.stack(grads, axis=-2)
-    curv = [_second_diff(values, spacing[a], 1 + a) for a in range(lattice.d)]
-    eta = np.stack(curv, axis=-1)
+    """Gradient and curvature integrands of a value field (layers, *grid, n):
+    central differences, one-sided at the edges (np.gradient, edge_order=1),
+    and second differences, the edges copied from the adjacent interior node,
+    plus twice the bracket-driver coefficients, which the bracket picks up
+    in the budget identity."""
+    z = np.empty(values.shape[:-1] + (lattice.d, values.shape[-1]))
+    eta = np.empty(values.shape + (lattice.d,))
+    for a, h in enumerate(lattice.space.spacing):
+        lead = (slice(None),) * (1 + a)    # index tuples along grid axis a
+        hi, lo, mid, first, second, last, penult = (lead + (i,) for i in (
+            slice(2, None), slice(None, -2), slice(1, -1), 0, 1, -1, -2))
+        v, dz, de = values, z[..., a, :], eta[..., a]
+        dz[mid] = (v[hi] - v[lo]) / (2.0 * h)
+        dz[first] = (v[second] - v[first]) / h
+        dz[last] = (v[last] - v[penult]) / h
+        de[mid] = (v[hi] - 2.0 * v[mid] + v[lo]) / (h * h)
+        de[first], de[last] = de[second], de[penult]
     if g_field is not None:
-        eta = eta + 2.0 * g_field
+        eta += 2.0 * g_field
     return z, eta
 
 
@@ -204,60 +214,77 @@ def _compensator_increments(g: np.ndarray, eta: np.ndarray, sig2: np.ndarray,
     return (g - 0.5 * np.sum(eta * sig2, axis=-1)) * lattice.dt
 
 
+def _fields_at(fields, ks: slice) -> tuple:
+    """(Y, Z, eta) over the layers ks of a solution or of a (Y, Z, eta)
+    tuple of stacks, whose blocks are made contiguous like a solution's."""
+    if isinstance(fields, BsdeSolution):
+        return (fields.Y[ks],) + fields.integrands(ks)
+    return tuple(np.ascontiguousarray(a[ks]) for a in fields)
+
+
 def represent_martingale(terminal: TerminalFunctional, lattice: Lattice) -> BsdeSolution:
     """Decompose the worst-case conditional expectation of a payoff."""
     fld = conditional_expectation_field(lattice, terminal)
-    g_zero = np.zeros(fld.values.shape + (lattice.d,))
-    z, eta = extract_integrands(fld.values, lattice)
-    return BsdeSolution(lattice=lattice, Y=fld.values, Z=z, eta=eta,
-                        policy_idx=fld.policy_idx, g_field=g_zero)
+    return BsdeSolution(lattice=lattice, Y=fld.values, policy_idx=fld.policy_idx,
+                        g_field=None)
 
 
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _driver_fields(params: GBsdeParams, lattice: Lattice, y: np.ndarray,
-                   z: np.ndarray, eta: np.ndarray):
-    """Evaluate both drivers layer by layer on frozen input fields."""
-    times = lattice.time.times()
-    n = params.terminal.n
+def _driver_fields(params: GBsdeParams, lattice: Lattice, ks: slice,
+                   y: np.ndarray, z: np.ndarray, eta: np.ndarray):
+    """Evaluate both drivers layer by layer over the layers ks, given the
+    frozen input fields on them."""
+    times = lattice.time.times()[ks]
     f_vals = np.empty(y.shape)
     g_vals = np.empty(y.shape + (lattice.d,))
-    for k in range(lattice.steps + 1):
-        f_vals[k] = np.asarray(params.f.fn(times[k], y[k], z[k], eta[k]), dtype=float)
-        g_vals[k] = np.asarray(params.g.fn(times[k], y[k], z[k], eta[k]), dtype=float)
+    for i, t in enumerate(times):
+        f_vals[i] = np.asarray(params.f.fn(t, y[i], z[i], eta[i]), dtype=float)
+        g_vals[i] = np.asarray(params.g.fn(t, y[i], z[i], eta[i]), dtype=float)
     if not (np.isfinite(f_vals).all() and np.isfinite(g_vals).all()):
         raise InputError("driver produced non-finite values")
     return f_vals, g_vals
 
 
 def picard_step(inputs, params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
-    """One contraction-map application on frozen (y, z, eta) input fields.
-
-    The drivers enter the backward maximization as running cost
-    (f + g : sigma2) * dt; the output integrands are then read off the new
-    value field, with the curvature shifted by the bracket coefficients.
-    """
-    y_in, z_in, eta_in = inputs
-    f_vals, g_vals = _driver_fields(params, lattice, y_in, z_in, eta_in)
+    """One contraction-map application on frozen input fields: a (y, z, eta)
+    tuple of stacks, or the previous iterate. The drivers enter the backward
+    maximization as running cost (f + g : sigma2) * dt; the new g_field is a
+    zero-stride +0.0 field while every bracket coefficient is +0.0."""
     terminal_values = params.terminal.evaluate(lattice.states)
-    dt = lattice.dt
+    dt, steps = lattice.dt, lattice.steps
+    kept = None   # the bracket coefficients, once one is not +0.0
+
+    def drivers(ks):
+        nonlocal kept
+        f_vals, g_vals = _driver_fields(params, lattice, ks, *_fields_at(inputs, ks))
+        if kept is None and (g_vals.any() or np.signbit(g_vals).any()):
+            kept = np.zeros((steps + 1,) + g_vals.shape[1:])
+        if kept is not None:
+            kept[ks] = g_vals
+        return f_vals, g_vals
+
+    n, d = params.terminal.n, lattice.d
+    read = _layer_reader(drivers, _block_layers(lattice, n * (2 + 3 * d)), steps + 1)
+    read(steps)   # the last layer's drivers are checked and kept like the others
 
     def step_cost(k, c):
-        return (f_vals[k] + g_vals[k] @ lattice.combos[c]) * dt
+        f_k, g_k = read(k)
+        return (f_k + g_k @ lattice.combos[c]) * dt
 
     values, policy = _sweep(lattice, terminal_values, step_cost, store=True)
-    z, eta = extract_integrands(values, lattice, g_field=g_vals)
-    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta,
-                        policy_idx=policy, g_field=g_vals)
+    if kept is None:
+        kept = np.broadcast_to(0.0, values.shape + (d,))
+    return BsdeSolution(lattice=lattice, Y=values, policy_idx=policy, g_field=kept)
 
 
 def _zero_fields(lattice: Lattice, n: int):
+    """Zero (Y, Z, eta) fields as zero-stride views."""
     shape = (lattice.steps + 1,) + lattice.space.shape
-    return (np.zeros(shape + (n,)),
-            np.zeros(shape + (lattice.d, n)),
-            np.zeros(shape + (n, lattice.d)))
+    return tuple(np.broadcast_to(0.0, shape + tail)
+                 for tail in ((n,), (lattice.d, n), (n, lattice.d)))
 
 
 def default_penalties(params: GBsdeParams, lattice: Lattice) -> tuple:
@@ -285,9 +312,12 @@ def triple_distance_sq(delta_y, delta_z, delta_eta, lattice: Lattice, beta: floa
 
 def _distance_sq(step: BsdeSolution, fields, lattice: Lattice, betas: tuple) -> list:
     """Squared weighted triple distance between an iterate and its input
-    fields, one entry per beta."""
-    delta = (step.Y - fields[0], step.Z - fields[1], step.eta - fields[2])
-    return _triple_sq(weighted_norms(delta, lattice, betas))[0]
+    fields, one entry per beta, formed a block of layers at a time."""
+    def deltas(ks):
+        return [a - b for a, b in zip(_fields_at(step, ks), _fields_at(fields, ks))]
+
+    width = 3 * step.n * (1 + 2 * lattice.d)
+    return _triple_sq(_layerwise_norms(deltas, 3, lattice, betas, width))[0]
 
 
 def _factors(sq: list, tol: float) -> tuple:
@@ -316,25 +346,19 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
                 initial: Optional[tuple] = None) -> tuple:
     """Iterate the contraction map to its fixed point.
 
-    Starts from `initial`, a (Y, Z, eta) tuple of fields, or from zero
-    fields. Stops when the unweighted triple distance between successive
-    iterates falls below tol. When beta is not given, the BETA_SCAN grid is
-    searched for the smallest weight whose measured per-iteration squared
-    contraction stays within the theoretical factor; it is reported as
-    beta0_empirical. Raises InputError when mu or nu is not positive with a
+    Starts from `initial`, a (Y, Z, eta) tuple of fields, or from zero.
+    Stops when the unweighted triple distance between successive iterates
+    falls below tol. Without beta, BETA_SCAN is searched for the smallest
+    weight whose measured squared contraction stays within the theoretical
+    factor (beta0_empirical). Raises InputError for a mu or nu without a
     finite nonzero square and reciprocal square, and ConvergenceError (with
-    the distance trace) when max_iter is hit or as soon as a distance is not
-    finite.
+    the distance trace) at max_iter or at a distance that is not finite.
 
-    The scan is lazy: a beta that has failed can never become beta0, and no
-    later beta matters while the first one passes. Each iteration measures
-    beta 0 (the stopping test) and scan[0], which is always kept for the
-    fallback report. When scan[0] fails at iteration i, the first i iterates
-    are recomputed once from the starting fields to measure every later scan
-    beta, and each of them that has not failed is measured from then on
-    until it fails. So the diagnostic costs at most i extra Picard steps and
-    never more norm columns per iteration than a full scan, and every
-    reported number equals the full scan's.
+    The scan is lazy: a failed beta can never become beta0, and no later
+    beta matters while scan[0] passes. Each iteration measures beta 0 (the
+    stopping test) and scan[0]; once scan[0] fails at iteration i, the first
+    i iterates are recomputed once to measure the later betas, each from
+    then on until it fails. Every reported number equals the full scan's.
     """
     params.spot_check(lattice.d, np.random.default_rng(0))
     mu2, nu2 = default_penalties(params, lattice)
@@ -375,7 +399,7 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
                 f"{len(distances)}", trace=distances)
         for b, sq in zip(betas, sq_betas):
             sq_by_beta[b].append(sq)
-        fields = (solution.Y, solution.Z, solution.eta)
+        fields = solution
         if pending and failed(sq_by_beta[scan[0]]):
             sq_by_beta.update(_rerun(starting_fields(), params, lattice,
                                      pending, len(distances)))
@@ -422,7 +446,7 @@ def _rerun(fields, params: GBsdeParams, lattice: Lattice, betas: tuple,
         step = picard_step(fields, params, lattice)
         for b, sq in zip(betas, _distance_sq(step, fields, lattice, betas)):
             sq_by_beta[b].append(sq)
-        fields = (step.Y, step.Z, step.eta)
+        fields = step
     return sq_by_beta
 
 
@@ -431,12 +455,8 @@ def _rerun(fields, params: GBsdeParams, lattice: Lattice, betas: tuple,
 # ---------------------------------------------------------------------------
 
 def _coin_flips(rng: np.random.Generator, steps: int, m: int, d: int) -> np.ndarray:
-    """Coin flips of one path group as packed bits, shape (steps, bytes).
-
-    One (steps, m * d) draw reads the stream exactly as `steps` successive
-    (m, d) draws would; packing keeps a 64 x 256-path Monte Carlo check at
-    half a megabyte instead of 26.
-    """
+    """Coin flips of one path group as packed bits, shape (steps, bytes):
+    one (steps, m * d) draw reads the stream as `steps` (m, d) draws would."""
     return np.packbits(rng.integers(0, 2, size=(steps, m * d)), axis=1)
 
 
@@ -462,17 +482,13 @@ def _residual_groups(rng: np.random.Generator, lat: Lattice, n: int,
 
 def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
             m: int) -> list:
-    """Replay path groups of m paths each in one forward loop.
-
-    A group (comp, table, flips) is driven by component comp's argmax
-    policy at the nearest node when table is None (such groups come
-    first), else by the covariance diagonals table[k]. Drivers see the full
-    n-component field values; the budget identity is accumulated for comp
-    alone. Returns per group (largest |Y_t - right side|, smallest Y_t minus
-    the K-free right side, both over t < T, and the terminal gap). Each step
-    makes one interpolation: the five fields it reads are packed into one
-    layer, so the axis weights are computed once per step.
-    """
+    """Replay path groups (comp, table, flips) of m paths in one forward loop,
+    driven by comp's argmax policy at the nearest node when table is None
+    (such groups come first), else by the covariances table[k]. Drivers see
+    all n components; the budget identity is summed for comp. Returns per
+    group (largest |Y_t - right side|, smallest Y_t minus the K-free right
+    side, both over t < T, and the terminal gap). Each step interpolates its
+    five fields as one packed layer."""
     lat = solution.lattice
     space, dt, steps, d = lat.space, lat.dt, lat.steps, lat.d
     times = lat.time.times()
@@ -500,15 +516,20 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     terms = np.empty((steps, 5, rows.size))
     grid, n = space.shape, solution.n
     cuts = np.cumsum([n, d * n, n * d, d * n])
+    read = _layer_reader(solution.integrands, _block_layers(lat, 2 * d * n), steps + 1)
+    g_field = solution.g_field
     for k, (s2, db, x_next) in enumerate(walk):
         # Y, Z, eta at layer k, then the integrands that close the discrete
         # budget identity, read from the *next* layer's field (the field being
         # incremented); the bracket-driver shift stays at layer k to match the
         # backward step
+        z_now, eta_now = read(k)
+        z_next, curv_next = read(k + 1)
+        if g_field is not None:
+            curv_next = curv_next - 2.0 * g_field[k + 1]
         packed = np.concatenate(
             [a.reshape(grid + (-1,)) for a in (
-                solution.Y[k], solution.Z[k], solution.eta[k], solution.Z[k + 1],
-                solution.eta[k + 1] - 2.0 * solution.g_field[k + 1])], axis=-1)
+                solution.Y[k], z_now, eta_now, z_next, curv_next)], axis=-1)
         y_all, z_all, eta_all, z_next, curv_next = np.split(
             evaluate_field(space, packed, x), cuts, axis=-1)
         z_all = z_all.reshape(-1, d, n)
@@ -551,20 +572,14 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
                    n_paths: int = 64, seed: int = 20240, n_controls: int = 8) -> ResidualReport:
     """Reconstruct the budget identity along replayed paths.
 
-    Along argmax-policy paths the identity must close: the report's headline
-    max_residual is the largest gap between Y_t and the reconstructed right
-    side over all paths, grid times, and components. Under random box
-    controls Y_t must dominate the compensator-free right side (reported as
-    off_policy_min_margin, which should be no less than a small negative
-    tolerance).
-
-    The report depends only on the solution, the drivers, seed, n_paths and
-    n_controls. Random numbers are drawn per path group of n_paths paths: the
-    n policy groups first, then per control its uniform (steps, d) table
-    followed by its n groups; each group's coin flips are one
-    (steps, n_paths * d) draw. Groups share forward loops of at most
-    REPLAY_BATCH_PATHS paths, which changes no report bit; each loop makes
-    one interpolation per step.
+    Along argmax-policy paths it must close: max_residual is the largest gap
+    between Y_t and the reconstructed right side over all paths, times and
+    components. Under random box controls Y_t must dominate the
+    compensator-free right side (off_policy_min_margin, at least a small
+    negative tolerance). Random numbers come per group of n_paths paths: the
+    n policy groups, then per control its uniform (steps, d) table and its n
+    groups, each group's flips one (steps, n_paths * d) draw. Groups share
+    loops of at most REPLAY_BATCH_PATHS paths, which changes no report bit.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
@@ -597,18 +612,14 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
                          comp: int = 0) -> CompensatorReport:
     """Monte Carlo worst case of E[-K_T] over corner controls.
 
-    Paths read all fields at the nearest node so compensator increments match
-    the stored corner algebra exactly. The control family holds the argmax
-    policy, the curvature-corner rule (the discrete worst-case measure, under
-    which K_T vanishes identically), plus random time-dependent corner
-    controls. The supremum must sit within three standard errors of zero.
-
-    The report depends only on the solution, seed, n_paths and n_controls.
-    Random numbers are drawn per control of n_paths paths: the coin flips of
-    the policy and of the curvature-corner rule, then per random control its
-    (steps,) corner picks followed by its coin flips, each one
-    (steps, n_paths * d) draw. All controls run in one forward loop, which
-    computes G once per node layer and gathers it at the paths' nearest nodes.
+    Paths read every field at the nearest node, so the increments match the
+    corner algebra exactly. The controls are the argmax policy, the
+    curvature-corner rule (the discrete worst-case measure, under which K_T
+    vanishes) and random time-dependent corners; the supremum must sit
+    within three standard errors of zero. Random numbers come per control of
+    n_paths paths: the flips of the first two, then per random control its
+    (steps,) corner picks and its flips, each one (steps, n_paths * d) draw.
+    All controls share one forward loop, with G computed once per layer.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
@@ -632,11 +643,13 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     n_groups = n_tables + 2
     sig2 = np.empty((n_groups, m, d))
     idx = eta_k = None   # set by the control: each step's nearest nodes, their curvature
+    read = _layer_reader(solution.integrands, _block_layers(lat, 2 * d * solution.n),
+                         steps)
 
     def control(k, x):
         nonlocal idx, eta_k
         idx = nearest_index(lat.space, x)
-        eta_k = solution.eta[(k,) + idx + (comp,)].reshape(n_groups, m, d)
+        eta_k = read(k)[1][idx + (comp,)].reshape(n_groups, m, d)
         sig2[0] = lat.combos[solution.policy_idx[
             (k,) + tuple(i[:m] for i in idx) + (comp,)]]
         sig2[1] = np.where(eta_k[1] > 0.0, up, lo)
@@ -646,7 +659,7 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     k_total = np.zeros((n_groups, m))
     for k, _ in enumerate(_walk(lat.time, lat.box, control,
                                 lambda k: _signs(flips[k], m, d), n_groups * m)):
-        g_node = g_corner(solution.eta[k, ..., comp, :], lat.box)
+        g_node = g_corner(read(k)[1][..., comp, :], lat.box)
         k_total += _compensator_increments(g_node[idx].reshape(n_groups, m),
                                            eta_k, sig2, lat)
     estimates = np.mean(-k_total, axis=1)
@@ -670,9 +683,8 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
 
     Solves each layer's implicit equation y = E[y_next] + (f + g : sigma2) dt
     by fixed-point iteration with integrands read from the layer itself,
-    until a sup-norm step below 1e-13 (at most 200 iterations). This is an
-    independent route to the same fixed point the contraction solver
-    reaches when the box has zero width.
+    until a sup-norm step below 1e-13 (at most 200 iterations): an
+    independent route to the contraction solver's zero-width fixed point.
     """
     if not lattice.box.is_degenerate:
         raise DegenerateBoxError("classical oracle requires a zero-width box")
@@ -684,22 +696,13 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
     values = np.empty(shape + (n,))
     g_field = np.zeros(shape + (n, lattice.d))
     values[-1] = params.terminal.evaluate(lattice.states)
-    spacing = lattice.space.spacing
-
-    def layer_integrands(y_layer, g_prev):
-        grads = [np.gradient(y_layer, spacing[a], axis=a, edge_order=1)
-                 for a in range(lattice.d)]
-        z = np.stack(grads, axis=-2)
-        curv = [_second_diff(y_layer, spacing[a], a) for a in range(lattice.d)]
-        eta = np.stack(curv, axis=-1) + 2.0 * g_prev
-        return z, eta
 
     for k in range(lattice.steps - 1, -1, -1):
         anchor = next(lattice.child_means(values[k + 1]))   # combo 0; all coincide
         y = anchor.copy()
         g_prev = np.zeros(anchor.shape + (lattice.d,))
         for _ in range(200):
-            z, eta = layer_integrands(y, g_prev)
+            (z,), (eta,) = extract_integrands(y[None], lattice, g_prev[None])
             f_val = np.asarray(params.f.fn(times[k], y, z, eta), dtype=float)
             g_val = np.asarray(params.g.fn(times[k], y, z, eta), dtype=float)
             y_new = anchor + (f_val + g_val @ sigma2) * dt
@@ -716,7 +719,7 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
     # curvature shift with the payoff held fixed.
     g_prev = np.zeros(values[-1].shape + (lattice.d,))
     for _ in range(200):
-        z_l, eta_l = layer_integrands(values[-1], g_prev)
+        (z_l,), (eta_l,) = extract_integrands(values[-1:], lattice, g_prev[None])
         g_new = np.asarray(params.g.fn(times[-1], values[-1], z_l, eta_l), dtype=float)
         gap = float(np.max(np.abs(g_new - g_prev)))
         g_prev = g_new
@@ -726,7 +729,5 @@ def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
         raise ConvergenceError("final-layer bracket coefficients did not converge")
     g_field[-1] = g_prev
 
-    z, eta = extract_integrands(values, lattice, g_field=g_field)
     policy = np.zeros((lattice.steps,) + lattice.space.shape + (n,), dtype=np.int16)
-    return BsdeSolution(lattice=lattice, Y=values, Z=z, eta=eta,
-                        policy_idx=policy, g_field=g_field)
+    return BsdeSolution(lattice=lattice, Y=values, policy_idx=policy, g_field=g_field)

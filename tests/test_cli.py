@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
 from gcalc.calculus import ratio_decay_report
-from gcalc.cli import (COMMANDS, _fields_csv, _fmt, _write_outputs,
+from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES,
+                       STACK_BUDGET_BYTES, _fields_csv, _fmt, _write_outputs,
                        build_experiment, main)
 
 from conftest import make_lattice
@@ -156,6 +157,39 @@ def test_origin_series_memory_stays_below_one_layer_stack(tmp_path, command, ext
         tracemalloc.stop()
     assert rc == 0
     assert peak < stack_bytes, f"traced peak {peak} >= one layer stack {stack_bytes}"
+
+
+def footprint_config(command, steps):
+    """A 2-d config on the engine's largest grid, 1025 x 1025 nodes."""
+    cfg = {**DESK_2D, "time": {"horizon": 1.0, "steps": steps},
+           "space": {"points": 1025}, "payoff": {"id": "quadratic"}}
+    if command == "capacity":
+        cfg["event"] = {"payoff": {"id": "linear"}, "level": 1.0}
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(MAX_LAYER_NODES))
+def test_footprint_rule_exits_2_past_the_stack_budget(tmp_path, capsys, command):
+    # footprints come from the shapes alone: the rule is checked before the
+    # lattice is built, and the runs past it never start
+    limit = MAX_LAYER_NODES[command]
+    assert limit * 8 * LAYER_STACKS[command] <= STACK_BUDGET_BYTES
+    nodes = 1025 ** 2
+    steps = limit // nodes - 1              # the most steps within the limit
+    assert (steps + 1) * nodes <= limit < (steps + 2) * nodes
+    build_experiment(footprint_config(command, steps), command, None, None)
+    rc, out = run_cli(tmp_path, command, footprint_config(command, steps + 1))
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"limit of {limit:,}" in err
+
+
+@pytest.mark.parametrize("command", ["expect", "capacity"])
+def test_footprint_rule_exempts_the_origin_series(command):
+    # at the engine's caps: 401 layers of 1025 x 1025 nodes
+    ctx = build_experiment(footprint_config(command, 400), command, None, None)
+    assert (ctx.lattice.steps + 1) * ctx.lattice.states[..., 0].size > max(
+        MAX_LAYER_NODES.values())
 
 
 def test_expect_leaves_numpy_ma_unimported(tmp_path):
@@ -564,9 +598,11 @@ def test_fields_csv_writes_special_floats_like_the_per_cell_formatter(tmp_path):
     specials = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300, 0.0, 1.5])
     filled = {name: np.resize(np.roll(specials, shift), getattr(sol, name).shape)
               for shift, name in enumerate(("Y", "Z", "eta", "K_inc"))}
-    k_inc = filled.pop("K_inc")
-    sol = dataclasses.replace(sol, **filled)
-    sol.K_inc = k_inc        # a derived field: set it after replace
+    sol = dataclasses.replace(sol, Y=filled["Y"])
+    # derived fields: set them after replace; Z and eta through the block
+    # reader, which the Z and eta properties read as well
+    sol.K_inc = filled["K_inc"]
+    sol.integrands = lambda ks: (filled["Z"][ks], filled["eta"][ks])
     header, _ = _fields_csv(sol)
     text = written_fields_csv(tmp_path, sol)
     assert_same_lines(text, csv_text(header, reference_fields_rows(sol)))

@@ -325,10 +325,19 @@ def bracket(lattice, a, s2):
     return _axis_allocation(math.sqrt(s2 * lattice.dt), lattice.space.spacing[a])[0][0]
 
 
+def pieces(lattice, a, s2):
+    """The affine pieces of the child mean in sigma^2 that hold one level of
+    axis a: its bracket m, and bracket m - 1 as well when the level's move
+    lands on node m exactly (no weight on node m + 1)."""
+    (m, _), (_, w_hi) = _axis_allocation(math.sqrt(s2 * lattice.dt),
+                                         lattice.space.spacing[a])
+    return {m - 1, m} if w_hi == 0.0 else {m}
+
+
 PRUNE_CASES = [
     # (lower, upper, steps, points, grid_points); kept levels in the comments
     ((1.0,), (6.0,), 8, 101, 11),                # 1, 2.5 | 3, 6: straddles m = 1, 2
-    ((1.0,), (4.0,), 16, 97, 9),                 # 1, 3.625 | 4: 1 and 4 land on nodes
+    ((1.0,), (4.0,), 16, 97, 9),                 # 1 | 4: 1 and 4 land on nodes
     ((1.0, 1.0), (3.0, 4.0), 4, (49, 53), 7),    # 1, 3 x 1, 3 | 3.5, 4
     ((1.0, 2.0), (3.0, 2.0), 4, (49, 45), 5),    # 1, 2.5 | 3 x 2: degenerate axis
 ]
@@ -342,6 +351,10 @@ def test_kept_levels():
     spread = make_lattice(upper=(25.0,), steps=4, points=121)
     assert [bracket(spread, 0, s2) for s2 in spread.combos[:, 0]] == [1, 2, 3, 4, 5]
     assert np.array_equal(spread.combos, spread.box.sigma2_combos())
+    # 4 lands on node 2, so it closes bracket 1, which runs from 1 to 3.625
+    closed = make_lattice(steps=16, points=97, grid_points=9)
+    assert [bracket(closed, 0, s2) for s2 in closed.box.axis_grid(0)] == [1] * 8 + [2]
+    assert closed.combos.ravel().tolist() == [1.0, 4.0]
     for lower, upper, steps, points, grid_points in OPERATOR_CASES + PRUNE_CASES:
         lat = make_lattice(lower=lower, upper=upper, steps=steps, points=points,
                            grid_points=grid_points)
@@ -350,10 +363,11 @@ def test_kept_levels():
         for a in range(lat.d):
             kept = sorted(set(lat.combos[:, a].tolist()))
             assert kept[0] == lat.box.lower[a] and kept[-1] == lat.box.upper[a]
-            # per bracket, the smallest and the largest grid level stay
+            # per affine piece, the smallest and the largest grid level stay
             runs = {}
             for s2 in lat.box.axis_grid(a).tolist():
-                runs.setdefault(bracket(lat, a, s2), set()).add(s2)
+                for piece in pieces(lat, a, s2):
+                    runs.setdefault(piece, set()).add(s2)
             assert kept == sorted(set().union(*({min(r), max(r)} for r in runs.values())))
         assert rows == list(product(*(sorted(set(lat.combos[:, a].tolist()))
                                       for a in range(lat.d))))

@@ -14,7 +14,7 @@ from gcalc import (Driver, GBsdeParams, TerminalFunctional, classical_oracle,
                    compensator_mc_check, extract_integrands, picard_step,
                    represent_martingale, residual_check, solve_gbsde)
 from gcalc import solver
-from gcalc.calculus import MAX_EXPONENT, weighted_norms
+from gcalc.calculus import MAX_EXPONENT, _layerwise_norms, weighted_norms
 from gcalc.catalog import make_driver, make_payoff
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
 from gcalc.gtensor import g_corner
@@ -334,8 +334,9 @@ def _ref_replay_component(solution, params, comp, control, n_paths, rng):
         g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[:, comp, :]
         z_k = evaluate_field(space, solution.Z[k + 1], x)[:, :, comp]
-        curv_next = evaluate_field(
-            space, solution.eta[k + 1] - 2.0 * solution.g_field[k + 1], x)
+        # a representation has no bracket shift (g_field None)
+        shift = 0.0 if solution.g_field is None else 2.0 * solution.g_field[k + 1]
+        curv_next = evaluate_field(space, solution.eta[k + 1] - shift, x)
         eta_k = curv_next[:, comp, :] + 2.0 * g_val
         signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
         db = np.sqrt(sig2 * dt) * signs
@@ -777,11 +778,11 @@ def test_lazy_beta_scan_keeps_the_divergence_trace(small_lat):
 def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
     asked = []
 
-    def recording(fields, lattice, betas):
+    def recording(layers, count, lattice, betas, width):
         asked.append(tuple(betas))
-        return weighted_norms(fields, lattice, betas)
+        return _layerwise_norms(layers, count, lattice, betas, width)
 
-    monkeypatch.setattr(solver, "weighted_norms", recording)
+    monkeypatch.setattr(solver, "_layerwise_norms", recording)
     _, rep = solve_gbsde(affine_params("abs", 0.5, 0.02), small_lat)
     assert rep.beta0_empirical == BETA_SCAN[0]
     assert asked == [(0.0, BETA_SCAN[0])] * rep.iterations
