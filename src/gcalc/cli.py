@@ -45,6 +45,9 @@ STACK_BUDGET_BYTES = 2 ** 31
 LAYER_STACKS = {"represent": 2.25, "solve": 9.75, "verify-estimates": 13.0}
 #: Largest (steps + 1) x nodes per command.
 MAX_LAYER_NODES = {c: int(STACK_BUDGET_BYTES / (8 * s)) for c, s in LAYER_STACKS.items()}
+#: Layer-sized float64 arrays per value column of a norm sweep in 2-d (7.1 in
+#: 1-d); the widest sweep of verify-estimates, its stability norms, has 5 per beta.
+NORM_SWEEP_ARRAYS = 9.25
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +275,10 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
                    horizon, "betas")
     if command == "verify-estimates" and not betas:
         raise ConfigError("betas: every entry overflows the weight range")
+    sweep_bytes = 8 * NORM_SWEEP_ARRAYS * 5 * len(betas) * math.prod(lattice.space.shape)
+    if command == "verify-estimates" and sweep_bytes > STACK_BUDGET_BYTES:
+        raise ConfigError(f"betas: the norm sweeps of {len(betas)} betas need {sweep_bytes:,.0f} "
+                          f"bytes, over {STACK_BUDGET_BYTES:,}; use fewer betas or points")
     mu = _number(raw, "mu", "config", default=None, positive=True)
     nu = _number(raw, "nu", "config", default=None, positive=True)
     if command in ("solve", "verify-estimates"):

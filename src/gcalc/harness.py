@@ -21,8 +21,8 @@ from .errors import InputError
 from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _fair_signs, _sweep, _walk,
                        nearest_index)
-from .solver import (GBsdeParams, _driver_fields, _fields_at, _triple_sq,
-                     _penalty_sq, represent_martingale, solve_gbsde)
+from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _fields_at, _triple_sq,
+                     _penalty_sq, solve_gbsde)
 
 
 def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
@@ -283,6 +283,12 @@ def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Latt
 # Representation and Cauchy-sequence bounds
 # ---------------------------------------------------------------------------
 
+def _value_solution(terminal: TerminalFunctional, lattice: Lattice) -> BsdeSolution:
+    """represent_martingale's Y bits, from the no-policy sweep: no bound reads a policy."""
+    y = _sweep(lattice, terminal.evaluate(lattice.states), store=(slice(None),) * lattice.d)
+    return BsdeSolution(lattice=lattice, Y=y, policy_idx=None, g_field=None)
+
+
 @dataclass(frozen=True)
 class RepresentationRow:
     beta: float
@@ -310,7 +316,7 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
     must together stay below (5/s_min^2) exp(beta T) times the worst-case
     second moment of the payoff, for every large-enough exponent.
     """
-    sol = represent_martingale(terminal, lattice)
+    sol = _value_solution(terminal, lattice)
     scan = admissible_betas(lattice, betas)
     xi_sq = np.sum(sol.Y[-1] ** 2, axis=-1)
     moment = _state_expectation(lattice, xi_sq, lattice.steps)
@@ -360,7 +366,7 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     if len(terminals) < 2:
         raise InputError("need at least two payoffs to compare")
     (beta,) = admissible_betas(lattice, (beta,))
-    sols = [represent_martingale(t, lattice) for t in terminals]
+    sols = [_value_solution(t, lattice) for t in terminals]
     factor = 5.0 / lattice.box.sigma_min_sq
     horizon = lattice.time.horizon
     index_pairs = [(m, n) for m in range(len(sols)) for n in range(m + 1, len(sols))]

@@ -273,7 +273,8 @@ class Lattice:
         padded = {(): self.edge_pad(values, 0)}
         for levels in self._combo_levels:
             for a in range(1, d):
-                if levels[:a] not in padded:
+                if levels[:a] not in padded:   # product order: the old prefix of length a is done
+                    padded = {p: v for p, v in padded.items() if len(p) < a}
                     part = self._axis_mean(padded[levels[:a - 1]], a - 1, levels[a - 1])
                     padded[levels[:a]] = self.edge_pad(part, a)
             yield self._axis_mean(padded[levels[:-1]], d - 1, levels[-1])

@@ -23,10 +23,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
-from gcalc.calculus import ratio_decay_report
+from gcalc.calculus import _layerwise_norms, ratio_decay_report
 from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES,
-                       STACK_BUDGET_BYTES, _fields_csv, _fmt, _write_outputs,
-                       build_experiment, main)
+                       NORM_SWEEP_ARRAYS, STACK_BUDGET_BYTES, _fields_csv, _fmt,
+                       _write_outputs, build_experiment, main)
 
 from conftest import make_lattice
 
@@ -165,6 +165,8 @@ def footprint_config(command, steps):
            "space": {"points": 1025}, "payoff": {"id": "quadratic"}}
     if command == "capacity":
         cfg["event"] = {"payoff": {"id": "linear"}, "level": 1.0}
+    if command == "verify-estimates":
+        cfg["betas"] = [1.0]     # at 1025^2 the norm sweeps of 6 betas pass the budget
     return cfg
 
 
@@ -184,6 +186,53 @@ def test_footprint_rule_exits_2_past_the_stack_budget(tmp_path, capsys, command)
     assert err.count("\n") == 1 and f"limit of {limit:,}" in err
 
 
+@pytest.mark.parametrize("points", [1025, 241])
+def test_beta_column_rule_exits_2_past_the_stack_budget(tmp_path, capsys, points):
+    # 2-d and 1-d grids; the sweep footprint comes from the shapes alone and
+    # the run past the budget exits before anything is computed
+    cfg = {**footprint_config("verify-estimates", 1), "space": {"points": points}}
+    if points == 241:
+        cfg["box"] = BOX
+    nodes = points ** cfg["box"]["d"]
+    most = int(STACK_BUDGET_BYTES // (8 * NORM_SWEEP_ARRAYS * 5 * nodes))
+    cfg["betas"] = [1.0] * most
+    build_experiment(cfg, "verify-estimates", None, None)
+    rc, out = run_cli(tmp_path, "verify-estimates", {**cfg, "betas": [1.0] * (most + 1)})
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"betas: the norm sweeps of {most + 1} betas need" in err
+
+
+@pytest.mark.parametrize("lattice_args", [
+    {"points": 401},
+    {"lower": (1.0, 1.0), "upper": (2.0, 2.0), "points": 41},
+    {"lower": (0.5, 0.5), "upper": (4.0, 4.0), "points": 81, "steps": 2, "grid_points": 9},
+])
+def test_norm_sweep_arrays_per_column_stay_within_the_rule(lattice_args):
+    # tracemalloc peak of a norm sweep at 2 and 12 betas: the arrays it adds
+    # per value column, in units of one layer of float64 nodes; a 2-d lattice
+    # keeping 7 levels per axis must not hold more than one keeping 2
+    lat = make_lattice(**{"steps": 4, **lattice_args})
+    nodes = lat.states[..., 0].size
+    count = 5
+
+    def layers(ks):
+        return [np.zeros((len(range(*ks.indices(lat.steps + 1))),) + lat.space.shape)
+                for _ in range(count)]
+
+    peaks = []
+    for n_betas in (2, 12):
+        betas = [0.1 * (i + 1) for i in range(n_betas)]
+        tracemalloc.start()
+        try:
+            _layerwise_norms(layers, count, lat, betas, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_column = (peaks[1] - peaks[0]) / (count * 10 * 8 * nodes)
+    assert per_column <= NORM_SWEEP_ARRAYS, f"{per_column:.2f} arrays per column"
+
+
 @pytest.mark.parametrize("command", ["expect", "capacity"])
 def test_footprint_rule_exempts_the_origin_series(command):
     # at the engine's caps: 401 layers of 1025 x 1025 nodes
@@ -192,17 +241,16 @@ def test_footprint_rule_exempts_the_origin_series(command):
         MAX_LAYER_NODES.values())
 
 
-def test_expect_leaves_numpy_ma_unimported(tmp_path):
-    # numpy imports numpy.ma lazily, on first use of a function such as
-    # np.isin or np.unique without return_inverse; that adds about 0.5 MB to
-    # the peak RSS of a run, so building the experiment (the lattice
-    # included) and running `expect` must not use one
+def exit_code_and_loaded(tmp_path, command, cfg, module):
+    """Run `command` in a fresh interpreter: (exit code, whether `module`
+    is in sys.modules afterwards), as printed strings."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**DESK_2D, "payoff": {"id": "quadratic"}}))
+    path.write_text(json.dumps(cfg))
     code = ("import sys\n"
             "from gcalc.cli import main\n"
-            f"rc = main(['expect', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "print(rc, 'numpy.ma' in sys.modules)\n")
+            f"rc = main([{command!r}, '--config', {str(path)!r},\n"
+            f"           '--out', {str(tmp_path / 'out')!r}])\n"
+            f"print(rc, {module!r} in sys.modules)\n")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(gcalc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -210,7 +258,40 @@ def test_expect_leaves_numpy_ma_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    return proc.stdout.split()
+
+
+def test_expect_leaves_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma lazily, on first use of a function such as
+    # np.isin or np.unique without return_inverse; that adds about 0.5 MB to
+    # the peak RSS of a run, so building the experiment (the lattice
+    # included) and running `expect` must not use one
+    cfg = {**DESK_2D, "payoff": {"id": "quadratic"}}
+    assert exit_code_and_loaded(tmp_path, "expect", cfg, "numpy.ma") == ["0", "False"]
+
+
+# one small config per command; solve and verify-estimates run the Lipschitz
+# spot check, solve's on a bracket driver that is not zero
+SMALL_RUNS = {
+    "expect": {"payoff": {"id": "quadratic"}},
+    "represent": {"payoff": {"id": "abs"}},
+    "solve": {"payoff": {"id": "quadratic"},
+              "drivers": {"dt": {"id": "linear-in-y", "params": {"r": -0.5}},
+                          "qv": {"id": "linear-in-z", "params": {"a": [0.2]}}}},
+    "verify-estimates": {"payoff": {"id": "quadratic"}, "betas": [1.0, 4.0]},
+    "capacity": {"event": {"payoff": {"id": "linear"}, "level": 1.0}},
+    "ratio-decay": {"ratio": {"theta": [{"id": "linear"}, {"id": "linear"}],
+                              "zeta": [{"id": "constant"}, {"id": "constant"}]}},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_leave_numpy_random_unimported(tmp_path, command):
+    # importing numpy.random (with secrets, hashlib and OpenSSL) adds about
+    # 6 MB to a run's peak RSS; only the Monte Carlo checks of the library
+    # draw from it, and no command runs one
+    cfg = {**SMALL, **SMALL_RUNS[command]}
+    assert exit_code_and_loaded(tmp_path, command, cfg, "numpy.random") == ["0", "False"]
 
 
 def test_ratio_decay_command(tmp_path):

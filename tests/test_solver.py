@@ -133,6 +133,47 @@ def test_spot_check_rejects_understated_lipschitz(small_lat):
         solve_gbsde(params, small_lat)
 
 
+def test_spot_check_rejects_understated_bracket_lipschitz(small_lat):
+    liar = Driver(fn=lambda t, y, z, eta: 5.0 * eta, lipschitz=1.0, name="liar")
+    params = GBsdeParams(terminal=const_payoff(1.0), f=zero_dt_driver(1), g=liar)
+    with pytest.raises(InputError, match="bracket driver 'liar'"):
+        solve_gbsde(params, small_lat)
+
+
+def test_spot_check_probes_are_seeded_and_in_range(small_lat_2d):
+    # the probes are the driver calls on single arguments, y of shape (n,);
+    # the Picard steps call it on whole layers
+    probes = []
+
+    def record(t, y, z, eta):
+        if y.ndim == 1:
+            probes.append((t, y.copy(), z.copy(), eta.copy()))
+        return np.zeros(y.shape)
+
+    d, n = small_lat_2d.d, 2
+    terminal = TerminalFunctional(fn=lambda x: np.zeros(x.shape[:-1] + (n,)),
+                                  lipschitz=0.0, n=n)
+    params = GBsdeParams(terminal=terminal, f=Driver(fn=record, lipschitz=0.0),
+                         g=zero_qv_driver(n, d))
+    runs = []
+    for _ in range(2):
+        probes.clear()
+        solve_gbsde(params, small_lat_2d)
+        runs.append(list(probes))
+    first, second = runs
+    assert len(first) == 64                     # 32 probes, two argument sets each
+    for (t, y, z, eta), again in zip(first, second):
+        assert (t, y.tolist(), z.tolist(), eta.tolist()) == (
+            again[0], again[1].tolist(), again[2].tolist(), again[3].tolist())
+        assert 0.0 <= t <= 1.0
+        assert (y.shape, z.shape, eta.shape) == ((n,), (d, n), (n, d))
+        for a in (y, z, eta):
+            assert np.all((-4.0 <= a) & (a <= 4.0))
+    # both arguments of a probe share its time, and the probes differ
+    assert all(first[i][0] == first[i + 1][0] for i in range(0, 64, 2))
+    assert len({t for t, *_ in first}) == 32
+
+
 def test_default_penalties_and_theoretical_factor(small_lat):
     f = make_driver("linear-in-y", 1, 1, params={"r": -0.5})
     params = GBsdeParams(terminal=const_payoff(1.0), f=f, g=zero_qv_driver(1, 1))
