@@ -41,8 +41,10 @@ _TOP_KEYS = {"command", "box", "time", "space", "payoff", "drivers", "beta",
 _MISSING = object()
 #: Memory for the layer stacks of one run: a quarter of an 8 GB host.
 STACK_BUDGET_BYTES = 2 ** 31
-#: (steps + 1) x nodes float64 stacks each command holds (see the README).
-LAYER_STACKS = {"represent": 2.25, "solve": 9.75, "verify-estimates": 13.0}
+#: (steps + 1) x nodes float64 stacks each command holds (see the README):
+#: a solution is 3.25 in 2-d with a bracket driver; a solve holds two, also
+#: while its beta scan restarts, and verify-estimates a third besides.
+LAYER_STACKS = {"represent": 2.25, "solve": 6.5, "verify-estimates": 9.75}
 #: Largest (steps + 1) x nodes per command.
 MAX_LAYER_NODES = {c: int(STACK_BUDGET_BYTES / (8 * s)) for c, s in LAYER_STACKS.items()}
 #: Layer-sized float64 arrays per value column of a norm sweep in 2-d (7.1 in
@@ -353,17 +355,11 @@ def _scalar_or_list(arr: np.ndarray):
 # Command runners: each returns (outputs, {csv name: (header, rows)}, failed)
 # ---------------------------------------------------------------------------
 
-def _origin_series(lattice, terminal_values: np.ndarray) -> np.ndarray:
-    """Worst-case expectation at the origin at every layer, shape
-    (layers, n), from a sweep that keeps one node per layer."""
-    return _sweep(lattice, terminal_values, store=lattice.origin_index)
-
-
 def _run_expect(ctx: Experiment):
     lat = ctx.lattice
     values = ctx.payoff.evaluate(lat.states)
-    series = _origin_series(lat, values)
-    series_low = -_origin_series(lat, -values)
+    series = _sweep(lat, values, store=lat.origin_index)
+    series_low = -_sweep(lat, -values, store=lat.origin_index)
     times = lat.time.times()
     n = ctx.payoff.n
     header = ["t"] + [f"value_{i + 1}" for i in range(n)] + \
@@ -379,7 +375,7 @@ def _run_expect(ctx: Experiment):
 def _run_capacity(ctx: Experiment):
     lat = ctx.lattice
     indicator = check_indicator(ctx.event.evaluate(lat.states))
-    series = np.clip(_origin_series(lat, indicator)[:, 0], 0.0, 1.0)
+    series = np.clip(_sweep(lat, indicator, store=lat.origin_index)[:, 0], 0.0, 1.0)
     times = lat.time.times()
     rows = [[_fmt(times[k]), _fmt(series[k])] for k in range(times.shape[0])]
     return {"capacity": float(series[0])}, {"capacity.csv": (["t", "capacity"], rows)}, False

@@ -221,7 +221,6 @@ class Lattice:
                  for off, w in up + [(-off, w) for off, w in up]]
                 for up in ups])
         self.combos = np.array(list(itertools.product(*kept_levels)))
-        self._combo_levels = list(itertools.product(*(range(len(lv)) for lv in kept_levels)))
 
     # -- grid conveniences
     @property
@@ -265,19 +264,17 @@ class Lattice:
             np.add(out, buf, out=out)
         return out
 
-    def child_means(self, values: np.ndarray):
+    def child_means(self, values: np.ndarray, a: int = 0):
         """Yield the expected next-layer values under every covariance, in
-        combo order. The partial means over leading axes are formed once per
-        level prefix and shared by every combo with that prefix."""
-        d = self.d
-        padded = {(): self.edge_pad(values, 0)}
-        for levels in self._combo_levels:
-            for a in range(1, d):
-                if levels[:a] not in padded:   # product order: the old prefix of length a is done
-                    padded = {p: v for p, v in padded.items() if len(p) < a}
-                    part = self._axis_mean(padded[levels[:a - 1]], a - 1, levels[a - 1])
-                    padded[levels[:a]] = self.edge_pad(part, a)
-            yield self._axis_mean(padded[levels[:-1]], d - 1, levels[-1])
+        combo order. Below the top call, values is already averaged over the
+        axes before a, so each partial mean is formed once per level prefix
+        and shared by every combo with that prefix."""
+        padded = self.edge_pad(values, a)
+        for level in range(len(self.moves[a])):
+            if a == self.d - 1:
+                yield self._axis_mean(padded, a, level)
+            else:
+                yield from self.child_means(self._axis_mean(padded, a, level), a + 1)
 
 
 def build_lattice(time: TimeGrid, space: SpaceGrid, box: VolatilityBox) -> Lattice:

@@ -359,9 +359,9 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
 
     The scan is lazy: a failed beta can never become beta0, and no later
     beta matters while scan[0] passes. Each iteration measures beta 0 (the
-    stopping test) and scan[0]; once scan[0] fails at iteration i, the first
-    i iterates are recomputed once to measure the later betas, each from
-    then on until it fails. Every reported number equals the full scan's.
+    stopping test) and scan[0]; once scan[0] fails, the iteration restarts
+    from the starting fields and measures every scan beta, each until it
+    fails. Every reported number equals the full scan's.
     """
     params.spot_check(lattice.d)
     mu2, nu2 = default_penalties(params, lattice)
@@ -375,7 +375,7 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     scan = admissible_betas(lattice, BETA_SCAN if beta is None else (beta,))
 
     def starting_fields():
-        # rebuilt for the rerun rather than kept alive through the iteration
+        # rebuilt for the restart rather than kept alive through the iteration
         if initial is None:
             return _zero_fields(lattice, params.terminal.n)
         return tuple(np.asarray(a, dtype=float) for a in initial)
@@ -384,13 +384,10 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
         fac = _factors(sq, tol)
         return bool(fac) and not max(fac) <= theoretical
 
-    distances = []
-    sq_by_beta = {scan[0]: []}   # betas measured at every iteration so far
-    pending = scan[1:]           # betas measured only once scan[0] fails
+    lazy = len(scan) > 1         # scan[1:] is measured only after a restart
+    distances, sq_by_beta = [], {scan[0]: []}
     fields = starting_fields()
-    solution = None
-    converged = False
-    for _ in range(max_iter):
+    while len(distances) < max_iter:
         solution = picard_step(fields, params, lattice)
         betas = tuple(sq_by_beta)
         sq0, *sq_betas = _distance_sq(solution, fields, lattice, (0.0,) + betas)
@@ -403,31 +400,26 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
         for b, sq in zip(betas, sq_betas):
             sq_by_beta[b].append(sq)
         fields = solution
-        if pending and failed(sq_by_beta[scan[0]]):
-            sq_by_beta.update(_rerun(starting_fields(), params, lattice,
-                                     pending, len(distances)))
-            pending = ()
-        for b in list(sq_by_beta)[1:]:   # scan[0] stays for the fallback report
+        if lazy and failed(sq_by_beta[scan[0]]):
+            # the iterates do not depend on beta, so they repeat bit for bit
+            lazy, distances, sq_by_beta = False, [], {b: [] for b in scan}
+            del solution
+            fields = starting_fields()
+            continue
+        for b in betas[1:]:   # scan[0] stays for the fallback report
             if failed(sq_by_beta[b]):
                 del sq_by_beta[b]
         if dist0 < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"no fixed point within {max_iter} iterations (last distance "
             f"{distances[-1]:.3g}, tol {tol:.3g})", trace=distances)
 
-    # the held betas in scan order: every scan beta not held has failed or
-    # comes after scan[0] when scan[0] decides
-    beta0 = None
-    for b, sq in sq_by_beta.items():
-        fac = _factors(sq, tol)
-        if fac and max(fac) <= theoretical:
-            beta0 = b
-            break
-        if not fac:
-            break  # trivially converged; no measurable factors at any beta
+    # beta0 is the first held beta that has not failed, if it has factors
+    # (a trace without factors, from a trivial fixed point, certifies none)
+    first = next((b for b, sq in sq_by_beta.items() if not failed(sq)), None)
+    beta0 = first if first is not None and _factors(sq_by_beta[first], tol) else None
     report_beta = beta0 if beta0 is not None else scan[0]
     report = PicardReport(
         iterations=len(distances), converged=True, distances=tuple(distances),
@@ -437,20 +429,6 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
         theoretical_factor=theoretical, mu=math.sqrt(mu2), nu=math.sqrt(nu2),
         tol=tol)
     return solution, report
-
-
-def _rerun(fields, params: GBsdeParams, lattice: Lattice, betas: tuple,
-           iterations: int) -> dict:
-    """Squared distance traces at betas over the first `iterations` Picard
-    iterates from fields; the iterates do not depend on beta, so they repeat
-    the original run's bit for bit."""
-    sq_by_beta = {b: [] for b in betas}
-    for _ in range(iterations):
-        step = picard_step(fields, params, lattice)
-        for b, sq in zip(betas, _distance_sq(step, fields, lattice, betas)):
-            sq_by_beta[b].append(sq)
-        fields = step
-    return sq_by_beta
 
 
 # ---------------------------------------------------------------------------

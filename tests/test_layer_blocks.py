@@ -18,7 +18,7 @@ from gcalc import (BsdeSolution, GBsdeParams, TerminalFunctional, apriori_check,
                    sup_estimate_check)
 from gcalc.calculus import _layer_reader
 from gcalc.gtensor import g_corner
-from gcalc.solver import (_compensator_increments, represent_martingale,
+from gcalc.solver import (BETA_SCAN, _compensator_increments, represent_martingale,
                           zero_dt_driver, zero_qv_driver)
 
 from conftest import make_lattice
@@ -129,21 +129,40 @@ def traced_peak(run):
 GUARD = {"steps": 100, "points": 241}
 
 
-@pytest.mark.parametrize("bracket", ["zero", "linear-in-z"])
-def test_solve_memory_holds_iterates_only(monkeypatch, bracket):
+def assert_solve_peak(monkeypatch, f, bracket, betas):
+    """Trace solve_gbsde on GUARD with one-layer blocks and return its report.
+    The peak holds at most two iterates, each Y, the int16 policy and, for a
+    bracket driver that is not zero, d coefficient stacks; the distance
+    sweep's value columns, three for each of the `betas` it measures at
+    once, about 7.1 layer arrays each in 1-d; and half a stack for the rest."""
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)   # one-layer blocks
     lat = make_lattice(**GUARD)
     g = (zero_qv_driver(1, 1) if bracket == "zero"
          else make_driver("linear-in-z", 1, 1, {"a": [0.05]}, role="qv"))
-    params = GBsdeParams(terminal=make_payoff("quadratic", 1),
-                         f=make_driver("linear-in-y", 1, 1, {"r": -0.5}), g=g)
+    params = GBsdeParams(terminal=make_payoff("quadratic", 1), f=f, g=g)
+    reports = []
+    peak = traced_peak(lambda: reports.append(solve_gbsde(params, lat)[1]))
     stack = (lat.steps + 1) * lat.space.shape[0] * 8
-    peak = traced_peak(lambda: solve_gbsde(params, lat))
-    # at most three iterates (while the lazy beta scan reruns), each Y, the
-    # int16 policy and, for a bracket driver that is not zero, d coefficient
-    # stacks; half a stack for everything else
     iterate = 1.25 + (0 if bracket == "zero" else lat.d)
-    assert peak < (3 * iterate + 0.5) * stack, f"{peak / stack:.2f} stacks"
+    columns = 3 * betas * 7.1 / (lat.steps + 1)
+    assert peak < (2 * iterate + columns + 0.5) * stack, f"{peak / stack:.2f} stacks"
+    return reports[-1]
+
+
+@pytest.mark.parametrize("bracket", ["zero", "linear-in-z"])
+def test_solve_memory_holds_iterates_only(monkeypatch, bracket):
+    # BETA_SCAN[0] passes, so every sweep measures beta 0 and BETA_SCAN[0] only
+    rep = assert_solve_peak(monkeypatch, make_driver("linear-in-y", 1, 1, {"r": -0.5}),
+                            bracket, 2)
+    assert rep.beta0_empirical == BETA_SCAN[0]
+
+
+def test_solve_memory_holds_two_iterates_through_a_restart(monkeypatch):
+    # BETA_SCAN[0] fails, so the scan restarts from iteration 1 and measures
+    # beta 0 and every scan beta until each fails
+    f = make_driver("clamped-custom-affine", 1, 1, {"coef_y": 0.2, "coef_eta": [0.03]})
+    rep = assert_solve_peak(monkeypatch, f, "linear-in-z", 1 + len(BETA_SCAN))
+    assert rep.beta == BETA_SCAN[0] and max(rep.contraction_factors) > rep.theoretical_factor
 
 
 def test_cauchy_memory_holds_value_stacks_only(monkeypatch):

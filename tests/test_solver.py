@@ -778,7 +778,7 @@ LAZY_SCAN_CASES = {
     "butterfly, beta0 16": (affine_params("butterfly", 0.5, 0.02), {}, 16.0),
     # 1..16 fail, 32 passes, 64..256 fail
     "quadratic, beta0 32": (affine_params("quadratic", 0.2, 0.03), {}, 32.0),
-    # scan[0] fails, so the rerun has to start from these fields again
+    # scan[0] fails, so the restart has to start from these fields again
     "quadratic, warm start": (affine_params("quadratic", 0.2, 0.03),
                               {"initial": warm_start}, 32.0),
     "butterfly, every beta fails": (affine_params("butterfly", 0.2, 0.03), {}, None),
@@ -816,6 +816,27 @@ def test_lazy_beta_scan_keeps_the_divergence_trace(small_lat):
     assert len(got.value.trace) == 8
 
 
+def test_restart_costs_the_steps_of_a_rerun(small_lat, monkeypatch):
+    # scan[0] fails at iteration i: rerunning the first i iterates and
+    # restarting from iteration 1 both make iterations + i Picard steps
+    calls = []
+    original = solver.picard_step
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "picard_step", counting)
+    params, _, _ = LAZY_SCAN_CASES["quadratic, beta0 32"]
+    _, rep = solve_gbsde(params, small_lat)
+    trace = list(rep.distances_by_beta[BETA_SCAN[0]])
+    fails_at = next(i for i in range(2, len(trace) + 1)
+                    if max(solver._factors(trace[:i], rep.tol), default=0.0)
+                    > rep.theoretical_factor)
+    assert 1 < fails_at < rep.iterations
+    assert len(calls) == rep.iterations + fails_at
+
+
 def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
     asked = []
 
@@ -838,7 +859,7 @@ def test_compensator_is_computed_once_on_first_read(small_lat, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver, "_compensator_increments", counting)
-    # scan[0] fails here, so the lazy beta scan reruns Picard steps too
+    # scan[0] fails here, so the lazy beta scan restarts its Picard steps too
     sol, rep = solve_gbsde(affine_params("quadratic", 0.2, 0.03), small_lat)
     assert rep.iterations > 1 and rep.beta0_empirical == 32.0 and calls == []
     first = sol.K_inc
