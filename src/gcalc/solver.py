@@ -29,9 +29,9 @@ from .calculus import (_block_layers, _layer_reader, _layerwise_norms,
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
 BETA_SCAN = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-#: Most paths one residual_check forward loop carries; path groups share a
-#: loop up to this many, which bounds the per-step term store.
-REPLAY_BATCH_PATHS = 256
+#: Paths per residual_check loop in 1-d: a loop stores (2 steps + 1) d floats
+#: per path, its positions and increments, up to 2 steps REPLAY_BATCH_PATHS.
+REPLAY_BATCH_PATHS = 768
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,8 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     Stops when the unweighted triple distance between successive iterates
     falls below tol. Without beta, BETA_SCAN is searched for the smallest
     weight whose measured squared contraction stays within the theoretical
-    factor (beta0_empirical). Raises InputError for a mu or nu without a
+    factor (beta0_empirical). Raises InputError for a max_iter below 1, an
+    initial tuple without the (Y, Z, eta) shapes, or a mu or nu without a
     finite nonzero square and reciprocal square, and ConvergenceError (with
     the distance trace) at max_iter or at a distance that is not finite.
 
@@ -363,6 +364,11 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     from the starting fields and measures every scan beta, each until it
     fails. Every reported number equals the full scan's.
     """
+    if max_iter < 1:
+        raise InputError("max_iter must be at least 1")
+    want = tuple(a.shape for a in _zero_fields(lattice, params.terminal.n))
+    if initial is not None and tuple(map(np.shape, initial)) != want:
+        raise InputError(f"initial must be (Y, Z, eta) fields of shapes {want}")
     params.spot_check(lattice.d)
     mu2, nu2 = default_penalties(params, lattice)
     if mu is not None:
@@ -463,15 +469,15 @@ def _residual_groups(rng: np.random.Generator, lat: Lattice, n: int,
 
 def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
             m: int) -> list:
-    """Replay path groups (comp, table, flips) of m paths in one forward loop,
-    driven by comp's argmax policy at the nearest node when table is None
-    (such groups come first), else by the covariances table[k]. Drivers see
-    all n components; the budget identity is summed for comp. Returns per
-    group (largest |Y_t - right side|, smallest Y_t minus the K-free right
-    side, both over t < T, and the terminal gap). Each step interpolates its
-    five fields as one packed layer."""
+    """Replay path groups (comp, table, flips) of m paths, driven by comp's
+    argmax policy at the nearest node when table is None (such groups come
+    first), else by the covariances table[k]. Drivers see all n components;
+    the budget identity is summed for comp. Returns per group (largest
+    |Y_t - right side|, smallest Y_t minus the K-free right side, both over
+    t < T, and the terminal gap). A forward walk stores positions and
+    increments; a backward pass reads one packed layer per step."""
     lat = solution.lattice
-    space, dt, steps, d = lat.space, lat.dt, lat.steps, lat.d
+    space, dt, steps, d, n = lat.space, lat.dt, lat.steps, lat.d, solution.n
     times = lat.time.times()
     n_groups = len(groups)
     rows = np.arange(n_groups * m)
@@ -490,59 +496,53 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
         sig2[n_pol:] = tables[:, k, None]
         return sig2.reshape(-1, d)
 
+    xs = np.zeros((steps + 1, rows.size, d))
+    dxs = np.empty((steps, rows.size, d))
     walk = _walk(lat.time, lat.box, control, lambda k: _signs(flips[k], m, d), rows.size)
-    x = np.zeros((rows.size, d))
-    y_path = np.empty((steps + 1, rows.size))
-    # per step: f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket
-    terms = np.empty((steps, 5, rows.size))
-    grid, n = space.shape, solution.n
+    for k, (_, dx, x) in enumerate(walk):
+        dxs[k], xs[k + 1] = dx, x
     cuts = np.cumsum([n, d * n, n * d, d * n])
     read = _layer_reader(solution.integrands, _block_layers(lat, 2 * d * n), steps + 1)
     g_field = solution.g_field
-    for k, (s2, db, x_next) in enumerate(walk):
-        # Y, Z, eta at layer k, then the integrands that close the discrete
-        # budget identity, read from the *next* layer's field (the field being
-        # incremented); the bracket-driver shift stays at layer k to match the
+    xi = params.terminal.evaluate(xs[steps])[rows, comp_of]
+    gap = np.abs(evaluate_field(space, solution.Y[steps], xs[steps])[rows, comp_of] - xi)
+    # suffix sums of f dt, g : bracket, Z^T dB, G(eta) dt, half eta : bracket,
+    # with the additions of a cumulative sum of the reversed terms
+    acc = np.zeros((5, rows.size))
+    resid = np.zeros(rows.size)
+    margin = np.full(rows.size, np.inf)
+    for k in range(steps - 1, -1, -1):
+        # Y, Z, eta at layer k, and the integrands that close the budget
+        # identity from layer k + 1 (the field being incremented; read first,
+        # its block is held); the bracket shift stays at layer k, as in the
         # backward step
-        z_now, eta_now = read(k)
         z_next, curv_next = read(k + 1)
+        z_now, eta_now = read(k)
         if g_field is not None:
             curv_next = curv_next - 2.0 * g_field[k + 1]
         packed = np.concatenate(
-            [a.reshape(grid + (-1,)) for a in (
+            [a.reshape(space.shape + (-1,)) for a in (
                 solution.Y[k], z_now, eta_now, z_next, curv_next)], axis=-1)
         y_all, z_all, eta_all, z_next, curv_next = np.split(
-            evaluate_field(space, packed, x), cuts, axis=-1)
+            evaluate_field(space, packed, xs[k]), cuts, axis=-1)
         z_all = z_all.reshape(-1, d, n)
         eta_all = eta_all.reshape(-1, n, d)
-        y_path[k] = y_all[rows, comp_of]
+        y_k = y_all[rows, comp_of]
         f_val = np.asarray(params.f.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[rows, comp_of]
         g_val = np.asarray(params.g.fn(times[k], y_all, z_all, eta_all),
                            dtype=float)[rows, comp_of]
         z_k = z_next.reshape(-1, d, n)[rows, :, comp_of]
         eta_k = curv_next.reshape(-1, n, d)[rows, comp_of] + 2.0 * g_val
-        dqv = s2 * dt
-        terms[k, 0] = f_val * dt
-        terms[k, 1] = np.sum(g_val * dqv, axis=1)
-        terms[k, 2] = np.sum(z_k * db, axis=1)
-        terms[k, 3] = g_corner(eta_k, lat.box) * dt
-        terms[k, 4] = 0.5 * np.sum(eta_k * dqv, axis=1)
-        x = x_next
-    y_path[steps] = evaluate_field(space, solution.Y[steps], x)[rows, comp_of]
-    xi = params.terminal.evaluate(x)[rows, comp_of]
-
-    # suffix sums by a backward running sum: the same additions in the same
-    # order as a cumulative sum of the reversed terms
-    acc = np.zeros((5, rows.size))
-    resid = np.zeros(rows.size)
-    margin = np.full(rows.size, np.inf)
-    for k in range(steps - 1, -1, -1):
-        acc += terms[k]
+        dqv = control(k, xs[k]) * dt
+        acc[0] += f_val * dt
+        acc[1] += np.sum(g_val * dqv, axis=1)
+        acc[2] += np.sum(z_k * dxs[k], axis=1)
+        acc[3] += g_corner(eta_k, lat.box) * dt
+        acc[4] += 0.5 * np.sum(eta_k * dqv, axis=1)
         free = xi + acc[0] + acc[1] - acc[2]
-        np.minimum(margin, y_path[k] - free, out=margin)
-        np.maximum(resid, np.abs(y_path[k] - (free + acc[3] - acc[4])), out=resid)
-    gap = np.abs(y_path[steps] - xi)
+        np.minimum(margin, y_k - free, out=margin)
+        np.maximum(resid, np.abs(y_k - (free + acc[3] - acc[4])), out=resid)
     return [(float(r.max()), float(mg.min()), float(gp.max()))
             for r, mg, gp in zip(resid.reshape(n_groups, m),
                                  margin.reshape(n_groups, m),
@@ -560,16 +560,17 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     negative tolerance). Random numbers come per group of n_paths paths: the
     n policy groups, then per control its uniform (steps, d) table and its n
     groups, each group's flips one (steps, n_paths * d) draw. Groups share
-    loops of at most REPLAY_BATCH_PATHS paths, which changes no report bit.
+    loops of up to 2 steps REPLAY_BATCH_PATHS stored floats; no bit changes.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
     if n_controls < 0:
         raise InputError("n_controls must be nonnegative")
     rng = np.random.default_rng(seed)
-    groups = _residual_groups(rng, solution.lattice, solution.n, n_paths,
-                              n_controls)
-    per_loop = max(1, REPLAY_BATCH_PATHS // n_paths)
+    lat = solution.lattice
+    groups = _residual_groups(rng, lat, solution.n, n_paths, n_controls)
+    per_loop = max(1, 2 * lat.steps * REPLAY_BATCH_PATHS
+                   // ((2 * lat.steps + 1) * lat.d * n_paths))
     max_resid = terminal_gap = off_max = 0.0
     off_margin = np.inf
     while batch := list(itertools.islice(groups, per_loop)):

@@ -165,6 +165,24 @@ def test_solve_memory_holds_two_iterates_through_a_restart(monkeypatch):
     assert rep.beta == BETA_SCAN[0] and max(rep.contraction_factors) > rep.theoretical_factor
 
 
+def test_replay_memory_holds_positions_and_increments_only(monkeypatch):
+    monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
+    lat = make_lattice(steps=400, points=481)
+    payoff = make_payoff("abs", 1)
+    sol = represent_martingale(payoff, lat)
+    params = GBsdeParams(terminal=payoff, f=zero_dt_driver(1), g=zero_qv_driver(1, 1))
+    m, groups = 64, 9
+    peak = traced_peak(lambda: residual_check(sol, params, n_paths=m, n_controls=groups - 1))
+    # the paths' positions and increments, (2 steps + 1) d floats per path;
+    # one group's coin-flip draw, steps x m x d int64; and 32 packed layers,
+    # (1 + 4 d) n floats per node, for the one-layer blocks, the packed
+    # layer's interpolation and the per-step path arrays
+    store = (2 * lat.steps + 1) * lat.d * groups * m * 8
+    draw = lat.steps * m * lat.d * 8
+    layers = 32 * (1 + 4 * lat.d) * lat.space.shape[0] * 8
+    assert peak < store + draw + layers, f"{(peak - store - draw) / layers * 32:.1f} layers"
+
+
 def test_cauchy_memory_holds_value_stacks_only(monkeypatch):
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
     lat = make_lattice(**GUARD)

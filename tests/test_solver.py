@@ -241,6 +241,22 @@ def test_divergence_raises_with_trace(small_lat):
     assert all(v >= 0.0 for v in err.value.trace)
 
 
+def test_max_iter_below_one_raises_input_error(small_lat):
+    params = no_driver_params(quad_payoff())
+    for max_iter in (0, -1):
+        with pytest.raises(InputError, match="max_iter"):
+            solve_gbsde(params, small_lat, max_iter=max_iter)
+
+
+def test_malformed_initial_fields_raise_input_error(small_lat):
+    params = no_driver_params(quad_payoff())
+    good = (np.zeros((41, 161, 1)), np.zeros((41, 161, 1, 1)), np.zeros((41, 161, 1, 1)))
+    for initial in ((np.zeros((3, 3)),) * 3, good[:2], good + good[:1],
+                    (good[0], good[1][:-1], good[2]), (good[0][..., 0],) + good[1:]):
+        with pytest.raises(InputError, match=r"\(41, 161, 1\), \(41, 161, 1, 1\)"):
+            solve_gbsde(params, small_lat, initial=initial)
+
+
 def test_non_finite_distance_stops_at_first_iteration():
     lat = make_lattice(horizon=2.0, steps=16, points=101)
     huge = make_driver("constant", 1, 1, {"c": 1e308})
@@ -586,8 +602,12 @@ def test_replay_reads_each_field_once_per_step(small_lat, monkeypatch):
 
     monkeypatch.setattr(solver, "evaluate_field", counting_evaluate)
     monkeypatch.setattr(solver, "g_corner", recording_g)
-    # 1 policy group + 3 controls of 64 paths fill one 256-path forward loop
+    # 1 policy group + 3 controls of 64 paths share one loop
     residual_check(sol, params, n_paths=64, n_controls=3)
+    assert len(interpolated) == small_lat.steps + 1
+    # so do the desk replay's 9 groups: one walk, one backward pass
+    interpolated.clear()
+    residual_check(sol, params, n_paths=64, n_controls=8)
     assert len(interpolated) == small_lat.steps + 1
     g_shapes.clear()
     compensator_mc_check(sol, n_controls=8, n_paths=16)
