@@ -173,7 +173,9 @@ def _block_layers(lattice: Lattice, width: int) -> int:
 
 def _layer_reader(load: Callable[[slice], tuple], size: int, stop: int) -> Callable:
     """read(k): layer k of what load(ks) forms over aligned blocks of `size`
-    layers below `stop`; the last block is kept."""
+    layers below `stop`; the last block is kept. The old block is let go
+    before the next one forms, so one block is alive at a time as long as
+    no caller keeps a view of a read layer across the next read."""
     held = [None, ()]
 
     def read(k):

@@ -412,6 +412,7 @@ def _fields_csv(sol) -> tuple:
                  eta.reshape(nodes, n * d),
                  sol.K_inc[k].reshape(nodes, n) if k < lat.steps else zeros],
                 axis=1)
+            del z, eta    # views of the block, which the next read may replace
             t = repr(float(times[k])) + ","
             yield t + ("\n" + t).join(map(str.__add__, states, _csv_lines(fields))) + "\n"
 

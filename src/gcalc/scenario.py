@@ -423,13 +423,18 @@ def _fair_signs(rng: np.random.Generator, m: int, d: int) -> Callable:
     return lambda k: rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
 
 
+def _increment(sig2: np.ndarray, dt: float, signs: np.ndarray) -> np.ndarray:
+    """One step's path increments sqrt(sig2 * dt) * signs."""
+    return np.sqrt(sig2 * dt) * signs
+
+
 def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
           signs: Callable, m: int):
     """Walk m paths from the origin under a covariance control.
 
     Per step k, control(k, x) gives covariance diagonals inside the box,
     broadcastable to (m, d); each axis moves by sqrt(sig2 * dt) times the
-    +/-1 entries of signs(k). Yields (sig2_k, dx_k, x_{k+1}).
+    +/-1 entries of signs(k) (`_increment`). Yields (sig2_k, dx_k, x_{k+1}).
     """
     d = box.d
     x = np.zeros((m, d))
@@ -442,7 +447,7 @@ def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
                                  f"expected one broadcastable to {(m, d)}") from None
         if not box.contains(sig2):
             raise InputError(f"control leaves the volatility box at step {k}")
-        dx = np.sqrt(sig2 * time.dt) * signs(k)
+        dx = _increment(sig2, time.dt, signs(k))
         x = x + dx
         yield sig2, dx, x
 
@@ -484,19 +489,22 @@ def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
 # Field evaluation at off-grid states
 # ---------------------------------------------------------------------------
 
+def _unit_position(axis: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Queries in grid steps from the axis start, clamped like np.clip."""
+    return np.minimum(np.maximum(0.0, (q - axis[0]) / (axis[1] - axis[0])),
+                      axis.shape[0] - 1.0)
+
+
 def _axis_weights(axis: np.ndarray, q: np.ndarray):
     """Three-point quadratic interpolation nodes/weights along one axis.
 
     Queries beyond the span clamp to the boundary value. Exact for fields
     that are quadratic in the state.
     """
-    p = axis.shape[0]
-    h = axis[1] - axis[0]
-    u = np.clip((q - axis[0]) / h, 0.0, p - 1.0)
-    i = np.clip(np.rint(u).astype(int), 1, p - 2)
+    u = _unit_position(axis, q)
+    i = np.minimum(np.maximum(1, np.rint(u).astype(int)), axis.shape[0] - 2)
     t = u - i
-    w = np.stack([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)], axis=0)
-    return i, w
+    return i, np.array((0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)))
 
 
 def evaluate_field(space: SpaceGrid, layer: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -504,26 +512,20 @@ def evaluate_field(space: SpaceGrid, layer: np.ndarray, x: np.ndarray) -> np.nda
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != space.d:
         raise DimensionError(f"queries are {x.shape}, expected (m, {space.d})")
-    trailing = layer.shape[space.d:]
-    pad = (1,) * len(trailing)
-    i0, w0 = _axis_weights(space.axes[0], x[:, 0])
-    if space.d == 1:
-        out = sum(w0[j].reshape((-1,) + pad) * layer[i0 + j - 1] for j in range(3))
-        return out
-    i1, w1 = _axis_weights(space.axes[1], x[:, 1])
-    rows = sum(w0[j].reshape((-1, 1) + pad) * layer[i0 + j - 1] for j in range(3))
-    m = np.arange(x.shape[0])
-    out = sum(w1[j].reshape((-1,) + pad) * rows[m, i1 + j - 1] for j in range(3))
-    return out
+    vals, lead = layer, ()
+    for a, axis in enumerate(space.axes):
+        i, w = _axis_weights(axis, x[:, a])
+        w = w.reshape((3, -1) + (1,) * (vals.ndim - 1 - len(lead)))
+        # from 0.0, as sum() adds: a -0.0 first term reads +0.0
+        out = 0.0 + w[0] * vals[lead + (i - 1,)]
+        out += w[1] * vals[lead + (i,)]
+        out += w[2] * vals[lead + (i + 1,)]
+        vals, lead = out, (np.arange(x.shape[0]),)
+    return vals
 
 
 def nearest_index(space: SpaceGrid, x: np.ndarray) -> tuple:
     """Grid indices of the nodes nearest to query states (m, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = []
-    for a in range(space.d):
-        axis = space.axes[a]
-        h = axis[1] - axis[0]
-        u = np.clip((x[:, a] - axis[0]) / h, 0.0, axis.shape[0] - 1.0)
-        out.append(np.rint(u).astype(int))
-    return tuple(out)
+    return tuple(np.rint(_unit_position(axis, x[:, a])).astype(int)
+                 for a, axis in enumerate(space.axes))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateBoxError, InputError
 from .gtensor import g_corner
-from .scenario import (Lattice, TerminalFunctional, _sweep, _walk,
+from .scenario import (Lattice, TerminalFunctional, _increment, _sweep, _walk,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
 from .calculus import (_block_layers, _layer_reader, _layerwise_norms,
@@ -29,8 +29,9 @@ from .calculus import (_block_layers, _layer_reader, _layerwise_norms,
 #: Default grid scanned for the smallest weight exponent with certified
 #: per-iteration contraction.
 BETA_SCAN = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-#: Paths per residual_check loop in 1-d: a loop stores (2 steps + 1) d floats
-#: per path, its positions and increments, up to 2 steps REPLAY_BATCH_PATHS.
+#: A residual_check loop stores (steps + 1) d floats per path, its positions,
+#: and at most 2 steps REPLAY_BATCH_PATHS floats: about 2 REPLAY_BATCH_PATHS
+#: paths in 1-d.
 REPLAY_BATCH_PATHS = 768
 
 
@@ -200,10 +201,15 @@ def extract_integrands(values: np.ndarray, lattice: Lattice,
         hi, lo, mid, first, second, last, penult = (lead + (i,) for i in (
             slice(2, None), slice(None, -2), slice(1, -1), 0, 1, -1, -2))
         v, dz, de = values, z[..., a, :], eta[..., a]
-        dz[mid] = (v[hi] - v[lo]) / (2.0 * h)
-        dz[first] = (v[second] - v[first]) / h
-        dz[last] = (v[last] - v[penult]) / h
-        de[mid] = (v[hi] - 2.0 * v[mid] + v[lo]) / (h * h)
+        # in place: (v[hi] - v[lo]) / (2 h), ((v[hi] - 2 v[mid]) + v[lo]) / h^2
+        for out, i, j, step in ((dz[mid], hi, lo, 2.0 * h), (dz[first], second, first, h),
+                                (dz[last], last, penult, h)):
+            np.subtract(v[i], v[j], out=out)
+            out /= step
+        curv = np.multiply(2.0, v[mid], out=de[mid])
+        np.subtract(v[hi], curv, out=curv)
+        curv += v[lo]
+        curv /= h * h
         de[first], de[last] = de[second], de[penult]
     if g_field is not None:
         eta += 2.0 * g_field
@@ -474,8 +480,9 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     first), else by the covariances table[k]. Drivers see all n components;
     the budget identity is summed for comp. Returns per group (largest
     |Y_t - right side|, smallest Y_t minus the K-free right side, both over
-    t < T, and the terminal gap). A forward walk stores positions and
-    increments; a backward pass reads one packed layer per step."""
+    t < T, and the terminal gap). A forward walk stores positions only; a
+    backward pass re-forms each step's increments and reads one packed layer
+    per step, holding one block of integrands at a time."""
     lat = solution.lattice
     space, dt, steps, d, n = lat.space, lat.dt, lat.steps, lat.d, solution.n
     times = lat.time.times()
@@ -497,10 +504,9 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
         return sig2.reshape(-1, d)
 
     xs = np.zeros((steps + 1, rows.size, d))
-    dxs = np.empty((steps, rows.size, d))
     walk = _walk(lat.time, lat.box, control, lambda k: _signs(flips[k], m, d), rows.size)
-    for k, (_, dx, x) in enumerate(walk):
-        dxs[k], xs[k + 1] = dx, x
+    for k, (_, _, x) in enumerate(walk):
+        xs[k + 1] = x
     cuts = np.cumsum([n, d * n, n * d, d * n])
     read = _layer_reader(solution.integrands, _block_layers(lat, 2 * d * n), steps + 1)
     g_field = solution.g_field
@@ -513,16 +519,15 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
     margin = np.full(rows.size, np.inf)
     for k in range(steps - 1, -1, -1):
         # Y, Z, eta at layer k, and the integrands that close the budget
-        # identity from layer k + 1 (the field being incremented; read first,
-        # its block is held); the bracket shift stays at layer k, as in the
-        # backward step
-        z_next, curv_next = read(k + 1)
-        z_now, eta_now = read(k)
+        # identity from layer k + 1 (the field being incremented; copied
+        # before layer k is read); the bracket shift stays at layer k, as in
+        # the backward step
+        z_next, curv_next = [a.copy() for a in read(k + 1)]
         if g_field is not None:
-            curv_next = curv_next - 2.0 * g_field[k + 1]
+            curv_next -= 2.0 * g_field[k + 1]
         packed = np.concatenate(
             [a.reshape(space.shape + (-1,)) for a in (
-                solution.Y[k], z_now, eta_now, z_next, curv_next)], axis=-1)
+                solution.Y[k], *read(k), z_next, curv_next)], axis=-1)
         y_all, z_all, eta_all, z_next, curv_next = np.split(
             evaluate_field(space, packed, xs[k]), cuts, axis=-1)
         z_all = z_all.reshape(-1, d, n)
@@ -534,10 +539,11 @@ def _replay(solution: BsdeSolution, params: GBsdeParams, groups: list,
                            dtype=float)[rows, comp_of]
         z_k = z_next.reshape(-1, d, n)[rows, :, comp_of]
         eta_k = curv_next.reshape(-1, n, d)[rows, comp_of] + 2.0 * g_val
-        dqv = control(k, xs[k]) * dt
+        sig2_k = control(k, xs[k])
+        dqv = sig2_k * dt
         acc[0] += f_val * dt
         acc[1] += np.sum(g_val * dqv, axis=1)
-        acc[2] += np.sum(z_k * dxs[k], axis=1)
+        acc[2] += np.sum(z_k * _increment(sig2_k, dt, _signs(flips[k], m, d)), axis=1)
         acc[3] += g_corner(eta_k, lat.box) * dt
         acc[4] += 0.5 * np.sum(eta_k * dqv, axis=1)
         free = xi + acc[0] + acc[1] - acc[2]
@@ -560,7 +566,8 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     negative tolerance). Random numbers come per group of n_paths paths: the
     n policy groups, then per control its uniform (steps, d) table and its n
     groups, each group's flips one (steps, n_paths * d) draw. Groups share
-    loops of up to 2 steps REPLAY_BATCH_PATHS stored floats; no bit changes.
+    loops of up to 2 steps REPLAY_BATCH_PATHS stored positions, and the
+    loops hold one block of integrands at a time; no bit changes.
     """
     if n_paths <= 0:
         raise InputError("n_paths must be positive")
@@ -570,7 +577,7 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     lat = solution.lattice
     groups = _residual_groups(rng, lat, solution.n, n_paths, n_controls)
     per_loop = max(1, 2 * lat.steps * REPLAY_BATCH_PATHS
-                   // ((2 * lat.steps + 1) * lat.d * n_paths))
+                   // ((lat.steps + 1) * lat.d * n_paths))
     max_resid = terminal_gap = off_max = 0.0
     off_margin = np.inf
     while batch := list(itertools.islice(groups, per_loop)):
@@ -616,13 +623,13 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     up, lo = lat.box.upper, lat.box.lower
 
     n_tables = max(0, n_controls - 2)
-    flips = [_coin_flips(rng, steps, m, d), _coin_flips(rng, steps, m, d)]
+    n_groups = n_tables + 2
+    flips = np.empty((steps, n_groups, -(-m * d // 8)), dtype=np.uint8)
+    flips[:, 0], flips[:, 1] = _coin_flips(rng, steps, m, d), _coin_flips(rng, steps, m, d)
     tables = np.empty((n_tables, steps, d))
     for j in range(n_tables):
         tables[j] = corners[rng.integers(0, corners.shape[0], size=steps)]
-        flips.append(_coin_flips(rng, steps, m, d))
-    flips = np.stack(flips, axis=1)                        # (steps, groups, bytes)
-    n_groups = n_tables + 2
+        flips[:, 2 + j] = _coin_flips(rng, steps, m, d)
     sig2 = np.empty((n_groups, m, d))
     idx = eta_k = None   # set by the control: each step's nearest nodes, their curvature
     read = _layer_reader(solution.integrands, _block_layers(lat, 2 * d * solution.n),

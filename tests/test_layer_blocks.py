@@ -4,7 +4,9 @@ derived from them a block of layers at a time.
 The block readers must give the bits of the stacked extraction, signed
 zeros included, and no reader may hold a full stack of derived fields: the
 memory guards count the traced peak of a run in (steps + 1) x nodes float64
-stacks, with blocks of one layer so that the stacks dominate.
+stacks, with blocks of one layer so that the stacks dominate. The one-block
+guards count it in blocks of many layers: a reader lets one block go before
+it reads the next.
 """
 import tracemalloc
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from gcalc import (BsdeSolution, GBsdeParams, TerminalFunctional, apriori_check,
-                   calculus, cauchy_sequence_check, compensator_mc_check,
+                   calculus, cauchy_sequence_check, cli, compensator_mc_check,
                    extract_integrands, make_driver, make_payoff,
                    representation_bound_check, residual_check, solve_gbsde,
                    sup_estimate_check)
@@ -82,6 +84,26 @@ def test_block_integrands_equal_stacked_extraction(monkeypatch, lattice_kwargs, 
             g_corner(eta_steps, lat.box), eta_steps, lat.combos[sol.policy_idx], lat))
     assert_same_bits(sol.Z, z_want)
     assert_same_bits(sol.eta, eta_want)
+
+
+@pytest.mark.parametrize("lattice_kwargs", [
+    {"steps": 6, "points": 61},
+    {"lower": (1.0, 1.0), "upper": (2.0, 2.0), "steps": 6, "points": (45, 47),
+     "grid_points": 2},
+])
+@pytest.mark.parametrize("n", [1, 2])
+def test_in_place_integrands_keep_the_expression_bits(lattice_kwargs, n):
+    lat = make_lattice(**lattice_kwargs)
+    rng = np.random.default_rng(11 + 2 * lat.d + n)
+    layers = (lat.steps + 1,) + lat.space.shape
+    y = signed_zeros(rng, layers + (n,))
+    wide = signed_zeros(rng, layers + (3 * n,))
+    # a contiguous block, a strided view and a block of reversed layers
+    for values in (y, wide[..., ::3], y[::-1]):
+        for g in g_fields(rng, layers + (n, lat.d)).values():
+            for got, want in zip(extract_integrands(values, lat, g),
+                                 stacked_integrands(values, lat, g)):
+                assert_same_bits(got, want)
 
 
 def test_solutions_keep_no_integrand_stacks():
@@ -165,7 +187,7 @@ def test_solve_memory_holds_two_iterates_through_a_restart(monkeypatch):
     assert rep.beta == BETA_SCAN[0] and max(rep.contraction_factors) > rep.theoretical_factor
 
 
-def test_replay_memory_holds_positions_and_increments_only(monkeypatch):
+def test_replay_memory_holds_positions_only(monkeypatch):
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
     lat = make_lattice(steps=400, points=481)
     payoff = make_payoff("abs", 1)
@@ -173,14 +195,50 @@ def test_replay_memory_holds_positions_and_increments_only(monkeypatch):
     params = GBsdeParams(terminal=payoff, f=zero_dt_driver(1), g=zero_qv_driver(1, 1))
     m, groups = 64, 9
     peak = traced_peak(lambda: residual_check(sol, params, n_paths=m, n_controls=groups - 1))
-    # the paths' positions and increments, (2 steps + 1) d floats per path;
-    # one group's coin-flip draw, steps x m x d int64; and 32 packed layers,
-    # (1 + 4 d) n floats per node, for the one-layer blocks, the packed
-    # layer's interpolation and the per-step path arrays
-    store = (2 * lat.steps + 1) * lat.d * groups * m * 8
+    # the paths' positions, (steps + 1) d floats per path; one group's
+    # coin-flip draw, steps x m x d int64; and 32 packed layers, (1 + 4 d) n
+    # floats per node, for the one-layer blocks, the packed layer's
+    # interpolation and the per-step path arrays
+    store = (lat.steps + 1) * lat.d * groups * m * 8
     draw = lat.steps * m * lat.d * 8
     layers = 32 * (1 + 4 * lat.d) * lat.space.shape[0] * 8
     assert peak < store + draw + layers, f"{(peak - store - draw) / layers * 32:.1f} layers"
+
+
+def test_compensator_memory_holds_the_flips_once(monkeypatch):
+    monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
+    lat = make_lattice(steps=400, points=481)
+    sol = represent_martingale(make_payoff("abs", 1), lat)
+    groups = 2000
+    # one path per group, so the packed flips, one byte per group and step,
+    # outweigh the per-step path arrays
+    peak = traced_peak(lambda: compensator_mc_check(sol, n_controls=groups, n_paths=1))
+    # the flips once, the random controls' (steps, d) corner tables, and
+    # 32 path arrays of groups floats and 32 node layers for the walk
+    flips = lat.steps * groups
+    tables = (groups - 2) * lat.steps * lat.d * 8
+    walk = 32 * 8 * (groups * lat.d + lat.space.shape[0])
+    assert peak < flips + tables + walk, f"{(peak - tables) / flips:.2f} flips"
+
+
+@pytest.mark.parametrize("reader", ["residual_check", "fields_csv"])
+def test_block_readers_hold_one_block(monkeypatch, reader):
+    lat = make_lattice(steps=400, points=481)
+    payoff = make_payoff("abs", 1)
+    sol = represent_martingale(payoff, lat)
+    params = GBsdeParams(terminal=payoff, f=zero_dt_driver(1), g=zero_qv_driver(1, 1))
+    run = {"residual_check": lambda: residual_check(sol, params, n_paths=4, n_controls=1),
+           "fields_csv": lambda: sum(map(len, cli._fields_csv(sol)[1]))}[reader]
+    # blocks of Z and eta of 200 layers, so each reader crosses a boundary
+    # between two full blocks
+    width = 200 * lat.space.shape[0] * 2
+    monkeypatch.setattr(calculus, "BLOCK_VALUES", width)
+    block = width * 8
+    peak = traced_peak(run)
+    # one block, and a quarter block for the rest: numpy's ufunc buffers
+    # (three of 8,192 floats), the writer's CSV text of one layer, the
+    # replay's positions and per-step arrays
+    assert peak < 1.25 * block, f"{peak / block:.2f} blocks"
 
 
 def test_cauchy_memory_holds_value_stacks_only(monkeypatch):

@@ -793,3 +793,48 @@ def test_evaluate_field_2d(small_lat_2d):
     got = evaluate_field(small_lat_2d.space, layer, xs)
     want = xs[:, 0] ** 2 + 0.5 * xs[:, 1]
     assert np.allclose(got[:, 0], want, atol=1e-9)
+
+
+def clip_and_sum_evaluate(space, layer, x):
+    """evaluate_field as it was written first: np.clip for the clamps and
+    sum() over generators, which starts from 0, for the three-point sums."""
+    def weights(axis, q):
+        p, h = axis.shape[0], axis[1] - axis[0]
+        u = np.clip((q - axis[0]) / h, 0.0, p - 1.0)
+        i = np.clip(np.rint(u).astype(int), 1, p - 2)
+        t = u - i
+        return i, np.stack([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)])
+
+    pad = (1,) * (layer.ndim - space.d)
+    i0, w0 = weights(space.axes[0], x[:, 0])
+    if space.d == 1:
+        return sum(w0[j].reshape((-1,) + pad) * layer[i0 + j - 1] for j in range(3))
+    i1, w1 = weights(space.axes[1], x[:, 1])
+    rows = sum(w0[j].reshape((-1, 1) + pad) * layer[i0 + j - 1] for j in range(3))
+    m = np.arange(x.shape[0])
+    return sum(w1[j].reshape((-1,) + pad) * rows[m, i1 + j - 1] for j in range(3))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evaluate_field_keeps_the_clip_and_sum_bits(small_lat, small_lat_2d, dim):
+    lat = small_lat if dim == 1 else small_lat_2d
+    space = lat.space
+    rng = np.random.default_rng(40 + dim)
+    half = np.array([a[-1] for a in space.axes])
+    m = 400
+    # inside and far outside the span, on nodes and midpoints, and signed zeros
+    x = rng.uniform(-1.5, 1.5, (m, dim)) * half
+    x[:50] = rng.choice([-1e6, -0.0, 0.0, 1e6], (50, dim))
+    nodes = [rng.choice(a, m) for a in space.axes]
+    x[50:100] = np.stack(nodes, axis=-1)[50:100]
+    x[100:150] = x[50:100] + 0.5 * np.array(space.spacing)
+    layer = signed_zeros(rng, space.shape + (3, 2))
+    layer[..., 0, 0] = -0.0        # every three-point term -0.0 at some queries
+    for trailing in (layer, layer[..., 0], layer[..., 1, ::-1]):
+        assert_same_bits(evaluate_field(space, trailing, x),
+                         clip_and_sum_evaluate(space, trailing, x))
+    want = tuple(np.rint(np.clip((x[:, a] - ax[0]) / (ax[1] - ax[0]), 0.0,
+                                 ax.shape[0] - 1.0)).astype(int)
+                 for a, ax in enumerate(space.axes))
+    for got, w in zip(nearest_index(space, x), want):
+        assert np.array_equal(got, w)
