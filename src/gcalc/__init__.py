@@ -10,8 +10,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateBoxError,
 from .gtensor import (DiagTensor, VolatilityBox, g_corner, g_diag,
                       g_sym_bruteforce)
 from .scenario import (Lattice, SpaceGrid, TerminalFunctional, TimeGrid,
-                       build_lattice, capacity_estimate,
-                       conditional_expectation_field, control_monte_carlo,
+                       build_lattice, conditional_expectation_field,
                        evaluate_field, nearest_index, sublinear_expectation)
 from .calculus import (PathBundle, StepProcess, exp_cell_weights, lemma31_bounds,
                        ratio_decay_report, simulate_path, weighted_norm)
@@ -21,5 +20,5 @@ from .solver import (BsdeSolution, Driver, GBsdeParams, PicardReport,
                      residual_check, solve_gbsde, zero_dt_driver,
                      zero_qv_driver)
 from .harness import (AprioriReport, apriori_check, cauchy_sequence_check,
-                      representation_bound_check, sup_estimate_check)
+                      representation_bound_check)
 from .catalog import DRIVER_IDS, PAYOFF_IDS, make_driver, make_payoff

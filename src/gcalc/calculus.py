@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DimensionError, InputError,
                      WeightOverflowError)
 from .gtensor import VolatilityBox, g_corner
-from .scenario import Lattice, TimeGrid, _fair_signs, _sweep, _walk
+from .scenario import Lattice, TimeGrid, _sweep, _walk
 
 # Largest exponent allowed in exponential time weights.
 MAX_EXPONENT = 700.0
@@ -80,8 +80,9 @@ def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
     control(k, x) -> covariance diagonal, broadcastable to (d,), validated
     against the box at every step.
     """
+    rng = np.random.default_rng(seed)
     walk = _walk(time, box, lambda k, x: control(k, x[0]),
-                 _fair_signs(np.random.default_rng(seed), 1, box.d), 1)
+                 lambda k: rng.integers(0, 2, size=(1, box.d)) * 2.0 - 1.0, 1)
     steps = [(sig2.copy(), x) for sig2, _, x in walk]
     applied = np.concatenate([sig2 for sig2, _ in steps])
     zero = np.zeros((1, box.d))
@@ -195,6 +196,8 @@ def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
     column: the sweep maximizes every column independently.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
+    if not (fields and len(betas)):
+        raise InputError("weighted_norms needs at least one field and one beta")
     for f in fields:
         if f.shape[0] != lattice.steps + 1 or f.shape[1:1 + lattice.d] != lattice.space.shape:
             raise DimensionError("field does not match the lattice layout")

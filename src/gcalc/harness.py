@@ -19,40 +19,9 @@ from .calculus import (BETA_GRID, _block_layers, _layer_reader, _layerwise_norms
                        _state_expectation, admissible_betas, exp_cell_weights)
 from .errors import InputError
 from .gtensor import g_corner
-from .scenario import (Lattice, TerminalFunctional, _fair_signs, _sweep, _walk,
-                       nearest_index)
+from .scenario import Lattice, TerminalFunctional, _sweep
 from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _fields_at, _triple_sq,
                      _penalty_sq, solve_gbsde)
-
-
-def _stability_inputs(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
-                      betas, mu: float, nu: float, tol: float,
-                      solutions: Optional[tuple]) -> tuple:
-    """What both stability checks start from: (mu^2, nu^2), both solutions,
-    the admissible betas, deltas(ks) (the Y, Z, eta and driver deltas over a
-    slice of layers), its width and E|dY_T|^2."""
-    squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
-    if solutions is None:
-        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
-        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
-    else:
-        sol1, sol2 = solutions
-    scan = admissible_betas(lattice, betas)
-
-    def deltas(ks):
-        fields1, fields2 = _fields_at(sol1, ks), _fields_at(sol2, ks)
-        f1, g1 = _driver_fields(params1, lattice, ks, *fields1)
-        f2, g2 = _driver_fields(params2, lattice, ks, *fields2)
-        d_f, d_g = f1 - f2, g1 - g2
-        if not (np.isfinite(d_f).all() and np.isfinite(d_g).all()):
-            raise InputError("driver produced non-finite values")
-        return tuple(a - b for a, b in zip(fields1, fields2)) + (d_f, d_g)
-
-    width = sol1.n * (4 + 9 * lattice.d)
-    deltas(slice(lattice.steps, None))   # no norm reads the last layer's drivers
-    d_y_t = sol1.Y[-1] - sol2.Y[-1]
-    term_y_t = _state_expectation(lattice, np.sum(d_y_t ** 2, axis=-1), lattice.steps)
-    return squares, (sol1, sol2), scan, deltas, width, term_y_t
 
 
 def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
@@ -150,8 +119,28 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
     under both constant sets and reports the smallest passing beta of each;
     the conservative verdict is the operative one.
     """
-    squares, (sol1, sol2), scan, deltas, width, term_y_t = \
-        _stability_inputs(params1, params2, lattice, betas, mu, nu, tol, solutions)
+    squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
+    if solutions is None:
+        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
+        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
+    else:
+        sol1, sol2 = solutions
+    scan = admissible_betas(lattice, betas)
+
+    def deltas(ks):
+        """The Y, Z, eta and driver deltas over a slice of layers."""
+        fields1, fields2 = _fields_at(sol1, ks), _fields_at(sol2, ks)
+        f1, g1 = _driver_fields(params1, lattice, ks, *fields1)
+        f2, g2 = _driver_fields(params2, lattice, ks, *fields2)
+        d_f, d_g = f1 - f2, g1 - g2
+        if not (np.isfinite(d_f).all() and np.isfinite(d_g).all()):
+            raise InputError("driver produced non-finite values")
+        return tuple(a - b for a, b in zip(fields1, fields2)) + (d_f, d_g)
+
+    width = sol1.n * (4 + 9 * lattice.d)
+    deltas(slice(lattice.steps, None))   # no norm reads the last layer's drivers
+    d_y_t = sol1.Y[-1] - sol2.Y[-1]
+    term_y_t = _state_expectation(lattice, np.sum(d_y_t ** 2, axis=-1), lattice.steps)
     s_min = math.sqrt(lattice.box.sigma_min_sq)
     c_printed = (1.0 / s_min, 3.0 / s_min, 1.0 / (s_min * s_min))
     c_cons = 5.0 / (s_min * s_min)
@@ -193,90 +182,6 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                          beta0_conservative=first_pass(lambda r: r.all_conservative),
                          mu=mu, nu=nu, constants_printed=c_printed,
                          constant_conservative=c_cons, eta_mismatch=mismatch)
-
-
-# ---------------------------------------------------------------------------
-# Running-maximum estimate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupEstimateReport:
-    beta: float
-    lhs_upper: float      # certified upper estimate of E[sup exp(beta t)|dY|^2]
-    lhs_lower: float      # Monte Carlo realized-sup lower estimate
-    rhs: float            # 3 * bracket
-    exact_dp: bool        # True when the running-max recursion was used
-    ok: bool
-
-
-def _running_max_dp(phi: np.ndarray, lattice: Lattice, levels: int = 257) -> float:
-    """Worst-case expected running maximum of a layer-indexed grid field.
-
-    One-dimensional state only. The running maximum is tracked on a level
-    grid; level assignment rounds up, so the result is a certified upper
-    estimate that becomes exact as the level grid refines.
-    """
-    steps = lattice.steps
-    grid = np.unique(np.quantile(phi, np.linspace(0.0, 1.0, levels)))
-    grid[-1] = phi.max()
-    m = grid.shape[0]
-    lev = np.searchsorted(grid, phi, side="left")     # smallest level >= value
-    lev = np.minimum(lev, m - 1)
-    values = np.maximum(grid[None, :], phi[steps][:, None])   # (p, m)
-    level_ids = np.arange(m)[None, :]
-    for k in range(steps - 1, -1, -1):
-        # a move into node x lifts level j to max(j, lev[k + 1][x]), which
-        # depends on the child only: lift the layer once, then take one step
-        lifted = np.take_along_axis(
-            values, np.maximum(level_ids, lev[k + 1][:, None]), axis=1)
-        best = _sweep(lattice, lifted, start_layer=1)
-        own = np.maximum(grid[None, :], phi[k][:, None])
-        values = np.maximum(best, own)
-    j0 = lev[0][lattice.origin_index[0]]
-    return float(values[lattice.origin_index[0], j0])
-
-
-def _realized_sup_mc(phi, lattice: Lattice, n_paths: int = 512, seed: int = 31) -> float:
-    """Expected path maximum under upper-corner covariance; a lower estimate."""
-    walk = _walk(lattice.time, lattice.box, lambda k, x: lattice.box.upper,
-                 _fair_signs(np.random.default_rng(seed), n_paths, lattice.d), n_paths)
-    best = phi[(0,) + nearest_index(lattice.space, np.zeros((n_paths, lattice.d)))]
-    for k, (_, _, x) in enumerate(walk, 1):
-        best = np.maximum(best, phi[(k,) + nearest_index(lattice.space, x)])
-    return float(np.mean(best))
-
-
-def sup_estimate_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
-                       beta: float, mu: float = 1.0, nu: float = 1.0,
-                       tol: float = 1e-10,
-                       solutions: Optional[tuple] = None) -> SupEstimateReport:
-    """Check the running-maximum estimate E[sup exp(bt)|dY_t|^2] <= 3 bracket.
-
-    In 1-d the left side comes from a running-max recursion (a certified
-    upper estimate, exact in the limit), else from the global field maximum;
-    a Monte Carlo realized-sup lower estimate is reported alongside.
-    """
-    squares, (sol1, sol2), (beta,), deltas, width, term_y_t = \
-        _stability_inputs(params1, params2, lattice, (beta,), mu, nu, tol, solutions)
-    times = lattice.time.times()
-    weights_t = np.exp(beta * times).reshape((-1,) + (1,) * lattice.d)
-    phi = weights_t * np.sum((sol1.Y - sol2.Y) ** 2, axis=-1)     # (layers, *grid)
-
-    if lattice.d == 1:
-        lhs_upper = _running_max_dp(phi, lattice)
-        exact = True
-    else:
-        lhs_upper = float(phi.max())
-        exact = False
-    lhs_lower = _realized_sup_mc(phi, lattice)
-
-    (n_f,), (n_g,) = _layerwise_norms(lambda ks: deltas(ks)[3:5], 2, lattice,
-                                      (beta,), width).tolist()
-    t_term, t_f, t_g = _bracket_terms(beta, term_y_t, n_f, n_g, squares, lattice)
-    rhs = 3.0 * (t_term + t_f + t_g)
-    ok = lhs_upper <= rhs + 1e-12 * (1.0 + rhs)
-    return SupEstimateReport(beta=beta, lhs_upper=lhs_upper, lhs_lower=lhs_lower,
-                             rhs=rhs, exact_dp=exact, ok=ok)
 
 
 # ---------------------------------------------------------------------------

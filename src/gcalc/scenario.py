@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,8 +28,6 @@ MAX_STEPS = 400
 MAX_POINTS_PER_AXIS = 1025
 MIN_SPAN_FACTOR = 6.0
 
-_MC_CHUNKS = 8  # fixed seed-stream layout: results depend on seed and n_paths only
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -40,8 +39,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise InputError("horizon must be positive and finite")
-        if not (1 <= int(self.steps) <= MAX_STEPS):
-            raise InputError(f"steps must be in [1, {MAX_STEPS}]")
+        if not (isinstance(self.steps, numbers.Integral) and 1 <= self.steps <= MAX_STEPS):
+            raise InputError(f"steps must be an integer in [1, {MAX_STEPS}]")
         object.__setattr__(self, "steps", int(self.steps))
 
     @property
@@ -126,14 +125,12 @@ class SpaceGrid:
 
 @dataclass(frozen=True)
 class TerminalFunctional:
-    """Payoff of the terminal state, optionally also of one recorded
-    intermediate state (monitor_time). fn maps (..., d) state arrays to
-    (..., n) values; with monitoring it takes (recorded, terminal)."""
+    """Payoff of the terminal state: fn maps (..., d) state arrays to
+    (..., n) values."""
 
     fn: Callable
     lipschitz: float
     n: int = 1
-    monitor_time: Optional[float] = None
 
     def __post_init__(self):
         if self.lipschitz < 0 or not math.isfinite(self.lipschitz):
@@ -141,14 +138,8 @@ class TerminalFunctional:
         if not 1 <= self.n <= MAX_COMPONENTS:
             raise InputError(f"value components must be in [1, {MAX_COMPONENTS}]")
 
-    def evaluate(self, x: np.ndarray, recorded: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.monitor_time is None:
-            vals = self.fn(x)
-        else:
-            if recorded is None:
-                raise InputError("payoff expects the recorded monitoring state")
-            vals = self.fn(recorded, x)
-        vals = np.asarray(vals, dtype=float)
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self.fn(x), dtype=float)
         expected = x.shape[:-1] + (self.n,)
         if vals.shape != expected:
             raise DimensionError(f"payoff returned {vals.shape}, expected {expected}")
@@ -289,12 +280,12 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
            step_cost: Optional[Callable[[int, int], np.ndarray]] = None,
            store=False, start_layer: Optional[int] = None,
            layer_cost: Optional[Callable[[int], np.ndarray]] = None):
-    """Backward induction from `start_layer` (default last) down to layer 0.
+    """Backward induction from `start_layer` (default last), the layer
+    terminal_values sits on, down to layer 0.
 
     The package's only worst-case backward-induction loop. Every trailing
     axis of terminal_values (*grid, *trailing) is an independent value
-    column (a monitoring state or running-maximum level rides on one). A
-    stage that stops short of layer 0 passes its length as start_layer.
+    column.
 
     step_cost(k, combo_index), time weight included, is added to every
     candidate of layer k; it must be affine in sigma^2 within a bracket, or
@@ -360,41 +351,14 @@ def conditional_expectation_field(lattice: Lattice, terminal: TerminalFunctional
     """Full worst-case conditional expectation field of a terminal payoff,
     the maximum over the whole box grid; policy_idx indexes lattice.combos,
     not box.sigma2_combos()."""
-    if terminal.monitor_time is not None:
-        raise InputError("field extraction supports terminal-state payoffs only; "
-                         "monitored payoffs are limited to plain expectations")
     values = terminal.evaluate(lattice.states)
     all_values, policy = _sweep(lattice, values, store=True)
     return ScenarioField(lattice=lattice, values=all_values, policy_idx=policy)
 
 
-def _expectation_monitored(lattice: Lattice, terminal: TerminalFunctional) -> np.ndarray:
-    """Streaming expectation for payoffs of (recorded state, terminal state).
-
-    From the horizon back to the monitoring layer the recorded state is a
-    trailing axis of the sweep; there it is pinned to the current state."""
-    if lattice.d != 1:
-        raise InputError("monitored payoffs are supported in dimension 1 only")
-    k_mon = lattice.time.index_of(terminal.monitor_time)
-    if not 0 < k_mon < lattice.steps:
-        raise InputError("monitor time must be strictly inside (0, horizon)")
-    axis = lattice.space.axes[0]
-    p = axis.shape[0]
-    current = np.broadcast_to(axis[:, None, None], (p, p, 1))
-    recorded = np.broadcast_to(axis[None, :, None], (p, p, 1))
-    values = terminal.evaluate(current, recorded=recorded)  # (p_x, p_u, n)
-    values = _sweep(lattice, values, start_layer=lattice.steps - k_mon)
-    diag = values[np.arange(p), np.arange(p), :]  # recorded state equals current
-    return _sweep(lattice, diag, start_layer=k_mon)
-
-
 def sublinear_expectation(lattice: Lattice, terminal: TerminalFunctional) -> np.ndarray:
     """Worst-case expectation of the payoff at the lattice origin, shape (n,)."""
-    if terminal.monitor_time is not None:
-        values = _expectation_monitored(lattice, terminal)
-    else:
-        values = _sweep(lattice, terminal.evaluate(lattice.states))
-    return values[lattice.origin_index]
+    return _sweep(lattice, terminal.evaluate(lattice.states))[lattice.origin_index]
 
 
 def check_indicator(values: np.ndarray) -> np.ndarray:
@@ -404,24 +368,9 @@ def check_indicator(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def capacity_estimate(lattice: Lattice, event: TerminalFunctional) -> float:
-    """Worst-case probability of an event given by a 0/1 indicator payoff."""
-    values = event.evaluate(lattice.states) if event.monitor_time is None else None
-    if values is not None:
-        top = _sweep(lattice, check_indicator(values))[lattice.origin_index]
-    else:
-        top = _expectation_monitored(lattice, event)[lattice.origin_index]
-    return float(np.clip(top[0], 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
-# Forward Monte Carlo under a fixed admissible control
+# Controlled forward walk
 # ---------------------------------------------------------------------------
-
-def _fair_signs(rng: np.random.Generator, m: int, d: int) -> Callable:
-    """Sign source of one fresh fair (m, d) coin-flip draw per step."""
-    return lambda k: rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
-
 
 def _increment(sig2: np.ndarray, dt: float, signs: np.ndarray) -> np.ndarray:
     """One step's path increments sqrt(sig2 * dt) * signs."""
@@ -450,39 +399,6 @@ def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
         dx = _increment(sig2, time.dt, signs(k))
         x = x + dx
         yield sig2, dx, x
-
-
-def control_monte_carlo(lattice: Lattice, terminal: TerminalFunctional,
-                        control: Callable, n_paths: int, seed: int):
-    """Estimate the single-measure expectation of the payoff under `control`.
-
-    control(k, x_batch) must return covariance diagonals inside the box,
-    broadcastable to the batch. Returns (estimate, standard_error), each of
-    shape (n,). Results depend only on seed and n_paths.
-    """
-    if n_paths <= 0:
-        raise InputError("n_paths must be positive")
-    k_mon = None
-    if terminal.monitor_time is not None:
-        k_mon = lattice.time.index_of(terminal.monitor_time)
-    chunk_count = min(_MC_CHUNKS, n_paths)
-    sizes = [n_paths // chunk_count + (1 if i < n_paths % chunk_count else 0)
-             for i in range(chunk_count)]
-    parts = []
-    for m, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(chunk_count)):
-        recorded = None
-        signs = _fair_signs(np.random.default_rng(seed_seq), m, lattice.d)
-        for k, (_, _, x) in enumerate(_walk(lattice.time, lattice.box, control, signs, m), 1):
-            if k == k_mon:
-                recorded = x
-        parts.append(terminal.evaluate(x, recorded=recorded))
-    vals = np.concatenate(parts, axis=0)
-    est = vals.mean(axis=0)
-    if n_paths > 1:
-        se = vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    else:
-        se = np.full(est.shape, np.inf)
-    return est, se
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -359,10 +360,11 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     Stops when the unweighted triple distance between successive iterates
     falls below tol. Without beta, BETA_SCAN is searched for the smallest
     weight whose measured squared contraction stays within the theoretical
-    factor (beta0_empirical). Raises InputError for a max_iter below 1, an
-    initial tuple without the (Y, Z, eta) shapes, or a mu or nu without a
-    finite nonzero square and reciprocal square, and ConvergenceError (with
-    the distance trace) at max_iter or at a distance that is not finite.
+    factor (beta0_empirical). Raises InputError for a max_iter that is not
+    an integer >= 1, a tol that is not positive and finite, an initial tuple
+    without the (Y, Z, eta) shapes, or a mu or nu without a finite nonzero
+    square and reciprocal square, and ConvergenceError (with the distance
+    trace) at max_iter or at a distance that is not finite.
 
     The scan is lazy: a failed beta can never become beta0, and no later
     beta matters while scan[0] passes. Each iteration measures beta 0 (the
@@ -370,8 +372,10 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
     from the starting fields and measures every scan beta, each until it
     fails. Every reported number equals the full scan's.
     """
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise InputError("max_iter must be an integer of at least 1")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
     want = tuple(a.shape for a in _zero_fields(lattice, params.terminal.n))
     if initial is not None and tuple(map(np.shape, initial)) != want:
         raise InputError(f"initial must be (Y, Z, eta) fields of shapes {want}")
@@ -457,6 +461,20 @@ def _signs(flips_k: np.ndarray, m: int, d: int) -> np.ndarray:
     """Increment signs of one step, (groups, bytes) bits -> (groups * m, d)."""
     bits = np.unpackbits(flips_k, axis=-1, count=m * d)
     return bits.reshape(-1, d) * 2.0 - 1.0
+
+
+def _replay_rng(seed, n_paths: int, min_paths: int, n_controls: int):
+    """The generator of a replay check, after its sizes: integers, with
+    n_paths >= min_paths and n_controls >= 0. A seed that default_rng
+    rejects raises InputError too."""
+    if not (isinstance(n_paths, numbers.Integral) and n_paths >= min_paths):
+        raise InputError(f"n_paths must be an integer of at least {min_paths}")
+    if not (isinstance(n_controls, numbers.Integral) and n_controls >= 0):
+        raise InputError("n_controls must be a nonnegative integer")
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"seed: {exc}") from None
 
 
 def _residual_groups(rng: np.random.Generator, lat: Lattice, n: int,
@@ -569,11 +587,7 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     loops of up to 2 steps REPLAY_BATCH_PATHS stored positions, and the
     loops hold one block of integrands at a time; no bit changes.
     """
-    if n_paths <= 0:
-        raise InputError("n_paths must be positive")
-    if n_controls < 0:
-        raise InputError("n_controls must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = _replay_rng(seed, n_paths, 1, n_controls)
     lat = solution.lattice
     groups = _residual_groups(rng, lat, solution.n, n_paths, n_controls)
     per_loop = max(1, 2 * lat.steps * REPLAY_BATCH_PATHS
@@ -609,15 +623,12 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
     n_paths paths: the flips of the first two, then per random control its
     (steps,) corner picks and its flips, each one (steps, n_paths * d) draw.
     All controls share one forward loop, with G computed once per layer.
+    Two paths per control at least, so every standard error is finite.
     """
-    if n_paths <= 0:
-        raise InputError("n_paths must be positive")
-    if n_controls < 0:
-        raise InputError("n_controls must be nonnegative")
+    rng = _replay_rng(seed, n_paths, 2, n_controls)
     if not 0 <= comp < solution.n:
         raise InputError(f"comp must be in [0, {solution.n})")
     lat = solution.lattice
-    rng = np.random.default_rng(seed)
     steps, d, m = lat.steps, lat.d, n_paths
     corners = lat.box.corners()
     up, lo = lat.box.upper, lat.box.lower
@@ -652,10 +663,7 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
         k_total += _compensator_increments(g_node[idx].reshape(n_groups, m),
                                            eta_k, sig2, lat)
     estimates = np.mean(-k_total, axis=1)
-    if m > 1:
-        ses = np.std(-k_total, axis=1, ddof=1) / math.sqrt(m)
-    else:
-        ses = np.full(n_groups, np.inf)
+    ses = np.std(-k_total, axis=1, ddof=1) / math.sqrt(m)
     top = int(np.argmax(estimates))
     sup_est, sup_se = float(estimates[top]), float(ses[top])
     ok = abs(sup_est) <= 3.0 * sup_se + 1e-9

@@ -136,6 +136,25 @@ def test_capacity_command(tmp_path):
     assert abs(vals[0] - cap) <= 1e-12
 
 
+def test_capacity_basics(tmp_path, capsys):
+    def capacity(payoff, level, name):
+        cfg = {**DESK, "event": {"payoff": payoff, "level": level}}
+        rc, out = run_cli(tmp_path, "capacity", cfg, name=name)
+        assert rc == 0
+        return load_summary(out)["outputs"]["capacity"]
+
+    sure = {"id": "constant", "params": {"c": 1.0}}
+    assert capacity(sure, 0.0, "sure") == 1.0
+    linear = {"id": "linear"}
+    c1, c2 = capacity(linear, 1.0, "lvl1"), capacity(linear, 2.0, "lvl2")
+    assert 0.0 <= c2 <= c1 <= 1.0
+    # an event is a payoff compared with a level: a bare payoff is no indicator
+    rc, out = run_cli(tmp_path, "capacity", {**DESK, "event": {"payoff": linear}},
+                      name="bare")
+    assert rc == 2 and not out.exists()
+    assert "event.level" in capsys.readouterr().err
+
+
 DESK_2D = {"box": {"d": 2, "lower": [1.0, 1.0], "upper": [2.0, 2.0],
                    "grid_points": 5},
            "time": {"horizon": 1.0, "steps": 40}, "space": {"points": 121}}

@@ -1,4 +1,4 @@
-"""Stability, running-max, representation, and Cauchy-sequence checks.
+"""Stability, representation, and Cauchy-sequence checks.
 
 Cash shifts give exact closed forms: shifting the payoff by a constant c
 shifts the value field by c and nothing else, and shifting the dt-driver by
@@ -12,7 +12,7 @@ import pytest
 
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, apriori_check,
                    cauchy_sequence_check, exp_cell_weights,
-                   representation_bound_check, solve_gbsde, sup_estimate_check)
+                   representation_bound_check, solve_gbsde)
 from gcalc.catalog import make_driver
 from gcalc.errors import InputError, WeightOverflowError
 from gcalc.harness import BETA_GRID, admissible_betas
@@ -124,22 +124,15 @@ def test_eta_mismatch_flag(small_lat):
     assert rep.ok   # the bracket absorbs the driver gap
 
 
-@pytest.mark.parametrize("check, args", [(apriori_check, {}),
-                                         (sup_estimate_check, {"beta": 1.0})],
-                         ids=["apriori", "sup"])
+@pytest.mark.parametrize("check", [apriori_check], ids=["apriori"])
 @pytest.mark.parametrize("key", ["mu", "nu"])
 @pytest.mark.parametrize("weight", [1e-200, 1e200, 0.0])
-def test_penalty_weights_are_checked_before_solving(small_lat, check, args, key, weight):
-    # the same rule as solve_gbsde's; mu = 0 used to end sup_estimate_check
-    # in a ZeroDivisionError
+def test_penalty_weights_are_checked_before_solving(small_lat, check, key, weight):
+    # the same rule as solve_gbsde's
     p = plain(quad_payoff())
     with pytest.raises(InputError, match=f"^{key}:"):
-        check(p, p, small_lat, **args, **{key: weight})
+        check(p, p, small_lat, **{key: weight})
 
-
-# ---------------------------------------------------------------------------
-# running-maximum estimate
-# ---------------------------------------------------------------------------
 
 def test_non_finite_driver_delta_rejected(small_lat):
     sol, _ = solve_gbsde(plain(linear_payoff()), small_lat)
@@ -147,30 +140,6 @@ def test_non_finite_driver_delta_rejected(small_lat):
     params2 = GBsdeParams(terminal=linear_payoff(), f=inf_f, g=zero_qv_driver(1, 1))
     with pytest.raises(InputError):
         apriori_check(plain(linear_payoff()), params2, small_lat, solutions=(sol, sol))
-
-
-def test_sup_estimate_cash_shift(small_lat):
-    rep = sup_estimate_check(plain(quad_payoff()), plain(shifted_quad(0.1)),
-                             small_lat, beta=1.0)
-    assert rep.exact_dp and rep.ok
-    want = math.e * 0.01
-    assert rep.lhs_upper == pytest.approx(want, rel=1e-9)
-    assert rep.lhs_lower == pytest.approx(want, rel=1e-9)
-    assert rep.rhs == pytest.approx(3.0 * want, rel=1e-9)
-
-
-def test_sup_estimate_identical_and_2d(small_lat, small_lat_2d):
-    p = plain(quad_payoff())
-    rep = sup_estimate_check(p, p, small_lat, beta=2.0)
-    assert rep.ok and rep.lhs_upper == 0.0
-    p2 = plain(quad_payoff(), d=2)
-    q2 = GBsdeParams(terminal=TerminalFunctional(
-        fn=lambda x: np.sum(x * x, axis=-1)[..., None] + 0.1, lipschitz=60.0),
-        f=zero_dt_driver(1), g=zero_qv_driver(1, 2))
-    rep2 = sup_estimate_check(p2, q2, small_lat_2d, beta=1.0)
-    assert not rep2.exact_dp
-    assert rep2.ok
-    assert rep2.lhs_upper == pytest.approx(math.e * 0.01, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ import pytest
 from gcalc import (BsdeSolution, GBsdeParams, TerminalFunctional, apriori_check,
                    calculus, cauchy_sequence_check, cli, compensator_mc_check,
                    extract_integrands, make_driver, make_payoff,
-                   representation_bound_check, residual_check, solve_gbsde,
-                   sup_estimate_check)
+                   representation_bound_check, residual_check, solve_gbsde)
 from gcalc.calculus import _layer_reader
 from gcalc.gtensor import g_corner
 from gcalc.solver import (BETA_SCAN, _compensator_increments, represent_martingale,
@@ -134,7 +133,6 @@ def test_no_reader_builds_the_full_integrand_stacks(monkeypatch):
     cauchy_sequence_check([payoff, make_payoff("quadratic", 1)], lat, 1.0)
     # equal solutions: the curvature-mismatch flag reads the eta deltas too
     assert not apriori_check(params, params, lat, solutions=(sol, sol)).eta_mismatch
-    sup_estimate_check(params, params, lat, 1.0, solutions=(sol, sol))
 
 
 def traced_peak(run):
@@ -209,15 +207,15 @@ def test_compensator_memory_holds_the_flips_once(monkeypatch):
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
     lat = make_lattice(steps=400, points=481)
     sol = represent_martingale(make_payoff("abs", 1), lat)
-    groups = 2000
-    # one path per group, so the packed flips, one byte per group and step,
-    # outweigh the per-step path arrays
-    peak = traced_peak(lambda: compensator_mc_check(sol, n_controls=groups, n_paths=1))
+    groups, m = 2000, 2
+    # the fewest paths per group, so the packed flips, one byte per group and
+    # step, outweigh the per-step path arrays
+    peak = traced_peak(lambda: compensator_mc_check(sol, n_controls=groups, n_paths=m))
     # the flips once, the random controls' (steps, d) corner tables, and
-    # 32 path arrays of groups floats and 32 node layers for the walk
+    # 16 path arrays of groups * m floats and 32 node layers for the walk
     flips = lat.steps * groups
     tables = (groups - 2) * lat.steps * lat.d * 8
-    walk = 32 * 8 * (groups * lat.d + lat.space.shape[0])
+    walk = 8 * (16 * groups * m * lat.d + 32 * lat.space.shape[0])
     assert peak < flips + tables + walk, f"{(peak - tables) / flips:.2f} flips"
 
 

@@ -25,20 +25,10 @@ BENCH = ROOT / "perfbench"
 
 KEEP = {
     "weighted_norm": "perfbench/child.py wraps it by name (ROADMAP item 1)",
-    "capacity_estimate": "library form of the capacity command, incl. monitored events",
-    "control_monte_carlo": "single-measure Monte Carlo cross-check of the lattice",
-    "sup_estimate_check": "the running-maximum estimate, which no command runs",
 }
 
 KEEP_PARAMS = {
     "apriori_check.solutions": "test seam: substitute the two solutions",
-    "sup_estimate_check.mu": "penalty weight of the running-max estimate, as in apriori_check",
-    "sup_estimate_check.nu": "penalty weight of the running-max estimate, as in apriori_check",
-    "sup_estimate_check.tol": "solver tolerance of the running-max estimate, as in apriori_check",
-    "sup_estimate_check.solutions": "test seam: substitute the two solutions",
-    "_running_max_dp.levels": "test seam: refine the running-max level grid",
-    "_realized_sup_mc.n_paths": "test seam: a small Monte Carlo against the loop reference",
-    "_realized_sup_mc.seed": "test seam: a second stream against the loop reference",
     "lemma31_bounds.t": "start of the lemma's window",
     "lemma31_bounds.s": "end of the lemma's window",
 }

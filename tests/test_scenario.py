@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
-                   build_lattice, capacity_estimate,
-                   conditional_expectation_field, control_monte_carlo,
+                   build_lattice, conditional_expectation_field,
                    evaluate_field, nearest_index, sublinear_expectation)
 from gcalc.errors import DimensionError, GridResolutionError, InputError
 from gcalc.gtensor import DiagTensor, g_diag
-from gcalc.harness import _realized_sup_mc, _running_max_dp
 from gcalc.calculus import (StepProcess, _square_integral_expectation,
                             exp_cell_weights, simulate_path, weighted_norms)
-from gcalc.scenario import _axis_allocation, _expectation_monitored, _sweep
+from gcalc.scenario import _axis_allocation, _sweep
 
 from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
                       quad_payoff)
@@ -148,31 +146,6 @@ def test_absolute_value_expectation(small_lat):
                               lipschitz=1.0)
     got = sublinear_expectation(small_lat, absf)[0]
     assert got == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=0.01)
-
-
-def test_monitored_increment_and_record(small_lat):
-    inc = TerminalFunctional(
-        fn=lambda u, x: ((x[..., 0] - u[..., 0]) ** 2)[..., None],
-        lipschitz=240.0, monitor_time=0.5)
-    rec = TerminalFunctional(fn=lambda u, x: (u[..., 0] ** 2)[..., None],
-                             lipschitz=120.0, monitor_time=0.5)
-    assert sublinear_expectation(small_lat, inc)[0] == pytest.approx(2.0, abs=1e-9)
-    assert sublinear_expectation(small_lat, rec)[0] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_monitor_restrictions(small_lat, small_lat_2d):
-    mon = TerminalFunctional(fn=lambda u, x: (u[..., 0] * x[..., 0])[..., None],
-                             lipschitz=500.0, monitor_time=0.5)
-    with pytest.raises(InputError):
-        conditional_expectation_field(small_lat, mon)
-    with pytest.raises(InputError):
-        sublinear_expectation(small_lat_2d, mon)     # d = 2 unsupported
-    for bad_time in (0.0, 1.0, 0.333):
-        bad = TerminalFunctional(
-            fn=lambda u, x: (u[..., 0] ** 2)[..., None],
-            lipschitz=120.0, monitor_time=bad_time)
-        with pytest.raises(InputError):
-            sublinear_expectation(small_lat, bad)
 
 
 def test_policy_tie_break_is_lowest_combo(small_lat, small_lat_2d):
@@ -526,105 +499,39 @@ def reference_square_cost(proc, lat, beta, k):
     return 0.0
 
 
-def stencil_monitored(lattice, terminal):
-    """Monitored expectation with the stencil applied along the current-state axis."""
-    k_mon = lattice.time.index_of(terminal.monitor_time)
-    axis = lattice.space.axes[0]
-    p = axis.shape[0]
-    recorded = np.broadcast_to(axis[:, None, None], (p, p, 1))
-    current = np.broadcast_to(axis[None, :, None], (p, p, 1))
-    values = terminal.evaluate(current, recorded=recorded)
-    for k in range(lattice.steps - 1, k_mon - 1, -1):
-        best = None
-        for sigma2 in lattice.combos:
-            cand = None
-            for idx, weight in stencil_terms(lattice, sigma2):
-                part = weight * values[:, idx[0], :]
-                cand = part if cand is None else cand + part
-            best = cand if best is None else np.maximum(best, cand)
-        values = best
-    diag = values[np.arange(p), np.arange(p), :]
-    return stencil_sweep(lattice, diag, start_layer=k_mon)[0][0]
-
-
-def stencil_running_max_dp(phi, lattice, levels=257):
-    """Running-maximum recursion gathering children through the stencil."""
-    steps = lattice.steps
-    grid = np.unique(np.quantile(phi, np.linspace(0.0, 1.0, levels)))
-    grid[-1] = phi.max()
-    m = grid.shape[0]
-    lev = np.minimum(np.searchsorted(grid, phi, side="left"), m - 1)
-    p = lattice.space.shape[0]
-    values = np.maximum(grid[None, :], phi[steps][:, None])
-    level_ids = np.arange(m)[None, :]
-    for k in range(steps - 1, -1, -1):
-        best = None
-        for sigma2 in lattice.combos:
-            acc = np.zeros((p, m))
-            for idx, w in stencil_terms(lattice, sigma2):
-                child_x = idx[0]
-                j = np.maximum(level_ids, lev[k + 1][child_x][:, None])
-                acc += w * values[child_x[:, None], j]
-            best = acc if best is None else np.maximum(best, acc)
-        values = np.maximum(best, np.maximum(grid[None, :], phi[k][:, None]))
-    return float(values[lattice.origin_index[0], lev[0][lattice.origin_index[0]]])
-
-
-@pytest.mark.parametrize("steps,points,grid_points", [(8, 81, 3), (16, 97, 5)])
-def test_monitored_and_running_max_match_stencil(steps, points, grid_points):
-    lat = make_lattice(steps=steps, points=points, grid_points=grid_points)
-    for fn in (lambda u, x: np.abs(x - 0.5 * u), lambda u, x: np.maximum(u, x) ** 2):
-        mon = TerminalFunctional(fn=fn, lipschitz=1e3, monitor_time=0.5)
-        assert np.array_equal(_expectation_monitored(lat, mon), stencil_monitored(lat, mon))
-    rng = np.random.default_rng(grid_points)
-    phi = rng.uniform(0.0, 2.0, (steps + 1,) + lat.space.shape)
-    assert _running_max_dp(phi, lat) == stencil_running_max_dp(phi, lat)
-    assert _running_max_dp(phi, lat, levels=17) == stencil_running_max_dp(phi, lat, levels=17)
-
-
-# ---------------------------------------------------------------------------
-# capacities
-# ---------------------------------------------------------------------------
-
-def test_capacity_basics(small_lat):
-    sure = TerminalFunctional(
-        fn=lambda x: np.ones(x.shape[:-1] + (1,)), lipschitz=0.0)
-    assert capacity_estimate(small_lat, sure) == 1.0
-    lvl1 = TerminalFunctional(
-        fn=lambda x: (x[..., 0] >= 1.0).astype(float)[..., None], lipschitz=0.0)
-    lvl2 = TerminalFunctional(
-        fn=lambda x: (x[..., 0] >= 2.0).astype(float)[..., None], lipschitz=0.0)
-    c1, c2 = capacity_estimate(small_lat, lvl1), capacity_estimate(small_lat, lvl2)
-    assert 0.0 <= c2 <= c1 <= 1.0
-    assert c1 == pytest.approx(0.4025, abs=5e-3)
-    with pytest.raises(InputError):
-        capacity_estimate(small_lat, quad_payoff())          # not an indicator
-
-
 # ---------------------------------------------------------------------------
 # controlled Monte Carlo
 # ---------------------------------------------------------------------------
 
-def test_control_mc_reproducible(small_lat):
-    ctrl = lambda k, x: np.where(x > 0.0, 4.0, 1.0)
-    est1, se1 = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=42)
-    est2, _ = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=42)
-    assert np.array_equal(est1, est2)
-    assert np.all(se1 > 0.0)
-    est4, _ = control_monte_carlo(small_lat, quad_payoff(), ctrl, 1500, seed=43)
-    assert not np.array_equal(est1, est4)
+def loop_control_mc(lattice, terminal, control, n_paths, seed):
+    """Single-measure Monte Carlo of the payoff under `control`: a lattice
+    oracle, (estimate, standard error) over n_paths paths in up to eight
+    seed-stream chunks."""
+    def chunk(m, seed_seq):
+        rng = np.random.default_rng(seed_seq)
+        x = np.zeros((m, lattice.d))
+        for k in range(lattice.steps):
+            sig2 = np.broadcast_to(np.asarray(control(k, x), dtype=float),
+                                   (m, lattice.d))
+            signs = rng.integers(0, 2, size=(m, lattice.d)) * 2.0 - 1.0
+            x = x + np.sqrt(sig2 * lattice.dt) * signs
+        return terminal.evaluate(x)
+
+    chunk_count = min(8, n_paths)
+    sizes = [n_paths // chunk_count + (1 if i < n_paths % chunk_count else 0)
+             for i in range(chunk_count)]
+    seeds = np.random.SeedSequence(seed).spawn(chunk_count)
+    vals = np.concatenate([chunk(m, s) for m, s in zip(sizes, seeds)], axis=0)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
 
 def test_control_mc_bounds_and_errors(small_lat):
     # any admissible control is dominated by the worst-case expectation
     top = sublinear_expectation(small_lat, quad_payoff())[0]
-    est, se = control_monte_carlo(small_lat, quad_payoff(),
-                                  lambda k, x: 2.5, 4000, seed=7)
+    est, se = loop_control_mc(small_lat, quad_payoff(), lambda k, x: 2.5, 4000, seed=7)
     assert est[0] <= top + 3.0 * se[0]
-    with pytest.raises(InputError):
-        control_monte_carlo(small_lat, quad_payoff(), lambda k, x: 5.0, 10, seed=1)
-    with pytest.raises(InputError):
-        control_monte_carlo(small_lat, quad_payoff(), lambda k, x: 2.0, 0, seed=1)
+    with pytest.raises(InputError, match="step 0"):
+        simulate_path(small_lat.time, small_lat.box, lambda k, x: 5.0, seed=1)
 
 
 def test_control_of_the_wrong_shape_names_the_step(small_lat_2d):
@@ -633,18 +540,16 @@ def test_control_of_the_wrong_shape_names_the_step(small_lat_2d):
     bad = lambda k, x: [1.0, 1.5, 2.0] if k == 3 else 1.5
     with pytest.raises(DimensionError, match=r"step 3.*\(1, 2\)"):
         simulate_path(tg, box, bad, seed=1)
-    with pytest.raises(DimensionError, match=r"step 3.*\(5, 2\)"):
-        control_monte_carlo(small_lat_2d, quad_payoff(), bad, 40, seed=1)
 
 
 def test_control_mc_constant_top_hits_anchor(small_lat):
-    est, se = control_monte_carlo(small_lat, quad_payoff(),
-                                  lambda k, x: 4.0, 4000, seed=11)
+    est, se = loop_control_mc(small_lat, quad_payoff(), lambda k, x: 4.0, 4000, seed=11)
     assert abs(est[0] - 4.0) <= 4.0 * se[0] + 1e-9
 
 
-# Per-caller loops that `scenario._walk` replaced, kept as references: every
-# caller must draw the same coin flips and do the same arithmetic.
+# The per-caller loop that `scenario._walk` replaced in simulate_path, kept
+# as the reference: it must draw the same coin flips and do the same
+# arithmetic.
 
 def loop_simulate_path(time, box, control, seed):
     rng = np.random.default_rng(seed)
@@ -660,51 +565,6 @@ def loop_simulate_path(time, box, control, seed):
         qv[k + 1] = qv[k] + sig2 * dt
         applied[k] = sig2
     return x, qv, applied
-
-
-def loop_control_mc(lattice, terminal, control, n_paths, seed):
-    def chunk(m, seed_seq):
-        rng = np.random.default_rng(seed_seq)
-        x = np.zeros((m, lattice.d))
-        recorded = None
-        k_mon = None
-        if terminal.monitor_time is not None:
-            k_mon = lattice.time.index_of(terminal.monitor_time)
-        for k in range(lattice.steps):
-            sig2 = np.broadcast_to(np.asarray(control(k, x), dtype=float),
-                                   (m, lattice.d))
-            signs = rng.integers(0, 2, size=(m, lattice.d)) * 2.0 - 1.0
-            x = x + np.sqrt(sig2 * lattice.dt) * signs
-            if k_mon is not None and k + 1 == k_mon:
-                recorded = x.copy()
-        return terminal.evaluate(x, recorded=recorded)
-
-    chunk_count = min(8, n_paths)
-    sizes = [n_paths // chunk_count + (1 if i < n_paths % chunk_count else 0)
-             for i in range(chunk_count)]
-    seeds = np.random.SeedSequence(seed).spawn(chunk_count)
-    vals = np.concatenate([chunk(m, s) for m, s in zip(sizes, seeds)], axis=0)
-    est = vals.mean(axis=0)
-    if n_paths > 1:
-        se = vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    else:
-        se = np.full(est.shape, np.inf)
-    return est, se
-
-
-def loop_realized_sup_mc(phi, lattice, n_paths=512, seed=31):
-    rng = np.random.default_rng(seed)
-    d = lattice.d
-    sig2 = lattice.box.upper
-    x = np.zeros((n_paths, d))
-    best = np.full(n_paths, -np.inf)
-    for k in range(lattice.steps + 1):
-        idx = nearest_index(lattice.space, x)
-        best = np.maximum(best, phi[(k,) + idx])
-        if k < lattice.steps:
-            signs = rng.integers(0, 2, size=(n_paths, d)) * 2.0 - 1.0
-            x = x + np.sqrt(sig2 * lattice.dt) * signs
-    return float(np.mean(best))
 
 
 def assert_bits_equal(got, want):
@@ -732,30 +592,6 @@ def test_simulate_path_matches_loop_reference(small_lat, small_lat_2d):
                 assert_bits_equal(path.positions, x)
                 assert_bits_equal(path.quad_var, qv)
                 assert_bits_equal(path.control, applied)
-
-
-def test_control_mc_matches_loop_reference(small_lat, small_lat_2d):
-    monitored = TerminalFunctional(
-        fn=lambda u, x: np.concatenate([u * x, np.abs(x - u)], axis=-1),
-        lipschitz=0.0, n=2, monitor_time=0.5)
-    cases = [(small_lat, quad_payoff()), (small_lat, monitored),
-             (small_lat_2d, quad_payoff())]
-    for lat, terminal in cases:
-        for n_paths in (1, 5, 8, 1500):
-            args = (lat, terminal, smooth_control(lat.box), n_paths, 42)
-            est, se = control_monte_carlo(*args)
-            want_est, want_se = loop_control_mc(*args)
-            assert_bits_equal(est, want_est)
-            assert_bits_equal(se, want_se)
-
-
-def test_realized_sup_mc_matches_loop_reference(small_lat, small_lat_2d):
-    rng = np.random.default_rng(11)
-    for lat in (small_lat, small_lat_2d):
-        phi = rng.normal(size=(lat.steps + 1,) + lat.space.shape)
-        assert _realized_sup_mc(phi, lat) == loop_realized_sup_mc(phi, lat)
-        assert (_realized_sup_mc(phi, lat, n_paths=3, seed=5)
-                == loop_realized_sup_mc(phi, lat, n_paths=3, seed=5))
 
 
 # ---------------------------------------------------------------------------

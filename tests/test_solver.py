@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gcalc import (Driver, GBsdeParams, TerminalFunctional, classical_oracle,
+from gcalc import (Driver, GBsdeParams, TerminalFunctional, TimeGrid, classical_oracle,
                    compensator_mc_check, extract_integrands, picard_step,
                    represent_martingale, residual_check, solve_gbsde)
 from gcalc import solver
@@ -354,10 +354,43 @@ def test_replay_checks_reject_bad_sizes(small_lat):
             compensator_mc_check(sol, **kwargs)
     with pytest.raises(InputError):
         residual_check(sol, params, n_controls=-3)
-    # the smallest valid sizes still run: policy and curvature-corner groups
-    cm = compensator_mc_check(sol, n_controls=0, n_paths=1, seed=2)
-    assert cm.estimates.shape == (2,) and np.all(np.isinf(cm.standard_errors))
+    # the smallest valid sizes still run: policy and curvature-corner groups,
+    # and two paths per control give every standard error
+    cm = compensator_mc_check(sol, n_controls=0, n_paths=2, seed=2)
+    assert cm.estimates.shape == (2,) and np.all(np.isfinite(cm.standard_errors))
     assert residual_check(sol, params, n_paths=1, n_controls=0).n_controls == 0
+
+
+def _abs_case():
+    lat = make_lattice(steps=8, points=81)
+    payoff = make_payoff("abs", 1)
+    return lat, no_driver_params(payoff), represent_martingale(payoff, lat)
+
+
+MALFORMED_CALLS = {
+    "solve tol=0": lambda lat, p, sol: solve_gbsde(p, lat, tol=0.0),
+    "solve tol=-1": lambda lat, p, sol: solve_gbsde(p, lat, tol=-1.0),
+    "solve tol=nan": lambda lat, p, sol: solve_gbsde(p, lat, tol=math.nan),
+    "solve max_iter=2.5": lambda lat, p, sol: solve_gbsde(p, lat, max_iter=2.5),
+    "TimeGrid steps=2.5": lambda lat, p, sol: TimeGrid(horizon=1.0, steps=2.5),
+    "compensator n_paths=1": lambda lat, p, sol: compensator_mc_check(sol, n_paths=1),
+    "compensator n_paths=2.5": lambda lat, p, sol: compensator_mc_check(sol, n_paths=2.5),
+    "compensator seed=-1": lambda lat, p, sol: compensator_mc_check(sol, seed=-1),
+    "residual seed=-1": lambda lat, p, sol: residual_check(sol, p, seed=-1),
+    "residual n_paths=2.5": lambda lat, p, sol: residual_check(sol, p, n_paths=2.5),
+    "residual n_controls=1.5": lambda lat, p, sol: residual_check(sol, p, n_controls=1.5),
+    "weighted_norms no fields": lambda lat, p, sol: weighted_norms([], lat, [1.0]),
+    "weighted_norms no betas": lambda lat, p, sol: weighted_norms([sol.Y], lat, []),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS)
+def test_malformed_library_arguments_raise_input_error(call):
+    # a tolerance is positive and finite, sizes are integers, seeds are valid
+    # for default_rng, a Monte Carlo check has two paths to estimate its
+    # error from, and a norm sweep has a field and a beta
+    with pytest.raises(InputError):
+        call(*_abs_case())
 
 
 # The per-control replay that residual_check and compensator_mc_check ran
@@ -468,8 +501,7 @@ def _ref_compensator_mc_check(solution, n_controls, n_paths, seed, comp):
             signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
             x = x + np.sqrt(sig2 * lat.dt) * signs
         est = float(np.mean(-k_total))
-        se = float(np.std(-k_total, ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
-        return est, se
+        return est, float(np.std(-k_total, ddof=1) / math.sqrt(m))
 
     runs = [run("policy"), run("eta-corner")]
     for _ in range(max(0, n_controls - 2)):
@@ -553,13 +585,13 @@ def _replay_case(name, small_lat):
 # name, residual (n_paths, n_controls) sizes, MC (n_paths, n_controls) sizes,
 # MC component
 REPLAY_CASES = [
-    ("desk abs", [(64, 8), (1, 1)], [(256, 64), (1, 3)], 0),
+    ("desk abs", [(64, 8), (1, 1)], [(256, 64), (2, 3)], 0),
     ("desk butterfly", [(17, 5)], [(64, 8), (300, 0)], 0),
     ("call, linear-in-z dt, linear-in-y qv", [(64, 8), (300, 2), (2, 0)],
-     [(64, 8), (1, 1)], 0),
+     [(64, 8), (2, 1)], 0),
     ("butterfly, clamped-custom-affine", [(64, 8), (33, 3)], [(64, 8)], 0),
     ("2-d abs, linear-in-z dt and qv", [(64, 8), (17, 5), (1, 2)],
-     [(256, 64), (17, 3), (1, 0)], 0),
+     [(256, 64), (17, 3), (2, 0)], 0),
     ("two components", [(64, 8), (17, 5), (300, 1), (1, 0)],
      [(64, 8), (2, 5)], 1),
     ("2-d two components", [(64, 8), (17, 3), (1, 1)], [(64, 8), (2, 3)], 1),
@@ -583,8 +615,6 @@ def test_batched_replay_matches_per_control_reference(small_lat, name, residual_
         _assert_reports_equal(got, _ref_compensator_mc_check(sol, n_controls, n_paths,
                                                              3, comp), label)
         assert got.estimates.shape == (max(2, n_controls),)
-        if n_paths == 1:
-            assert np.all(np.isinf(got.standard_errors))
 
 
 def test_replay_reads_each_field_once_per_step(small_lat, monkeypatch):
