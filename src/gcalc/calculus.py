@@ -28,8 +28,11 @@ BLOCK_VALUES = 1 << 16
 
 def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
     """Filter an exponent grid (BETA_GRID by default) down to the weights
-    with beta * horizon <= MAX_EXPONENT, which stay representable."""
+    with beta * horizon <= MAX_EXPONENT, which stay representable. A NaN or
+    negative beta raises InputError."""
     src = BETA_GRID if betas is None else tuple(float(b) for b in betas)
+    if not all(b >= 0.0 for b in src):
+        raise InputError("every beta must be nonnegative")
     keep = tuple(b for b in src if b * lattice.time.horizon <= MAX_EXPONENT)
     if not keep:
         raise WeightOverflowError("every requested beta overflows the weight range")
@@ -155,7 +158,7 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
 
 def exp_cell_weights(time: TimeGrid, beta: float) -> np.ndarray:
     """Exact integrals of exp(beta * s) over each grid cell of [0, T]."""
-    if beta < 0.0:
+    if not beta >= 0.0:                    # NaN too
         raise InputError("beta must be nonnegative")
     if beta * time.horizon > MAX_EXPONENT:
         raise WeightOverflowError(

@@ -426,6 +426,8 @@ def _axis_weights(axis: np.ndarray, q: np.ndarray):
 def evaluate_field(space: SpaceGrid, layer: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Interpolate one stored layer (*grid, *trailing) at query states (m, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise InputError("query states must be finite")
     if x.shape[1] != space.d:
         raise DimensionError(f"queries are {x.shape}, expected (m, {space.d})")
     vals, lead = layer, ()
@@ -443,5 +445,7 @@ def evaluate_field(space: SpaceGrid, layer: np.ndarray, x: np.ndarray) -> np.nda
 def nearest_index(space: SpaceGrid, x: np.ndarray) -> tuple:
     """Grid indices of the nodes nearest to query states (m, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise InputError("query states must be finite")
     return tuple(np.rint(_unit_position(axis, x[:, a])).astype(int)
                  for a, axis in enumerate(space.axes))

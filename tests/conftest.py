@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gcalc
 from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
                    build_lattice)
 from gcalc.solver import zero_dt_driver, zero_qv_driver
@@ -46,3 +51,24 @@ def small_lat():
 @pytest.fixture(scope="session")
 def small_lat_2d():
     return make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=20, points=77)
+
+
+def run_fresh(code: str, cwd=None) -> str:
+    """stdout of `code` run in a fresh interpreter, with the tested package
+    first on its path."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gcalc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_modules(statement: str) -> set:
+    """The gcalc modules in sys.modules after a fresh interpreter runs
+    `statement`."""
+    return set(run_fresh(f"{statement}\nimport sys\n"
+                         "print(*(k for k in sys.modules if k.split('.')[0] == 'gcalc'))\n"
+                         ).split())

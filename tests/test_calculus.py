@@ -108,8 +108,9 @@ def test_exp_cell_weights():
     assert np.allclose(w, (np.exp(beta * t[1:]) - np.exp(beta * t[:-1])) / beta)
     with pytest.raises(WeightOverflowError):
         exp_cell_weights(tg, 800.0)
-    with pytest.raises(InputError):
-        exp_cell_weights(tg, -1.0)
+    for beta in (-1.0, math.nan):
+        with pytest.raises(InputError):
+            exp_cell_weights(tg, beta)
 
 
 def test_weighted_norm_constant_field(small_lat):

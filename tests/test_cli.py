@@ -28,7 +28,7 @@ from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES,
                        NORM_SWEEP_ARRAYS, STACK_BUDGET_BYTES, _fields_csv, _fmt,
                        _write_outputs, build_experiment, main)
 
-from conftest import make_lattice
+from conftest import make_lattice, run_fresh
 
 BOX = {"d": 1, "lower": [1.0], "upper": [4.0]}
 SMALL = {"box": BOX, "time": {"horizon": 1.0, "steps": 20},
@@ -270,14 +270,7 @@ def exit_code_and_loaded(tmp_path, command, cfg, module):
             f"rc = main([{command!r}, '--config', {str(path)!r},\n"
             f"           '--out', {str(tmp_path / 'out')!r}])\n"
             f"print(rc, {module!r} in sys.modules)\n")
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gcalc.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, cwd=str(tmp_path), env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return run_fresh(code, cwd=str(tmp_path)).split()
 
 
 def test_expect_leaves_numpy_ma_unimported(tmp_path):

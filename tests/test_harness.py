@@ -48,6 +48,11 @@ def test_admissible_betas(small_lat):
     assert admissible_betas(small_lat, (2.0, 800.0)) == (2.0,)
     with pytest.raises(WeightOverflowError):
         admissible_betas(small_lat, (800.0,))
+    # a NaN or negative beta is rejected, not dropped as an overflow
+    for betas in ((2.0, math.nan), (2.0, -1.0)):
+        with pytest.raises(InputError) as err:
+            admissible_betas(small_lat, betas)
+        assert not isinstance(err.value, WeightOverflowError)
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,11 @@ def test_replay_memory_holds_positions_only(monkeypatch):
     m, groups = 64, 9
     peak = traced_peak(lambda: residual_check(sol, params, n_paths=m, n_controls=groups - 1))
     # the paths' positions, (steps + 1) d floats per path; one group's
-    # coin-flip draw, steps x m x d int64; and 32 packed layers, (1 + 4 d) n
+    # coin-flip draw, steps x m x d int32; and 32 packed layers, (1 + 4 d) n
     # floats per node, for the one-layer blocks, the packed layer's
     # interpolation and the per-step path arrays
     store = (lat.steps + 1) * lat.d * groups * m * 8
-    draw = lat.steps * m * lat.d * 8
+    draw = lat.steps * m * lat.d * 4
     layers = 32 * (1 + 4 * lat.d) * lat.space.shape[0] * 8
     assert peak < store + draw + layers, f"{(peak - store - draw) / layers * 32:.1f} layers"
 

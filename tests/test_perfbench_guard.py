@@ -4,7 +4,9 @@ perfbench/child.py wraps the layer entries it lists by name and reads the
 node-update count of every `_sweep` call from the arguments `lattice`,
 `terminal_values` and `start_layer`. A refactor that renames any of them
 would silently zero per-layer metrics, so these tests load child.py
-(without writing bytecode next to it) and check both against gcalc.
+(without writing bytecode next to it) and check both against gcalc. The
+wrapping reads each layer's module from sys.modules after `import
+gcalc.cli`, so that import must load every one.
 """
 import importlib
 import importlib.util
@@ -18,7 +20,7 @@ import pytest
 
 from gcalc import scenario
 
-from conftest import make_lattice
+from conftest import loaded_modules, make_lattice
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,6 +40,13 @@ def child():
         sys.path.remove(path)
         sys.modules.pop("workloads", None)
     return module
+
+
+def test_the_cli_import_loads_every_layer_module(child):
+    # install() runs `import gcalc.cli` and then reads each layer's module
+    # from sys.modules, so a CLI that imported lazily would break it
+    loaded = loaded_modules("import gcalc.cli")
+    assert {f"gcalc.{name}" for name in child.LAYER_ENTRIES} <= loaded
 
 
 def test_every_layer_entry_exists(child):

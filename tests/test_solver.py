@@ -381,6 +381,10 @@ MALFORMED_CALLS = {
     "residual n_controls=1.5": lambda lat, p, sol: residual_check(sol, p, n_controls=1.5),
     "weighted_norms no fields": lambda lat, p, sol: weighted_norms([], lat, [1.0]),
     "weighted_norms no betas": lambda lat, p, sol: weighted_norms([sol.Y], lat, []),
+    "weighted_norms beta=nan": lambda lat, p, sol: weighted_norms([sol.Y], lat, [math.nan]),
+    "evaluate_field x=nan": lambda lat, p, sol: evaluate_field(lat.space, sol.Y[0],
+                                                               [[math.nan]]),
+    "nearest_index x=nan": lambda lat, p, sol: nearest_index(lat.space, [[0.0], [math.nan]]),
 }
 
 
@@ -388,7 +392,8 @@ MALFORMED_CALLS = {
 def test_malformed_library_arguments_raise_input_error(call):
     # a tolerance is positive and finite, sizes are integers, seeds are valid
     # for default_rng, a Monte Carlo check has two paths to estimate its
-    # error from, and a norm sweep has a field and a beta
+    # error from, a norm sweep has a field and a beta that is not NaN, and
+    # a query state is finite
     with pytest.raises(InputError):
         call(*_abs_case())
 
