@@ -6,6 +6,7 @@ bounds and the exponential-weight norm diagnostics.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,6 +25,12 @@ BETA_GRID = tuple(float(2 ** i) for i in range(11))  # 1 .. 1024
 #: Most float64 values one block of derived layers holds: no derived field
 #: costs a full stack, yet one numpy call covers many small layers.
 BLOCK_VALUES = 1 << 16
+#: Working memory of one norm sweep, an eighth of the CLI's layer-stack
+#: budget: value columns past it run as further sweeps.
+SWEEP_BUDGET_BYTES = 2 ** 28
+#: Layer-sized float64 arrays per value column of a norm sweep in 2-d (7.1 in
+#: 1-d), measured with tracemalloc.
+NORM_SWEEP_ARRAYS = 9.25
 
 
 def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
@@ -195,8 +202,8 @@ def _layer_reader(load: Callable[[slice], tuple], size: int, stop: int) -> Calla
 def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
                    betas: Sequence[float]) -> np.ndarray:
     """weighted_norm of every field at every beta, shape (len(fields), len(betas)),
-    from one backward sweep in which each (field, beta) pair owns a value
-    column: the sweep maximizes every column independently.
+    from backward sweeps in which each (field, beta) pair owns a value
+    column (_grouped_sweeps): a sweep maximizes every column independently.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
     if not (fields and len(betas)):
@@ -208,15 +215,33 @@ def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
                             lattice, betas, 0)
 
 
+def _grouped_sweeps(lattice: Lattice, count: int, betas: Sequence[float],
+                    group_costs: Callable[[slice, np.ndarray], dict]) -> np.ndarray:
+    """Origin values, (count, len(betas)), of a sweep from zero with a value
+    column per (row, beta), in groups of whole rows or of one row's betas
+    that hold at most SWEEP_BUDGET_BYTES at NORM_SWEEP_ARRAYS layers per
+    column. group_costs(rows, weights) gives a group's _sweep cost keywords
+    at its (steps, betas) cell weights, reading its layers anew."""
+    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas],
+                       axis=-1)                                  # (steps, B)
+    nodes = math.prod(lattice.space.shape)
+    most = max(1, int(SWEEP_BUDGET_BYTES // (8 * NORM_SWEEP_ARRAYS * nodes)))
+    per_row, per_beta = max(1, most // len(betas)), min(most, len(betas))
+    origin = []
+    for r, b in itertools.product(range(0, count, per_row), range(0, len(betas), per_beta)):
+        rows, w = slice(r, min(r + per_row, count)), weights[:, b:b + per_beta]
+        zero = np.zeros(lattice.space.shape + ((rows.stop - r) * w.shape[1],))
+        origin.append(_sweep(lattice, zero, **group_costs(rows, w))[lattice.origin_index])
+    return np.concatenate(origin).reshape(count, -1)
+
+
 def _layerwise_norms(layers: Callable[[slice], list], count: int, lattice: Lattice,
                      betas: Sequence[float], width: int) -> np.ndarray:
     """weighted_norms of `count` fields that layers(ks) yields over a slice
-    of layers, holding `width` values per node and layer at once. The running
-    cost does not depend on the covariance: it is added once, to the maximum."""
+    of layers, holding `width` values per node and layer at once, by
+    _grouped_sweeps. The running cost does not depend on the covariance: it
+    is added once, to the maximum."""
     grid = lattice.space.shape
-    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas],
-                       axis=-1)                                  # (steps, B)
-    columns = count * weights.shape[1]
 
     def squared(block: np.ndarray) -> np.ndarray:
         tail_axes = tuple(range(1 + lattice.d, block.ndim))
@@ -225,14 +250,13 @@ def _layerwise_norms(layers: Callable[[slice], list], count: int, lattice: Latti
     def squares(ks):
         return (np.stack([squared(block) for block in layers(ks)], axis=-1),)
 
-    read = _layer_reader(squares, _block_layers(lattice, width + count), lattice.steps)
+    def group_costs(rows: slice, weights: np.ndarray) -> dict:
+        read = _layer_reader(squares, _block_layers(lattice, width + count), lattice.steps)
+        return {"layer_cost": lambda k: (read(k)[0][..., rows, None]
+                                         * weights[k]).reshape(grid + (-1,))}
 
-    def layer_cost(k):
-        return (read(k)[0][..., None] * weights[k]).reshape(grid + (columns,))
-
-    zero = np.zeros(grid + (columns,))
-    total = _sweep(lattice, zero, layer_cost=layer_cost)[lattice.origin_index]
-    return np.sqrt(np.maximum(total, 0.0)).reshape(count, -1)
+    total = _grouped_sweeps(lattice, count, betas, group_costs)
+    return np.sqrt(np.maximum(total, 0.0))
 
 
 def weighted_norm(field: np.ndarray, lattice: Lattice, beta: float) -> float:

@@ -45,11 +45,9 @@ STACK_BUDGET_BYTES = 2 ** 31
 #: a solution is 3.25 in 2-d with a bracket driver; a solve holds two, also
 #: while its beta scan restarts, and verify-estimates a third besides.
 LAYER_STACKS = {"represent": 2.25, "solve": 6.5, "verify-estimates": 9.75}
-#: Largest (steps + 1) x nodes per command.
+#: Largest (steps + 1) x nodes per command; one sweep's
+#: calculus.SWEEP_BUDGET_BYTES comes on top.
 MAX_LAYER_NODES = {c: int(STACK_BUDGET_BYTES / (8 * s)) for c, s in LAYER_STACKS.items()}
-#: Layer-sized float64 arrays per value column of a norm sweep in 2-d (7.1 in
-#: 1-d); the widest sweep of verify-estimates, its stability norms, has 5 per beta.
-NORM_SWEEP_ARRAYS = 9.25
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +271,11 @@ def build_experiment(raw: dict, command: str, seed_override: Optional[int],
     if command == "solve" and beta is not None and beta * horizon > MAX_EXPONENT:
         raise ConfigError(f"beta: beta * horizon = {beta * horizon:.3g} "
                           f"overflows the weight range ({MAX_EXPONENT:.0f})")
-    betas = _betas(_get(raw, "betas", list, "config", default=list(BETA_GRID)),
-                   horizon, "betas")
+    raw_betas = _get(raw, "betas", list, "config", default=list(BETA_GRID))
+    betas = _betas(raw_betas, horizon, "betas")
     if command == "verify-estimates" and not betas:
-        raise ConfigError("betas: every entry overflows the weight range")
-    sweep_bytes = 8 * NORM_SWEEP_ARRAYS * 5 * len(betas) * math.prod(lattice.space.shape)
-    if command == "verify-estimates" and sweep_bytes > STACK_BUDGET_BYTES:
-        raise ConfigError(f"betas: the norm sweeps of {len(betas)} betas need {sweep_bytes:,.0f} "
-                          f"bytes, over {STACK_BUDGET_BYTES:,}; use fewer betas or points")
+        raise ConfigError("betas: every entry overflows the weight range" if raw_betas
+                          else "betas: need at least one entry")
     mu = _number(raw, "mu", "config", default=None, positive=True)
     nu = _number(raw, "nu", "config", default=None, positive=True)
     if command in ("solve", "verify-estimates"):

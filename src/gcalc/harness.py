@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 # BETA_GRID is re-exported: `from gcalc.harness import BETA_GRID` keeps working
-from .calculus import (BETA_GRID, _block_layers, _layer_reader, _layerwise_norms,
-                       _state_expectation, admissible_betas, exp_cell_weights)
+from .calculus import (BETA_GRID, _block_layers, _grouped_sweeps, _layer_reader,
+                       _layerwise_norms, _state_expectation, admissible_betas)
 from .errors import InputError
 from .gtensor import g_corner
 from .scenario import Lattice, TerminalFunctional, _sweep
@@ -42,9 +42,7 @@ def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
 def _curvature_cross_terms(sol1, sol2, lattice: Lattice, betas: Sequence[float]) -> list:
     """Worst case of the weighted time integral of the curvature cross terms
     2 dY . (G(eta1) - G(eta2)) dt - dY . dEta : d<bracket>, one per beta,
-    from one sweep with the betas on the trailing axis."""
-    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
-
+    from sweeps with the betas on the trailing axis (_grouped_sweeps)."""
     def cross_fields(ks):
         (y1, _, eta1), (y2, _, eta2) = _fields_at(sol1, ks), _fields_at(sol2, ks)
         delta_y = y1 - y2
@@ -53,14 +51,17 @@ def _curvature_cross_terms(sol1, sol2, lattice: Lattice, betas: Sequence[float])
                 np.einsum("...i,...ij->...j", delta_y, eta1 - eta2))
 
     width = sol1.n * (3 + 6 * lattice.d)
-    read = _layer_reader(cross_fields, _block_layers(lattice, width), lattice.steps)
 
-    def step_cost(k, c):
-        a_k, b_k = read(k)
-        return (a_k - b_k @ lattice.combos[c])[..., None] * weights[k]
+    def group_costs(_, weights):
+        read = _layer_reader(cross_fields, _block_layers(lattice, width), lattice.steps)
 
-    zero = np.zeros(lattice.space.shape + (len(betas),))
-    return _sweep(lattice, zero, step_cost)[lattice.origin_index].tolist()
+        def step_cost(k, c):
+            a_k, b_k = read(k)
+            return (a_k - b_k @ lattice.combos[c])[..., None] * weights[k]
+
+        return {"step_cost": step_cost}
+
+    return _grouped_sweeps(lattice, 1, betas, group_costs)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,8 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
     the conservative verdict is the operative one.
     """
     squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
+    if params1.terminal.n != params2.terminal.n:
+        raise InputError("payoffs must have the same number of components")
     if solutions is None:
         sol1, _ = solve_gbsde(params1, lattice, tol=tol)
         sol2, _ = solve_gbsde(params2, lattice, tol=tol)
@@ -188,9 +191,14 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
 # Representation and Cauchy-sequence bounds
 # ---------------------------------------------------------------------------
 
-def _value_solution(terminal: TerminalFunctional, lattice: Lattice) -> BsdeSolution:
-    """represent_martingale's Y bits, from the no-policy sweep: no bound reads a policy."""
-    y = _sweep(lattice, terminal.evaluate(lattice.states), store=(slice(None),) * lattice.d)
+def _value_solution(terminals: Sequence[TerminalFunctional], lattice: Lattice) -> BsdeSolution:
+    """represent_martingale's Y bits of payoffs with equal component counts,
+    side by side on the trailing axis, from one no-policy sweep: no bound
+    reads a policy."""
+    if len({t.n for t in terminals}) > 1:
+        raise InputError("payoffs must have the same number of components")
+    values = np.concatenate([t.evaluate(lattice.states) for t in terminals], axis=-1)
+    y = _sweep(lattice, values, store=(slice(None),) * lattice.d)
     return BsdeSolution(lattice=lattice, Y=y, policy_idx=None, g_field=None)
 
 
@@ -221,7 +229,7 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
     must together stay below (5/s_min^2) exp(beta T) times the worst-case
     second moment of the payoff, for every large-enough exponent.
     """
-    sol = _value_solution(terminal, lattice)
+    sol = _value_solution([terminal], lattice)
     scan = admissible_betas(lattice, betas)
     xi_sq = np.sum(sol.Y[-1] ** 2, axis=-1)
     moment = _state_expectation(lattice, xi_sq, lattice.steps)
@@ -271,19 +279,23 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     if len(terminals) < 2:
         raise InputError("need at least two payoffs to compare")
     (beta,) = admissible_betas(lattice, (beta,))
-    sols = [_value_solution(t, lattice) for t in terminals]
+    sol = _value_solution(terminals, lattice)
+    count = len(terminals)
     factor = 5.0 / lattice.box.sigma_min_sq
     horizon = lattice.time.horizon
-    index_pairs = [(m, n) for m in range(len(sols)) for n in range(m + 1, len(sols))]
+    index_pairs = [(m, n) for m in range(count) for n in range(m + 1, count)]
 
     def pair_gaps(ks):   # one difference at a time: each is squared and let go
-        fields = [_fields_at(s, ks) for s in sols]
+        y, z, eta = _fields_at(sol, ks)    # each payoff's columns in turn
+        fields = list(zip(np.split(y, count, -1), np.split(z, count, -1),
+                          np.split(eta, count, -2)))
         return (a - b for m, n in index_pairs for a, b in zip(fields[m], fields[n]))
 
     lhs_by_pair = _triple_sq(_layerwise_norms(
         pair_gaps, 3 * len(index_pairs), lattice, (beta,),
-        (len(sols) + 1) * sols[0].n * (1 + 2 * lattice.d)))
-    gap_sq = np.stack([np.sum((sols[m].Y[-1] - sols[n].Y[-1]) ** 2, axis=-1)
+        (count + 1) * terminals[0].n * (1 + 2 * lattice.d)))
+    y_t = np.split(sol.Y[-1], count, axis=-1)
+    gap_sq = np.stack([np.sum((y_t[m] - y_t[n]) ** 2, axis=-1)
                        for m, n in index_pairs], axis=-1)
     moments = _sweep(lattice, gap_sq)[lattice.origin_index].tolist()
     pairs = []

@@ -406,9 +406,12 @@ def _walk(time: TimeGrid, box: VolatilityBox, control: Callable,
 # ---------------------------------------------------------------------------
 
 def _unit_position(axis: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Queries in grid steps from the axis start, clamped like np.clip."""
-    return np.minimum(np.maximum(0.0, (q - axis[0]) / (axis[1] - axis[0])),
-                      axis.shape[0] - 1.0)
+    """Queries in grid steps from the axis start, clamped like np.clip; a
+    query more than a step off the axis moves to one step off first, so
+    none overflows."""
+    h = axis[1] - axis[0]
+    q = np.minimum(np.maximum(axis[0] - h, q), axis[-1] + h)
+    return np.minimum(np.maximum(0.0, (q - axis[0]) / h), axis.shape[0] - 1.0)
 
 
 def _axis_weights(axis: np.ndarray, q: np.ndarray):

@@ -586,7 +586,8 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
     n policy groups, then per control its uniform (steps, d) table and its n
     groups, each group's flips one (steps, n_paths * d) draw. Groups share
     loops of up to 2 steps REPLAY_BATCH_PATHS stored positions, and the
-    loops hold one block of integrands at a time; no bit changes.
+    loops hold one block of integrands at a time; no bit changes. Without
+    controls both off-policy fields read 0.0.
     """
     rng = _replay_rng(seed, n_paths, 1, n_controls)
     lat = solution.lattice
@@ -607,7 +608,7 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
 
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
                           off_policy_max_residual=off_max,
-                          off_policy_min_margin=off_margin,
+                          off_policy_min_margin=off_margin if n_controls else 0.0,
                           n_paths=n_paths, n_controls=n_controls, seed=seed)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gcalc
+from gcalc import calculus
 from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
                    build_lattice)
 from gcalc.solver import zero_dt_driver, zero_qv_driver
@@ -20,6 +21,12 @@ def make_lattice(lower=(1.0,), upper=(4.0,), horizon=1.0, steps=40,
     space = SpaceGrid.build(box, horizon, points_per_axis=points,
                             span_factor=span)
     return build_lattice(time, space, box)
+
+
+def sweep_budget(lattice, columns):
+    """A calculus.SWEEP_BUDGET_BYTES that holds `columns` value columns of a
+    norm sweep on the lattice."""
+    return columns * 8 * calculus.NORM_SWEEP_ARRAYS * lattice.states[..., 0].size
 
 
 def desk_lattice(steps=200, points=401):

@@ -1,5 +1,6 @@
 """Path simulation, pathwise integrals, weighted norms, ratio diagnostics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from gcalc import (PathBundle, StepProcess, TimeGrid, VolatilityBox,
                    exp_cell_weights, lemma31_bounds, ratio_decay_report,
                    simulate_path, weighted_norm)
-from gcalc.calculus import _square_integral_expectation, weighted_norms
+from gcalc import calculus
+from gcalc.calculus import (NORM_SWEEP_ARRAYS, _layerwise_norms,
+                            _square_integral_expectation, weighted_norms)
 from gcalc.errors import (DegenerateDenominatorError, DimensionError,
                           InputError, WeightOverflowError)
 from gcalc.scenario import _sweep
 
-from conftest import make_lattice
+from conftest import make_lattice, sweep_budget
 
 
 def box2():
@@ -183,6 +186,63 @@ def test_weighted_norms_layout_and_overflow(small_lat):
         weighted_norms([good, np.zeros((40, 161))], small_lat, (1.0,))
     with pytest.raises(WeightOverflowError):
         weighted_norms([good], small_lat, (1.0, 800.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_norms_in_column_groups_keep_every_bit(small_lat, monkeypatch, dim):
+    # 4 fields x 4 betas: groups of single columns, of beta slices, of one
+    # row and of two rows give the unsplit sweep's bits
+    lat = small_lat if dim == 1 else make_lattice(
+        lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41, grid_points=3)
+    rng = np.random.default_rng(11)
+    layout = (lat.steps + 1,) + lat.space.shape
+    fields = [rng.normal(size=layout), rng.normal(size=layout + (2,)),
+              rng.normal(size=layout + (lat.d, 2)), rng.normal(size=layout + (1,))]
+    betas = (0.0, 1.5, 4.0, 64.0)
+    whole = weighted_norms(fields, lat, betas)
+    sweeps = []
+    original = calculus._sweep
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "_sweep", counting)
+    for columns, groups in ((1, 16), (3, 8), (4, 4), (9, 2)):
+        monkeypatch.setattr(calculus, "SWEEP_BUDGET_BYTES", sweep_budget(lat, columns))
+        sweeps.clear()
+        assert np.array_equal(weighted_norms(fields, lat, betas), whole), columns
+        assert len(sweeps) == groups
+
+
+@pytest.mark.parametrize("lattice_args", [
+    {"points": 401},
+    {"lower": (1.0, 1.0), "upper": (2.0, 2.0), "points": 41},
+    {"lower": (0.5, 0.5), "upper": (4.0, 4.0), "points": 81, "steps": 2, "grid_points": 9},
+])
+def test_norm_sweep_arrays_per_column_stay_within_the_rule(lattice_args):
+    # tracemalloc peak of a norm sweep at 2 and 12 betas: the arrays it adds
+    # per value column, in units of one layer of float64 nodes; a 2-d lattice
+    # keeping 7 levels per axis must not hold more than one keeping 2
+    lat = make_lattice(**{"steps": 4, **lattice_args})
+    nodes = lat.states[..., 0].size
+    count = 5
+
+    def layers(ks):
+        return [np.zeros((len(range(*ks.indices(lat.steps + 1))),) + lat.space.shape)
+                for _ in range(count)]
+
+    peaks = []
+    for n_betas in (2, 12):
+        betas = [0.1 * (i + 1) for i in range(n_betas)]
+        tracemalloc.start()
+        try:
+            _layerwise_norms(layers, count, lat, betas, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_column = (peaks[1] - peaks[0]) / (count * 10 * 8 * nodes)
+    assert per_column <= NORM_SWEEP_ARRAYS, f"{per_column:.2f} arrays per column"
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
-from gcalc.calculus import _layerwise_norms, ratio_decay_report
-from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES,
-                       NORM_SWEEP_ARRAYS, STACK_BUDGET_BYTES, _fields_csv, _fmt,
-                       _write_outputs, build_experiment, main)
+from gcalc import calculus
+from gcalc.calculus import (NORM_SWEEP_ARRAYS, SWEEP_BUDGET_BYTES, _layerwise_norms,
+                            ratio_decay_report)
+from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES, STACK_BUDGET_BYTES,
+                       _fields_csv, _fmt, _write_outputs, build_experiment, main)
 
 from conftest import make_lattice, run_fresh
 
@@ -184,8 +185,6 @@ def footprint_config(command, steps):
            "space": {"points": 1025}, "payoff": {"id": "quadratic"}}
     if command == "capacity":
         cfg["event"] = {"payoff": {"id": "linear"}, "level": 1.0}
-    if command == "verify-estimates":
-        cfg["betas"] = [1.0]     # at 1025^2 the norm sweeps of 6 betas pass the budget
     return cfg
 
 
@@ -206,50 +205,27 @@ def test_footprint_rule_exits_2_past_the_stack_budget(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("points", [1025, 241])
-def test_beta_column_rule_exits_2_past_the_stack_budget(tmp_path, capsys, points):
-    # 2-d and 1-d grids; the sweep footprint comes from the shapes alone and
-    # the run past the budget exits before anything is computed
+def test_beta_columns_run_in_groups_within_the_sweep_budget(monkeypatch, points):
+    # 2-d and 1-d grids with one beta more than the retired beta rule let
+    # through: the config builds, and the stability norms' 5 columns per beta
+    # run as sweeps of at most SWEEP_BUDGET_BYTES each (the sweeps are only
+    # recorded here, from their shapes)
     cfg = {**footprint_config("verify-estimates", 1), "space": {"points": points}}
     if points == 241:
         cfg["box"] = BOX
     nodes = points ** cfg["box"]["d"]
     most = int(STACK_BUDGET_BYTES // (8 * NORM_SWEEP_ARRAYS * 5 * nodes))
-    cfg["betas"] = [1.0] * most
-    build_experiment(cfg, "verify-estimates", None, None)
-    rc, out = run_cli(tmp_path, "verify-estimates", {**cfg, "betas": [1.0] * (most + 1)})
-    assert rc == 2 and not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"betas: the norm sweeps of {most + 1} betas need" in err
+    ctx = build_experiment({**cfg, "betas": [1.0] * (most + 1)}, "verify-estimates", None, None)
+    columns = []
 
+    def recording(lattice, zero, **costs):
+        columns.append(zero.shape[-1])
+        return zero
 
-@pytest.mark.parametrize("lattice_args", [
-    {"points": 401},
-    {"lower": (1.0, 1.0), "upper": (2.0, 2.0), "points": 41},
-    {"lower": (0.5, 0.5), "upper": (4.0, 4.0), "points": 81, "steps": 2, "grid_points": 9},
-])
-def test_norm_sweep_arrays_per_column_stay_within_the_rule(lattice_args):
-    # tracemalloc peak of a norm sweep at 2 and 12 betas: the arrays it adds
-    # per value column, in units of one layer of float64 nodes; a 2-d lattice
-    # keeping 7 levels per axis must not hold more than one keeping 2
-    lat = make_lattice(**{"steps": 4, **lattice_args})
-    nodes = lat.states[..., 0].size
-    count = 5
-
-    def layers(ks):
-        return [np.zeros((len(range(*ks.indices(lat.steps + 1))),) + lat.space.shape)
-                for _ in range(count)]
-
-    peaks = []
-    for n_betas in (2, 12):
-        betas = [0.1 * (i + 1) for i in range(n_betas)]
-        tracemalloc.start()
-        try:
-            _layerwise_norms(layers, count, lat, betas, count)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    per_column = (peaks[1] - peaks[0]) / (count * 10 * 8 * nodes)
-    assert per_column <= NORM_SWEEP_ARRAYS, f"{per_column:.2f} arrays per column"
+    monkeypatch.setattr(calculus, "_sweep", recording)
+    _layerwise_norms(lambda ks: [], 5, ctx.lattice, ctx.betas, 5)
+    assert sum(columns) == 5 * len(ctx.betas) and len(columns) > 1
+    assert max(columns) * 8 * NORM_SWEEP_ARRAYS * nodes <= SWEEP_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("command", ["expect", "capacity"])
@@ -418,19 +394,23 @@ def test_malformed_json_exits_2(tmp_path):
     (lambda c: c.update(command="solve"), "command mismatch"),
     (lambda c: c.update(beta=800.0), "beta weight overflow"),
     (lambda c: c.update(betas=[800.0, 900.0]), "all betas overflow"),
+    (lambda c: c.update(betas=[]), "no betas"),
     (lambda c: (c["time"].update(steps=100), c["space"].update(points=201)),
      "grid too coarse for the box"),
     (lambda c: c["box"].update(lower=[4.0], upper=[1.0]), "inverted box"),
 ])
-def test_config_errors_exit_2_and_write_nothing(tmp_path, mutate, label):
+def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, mutate, label):
     cfg = json.loads(json.dumps({**SMALL, "payoff": {"id": "quadratic"}}))
     mutate(cfg)
     # the weight range of beta / betas is checked only by the command that reads it
-    command = {"beta weight overflow": "solve",
-               "all betas overflow": "verify-estimates"}.get(label, "expect")
+    command = {"beta weight overflow": "solve", "all betas overflow": "verify-estimates",
+               "no betas": "verify-estimates"}.get(label, "expect")
     rc, out = run_cli(tmp_path, command, cfg, name=label.replace(" ", "-"))
     assert rc == 2, label
     assert not out.exists(), label
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert ("need at least one entry" in err) == (label == "no betas"), err
 
 
 @pytest.mark.parametrize("extra", [{"time": {"horizon": 701.0, "steps": 20}},

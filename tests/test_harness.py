@@ -10,15 +10,17 @@ import math
 import numpy as np
 import pytest
 
+from gcalc import calculus
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, apriori_check,
                    cauchy_sequence_check, exp_cell_weights,
-                   representation_bound_check, solve_gbsde)
+                   represent_martingale, representation_bound_check, solve_gbsde)
+from gcalc.calculus import _state_expectation, weighted_norms
 from gcalc.catalog import make_driver
 from gcalc.errors import InputError, WeightOverflowError
 from gcalc.harness import BETA_GRID, admissible_betas
 from gcalc.solver import zero_dt_driver, zero_qv_driver
 
-from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff
+from conftest import const_payoff, linear_payoff, make_lattice, quad_payoff, sweep_budget
 
 
 def plain(terminal, d=1):
@@ -194,6 +196,52 @@ def test_cauchy_capped_sequence_bound(small_lat):
     assert all(p.lhs <= p.rhs for p in rep.pairs)
     with pytest.raises(InputError):
         cauchy_sequence_check([capped_quad(1.0)], small_lat, beta=1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_apriori_check_in_column_groups_keeps_every_bit(small_lat, monkeypatch, dim):
+    # the stability norms (5 rows) and the curvature cross terms (1 row) at
+    # the 10 admissible default betas, in groups of one column and of three,
+    # plus the sweep of the terminal moment
+    lat = small_lat if dim == 1 else make_lattice(
+        lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41, grid_points=3)
+    f = make_driver("linear-in-y", 1, dim, params={"r": -0.5})
+    g = make_driver("linear-in-z", 1, dim, params={"a": [0.1] * dim}, role="qv")
+    p1 = GBsdeParams(terminal=quad_payoff(), f=f, g=g)
+    p2 = GBsdeParams(terminal=shifted_quad(0.1), f=zero_dt_driver(1), g=g)
+    sols = (solve_gbsde(p1, lat)[0], solve_gbsde(p2, lat)[0])
+    whole = repr(apriori_check(p1, p2, lat, solutions=sols))
+    sweeps = []
+    original = calculus._sweep
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "_sweep", counting)
+    for columns, groups in ((1, 61), (3, 25)):
+        monkeypatch.setattr(calculus, "SWEEP_BUDGET_BYTES", sweep_budget(lat, columns))
+        sweeps.clear()
+        assert repr(apriori_check(p1, p2, lat, solutions=sols)) == whole, columns
+        assert len(sweeps) == groups
+
+
+def test_cauchy_two_component_payoffs_match_separate_solutions(small_lat):
+    # one sweep carries both components of every payoff; each pair's
+    # distance and moment keep the bits of separately solved payoffs
+    lat = small_lat
+    terms = [TerminalFunctional(fn=lambda x, c=c: np.concatenate(
+                 [capped_quad(c).fn(x), np.tanh(c * x)], axis=-1), lipschitz=60.0, n=2)
+             for c in (1.0, 2.0, 4.0)]
+    rep = cauchy_sequence_check(terms, lat, beta=2.0)
+    sols = [represent_martingale(t, lat) for t in terms]
+    for p in rep.pairs:
+        a, b = sols[p.m], sols[p.n]
+        norms = weighted_norms([a.Y - b.Y, a.Z - b.Z, a.eta - b.eta], lat, (2.0,))
+        y, z, e = norms[:, 0].tolist()
+        assert p.lhs == y ** 2 + z ** 2 + e ** 2
+        gap_sq = np.sum((a.Y[-1] - b.Y[-1]) ** 2, axis=-1)
+        assert p.delta_moment == _state_expectation(lat, gap_sq, lat.steps)
 
 
 def test_cauchy_shrinking_cash_sequence(small_lat):

@@ -614,6 +614,14 @@ def test_evaluate_field_clamps_far_outside(small_lat):
     assert outside == 144.0
 
 
+def test_queries_at_the_float_range_clamp_without_overflow(small_lat):
+    # (q - axis[0]) / h overflows for |q| near the largest float
+    layer = (small_lat.states[..., 0] ** 2)[..., None]
+    far = np.array([[1e308], [-1e308], [np.finfo(float).max]])
+    assert evaluate_field(small_lat.space, layer, far)[:, 0].tolist() == [144.0] * 3
+    assert nearest_index(small_lat.space, far)[0].tolist() == [160, 0, 160]
+
+
 def test_nearest_index(small_lat):
     assert nearest_index(small_lat.space, np.array([0.0])) == (80,)
     h = small_lat.space.spacing[0]

@@ -5,15 +5,18 @@ constant curvature, linear payoffs are martingales with exact gradients, and
 a y-only dt-driver reduces to a scalar implicit ODE with a known discrete
 solution.
 """
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gcalc import (Driver, GBsdeParams, TerminalFunctional, TimeGrid, classical_oracle,
-                   compensator_mc_check, extract_integrands, picard_step,
-                   represent_martingale, residual_check, solve_gbsde)
-from gcalc import solver
+from gcalc import (Driver, GBsdeParams, TerminalFunctional, TimeGrid, apriori_check,
+                   cauchy_sequence_check, classical_oracle, compensator_mc_check,
+                   extract_integrands, picard_step, represent_martingale, residual_check,
+                   solve_gbsde)
+from gcalc import calculus, solver
 from gcalc.calculus import MAX_EXPONENT, _layerwise_norms, weighted_norms
 from gcalc.catalog import make_driver, make_payoff
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
@@ -24,7 +27,7 @@ from gcalc.solver import (BETA_SCAN, CompensatorReport, ResidualReport,
                           triple_distance_sq, zero_dt_driver, zero_qv_driver)
 
 from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
-                      quad_payoff)
+                      quad_payoff, sweep_budget)
 
 
 def no_driver_params(terminal, d=1):
@@ -355,16 +358,23 @@ def test_replay_checks_reject_bad_sizes(small_lat):
     with pytest.raises(InputError):
         residual_check(sol, params, n_controls=-3)
     # the smallest valid sizes still run: policy and curvature-corner groups,
-    # and two paths per control give every standard error
+    # and two paths per control give every standard error; with no control
+    # no path is off the policy, and both off-policy fields read 0.0
     cm = compensator_mc_check(sol, n_controls=0, n_paths=2, seed=2)
     assert cm.estimates.shape == (2,) and np.all(np.isfinite(cm.standard_errors))
-    assert residual_check(sol, params, n_paths=1, n_controls=0).n_controls == 0
+    rep = residual_check(sol, params, n_paths=1, n_controls=0)
+    assert rep.n_controls == 0
+    assert rep.off_policy_min_margin == rep.off_policy_max_residual == 0.0
 
 
 def _abs_case():
     lat = make_lattice(steps=8, points=81)
     payoff = make_payoff("abs", 1)
     return lat, no_driver_params(payoff), represent_martingale(payoff, lat)
+
+
+def _two_component_payoff():
+    return TerminalFunctional(fn=lambda x: np.concatenate([x, x], -1), lipschitz=2.0, n=2)
 
 
 MALFORMED_CALLS = {
@@ -385,6 +395,10 @@ MALFORMED_CALLS = {
     "evaluate_field x=nan": lambda lat, p, sol: evaluate_field(lat.space, sol.Y[0],
                                                                [[math.nan]]),
     "nearest_index x=nan": lambda lat, p, sol: nearest_index(lat.space, [[0.0], [math.nan]]),
+    "cauchy n=1 and n=2": lambda lat, p, sol: cauchy_sequence_check(
+        [p.terminal, _two_component_payoff()], lat, 1.0),
+    "apriori n=1 and n=2": lambda lat, p, sol: apriori_check(
+        p, no_driver_params(_two_component_payoff()), lat),
 }
 
 
@@ -392,8 +406,8 @@ MALFORMED_CALLS = {
 def test_malformed_library_arguments_raise_input_error(call):
     # a tolerance is positive and finite, sizes are integers, seeds are valid
     # for default_rng, a Monte Carlo check has two paths to estimate its
-    # error from, a norm sweep has a field and a beta that is not NaN, and
-    # a query state is finite
+    # error from, a norm sweep has a field and a beta that is not NaN, a
+    # query state is finite, and compared payoffs have equal component counts
     with pytest.raises(InputError):
         call(*_abs_case())
 
@@ -478,8 +492,8 @@ def _ref_residual_check(solution, params, n_paths, seed, n_controls):
             rhs_free = xi[:, None] + S(f_int) + S(gqv) - S(z_db)
             off_margin = min(off_margin, float((y_path - rhs_free)[:, :-1].min()))
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
-                          off_policy_max_residual=off_max,
-                          off_policy_min_margin=off_margin,
+                          off_policy_max_residual=off_max,    # no control reads 0.0
+                          off_policy_min_margin=off_margin if n_controls else 0.0,
                           n_paths=n_paths, n_controls=n_controls, seed=seed)
 
 
@@ -903,6 +917,49 @@ def test_passing_first_beta_measures_only_two_columns(small_lat, monkeypatch):
     _, rep = solve_gbsde(affine_params("abs", 0.5, 0.02), small_lat)
     assert rep.beta0_empirical == BETA_SCAN[0]
     assert asked == [(0.0, BETA_SCAN[0])] * rep.iterations
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_in_column_groups_keeps_every_bit(small_lat, monkeypatch, dim):
+    # in 1-d the beta scan restarts and measures 30 distance columns; groups
+    # of one column and of three give the one-sweep solve's bits
+    lat = small_lat if dim == 1 else make_lattice(
+        lower=(1.0, 1.0), upper=(2.0, 2.0), steps=4, points=41, grid_points=3)
+    f = make_driver("clamped-custom-affine", 1, dim, {"coef_y": 0.2, "coef_eta": [0.03] * dim})
+    params = GBsdeParams(terminal=make_payoff("quadratic", dim), f=f, g=zero_qv_driver(1, dim))
+    sol, rep = solve_gbsde(params, lat)
+    assert rep.beta0_empirical > BETA_SCAN[0] or dim == 2
+    for columns in (1, 3):
+        monkeypatch.setattr(calculus, "SWEEP_BUDGET_BYTES", sweep_budget(lat, columns))
+        got, got_rep = solve_gbsde(params, lat)
+        assert repr(got_rep) == repr(rep), columns
+        assert np.array_equal(got.Y, sol.Y) and np.array_equal(got.policy_idx, sol.policy_idx)
+
+
+def test_restart_solve_peak_stays_within_two_iterates_and_the_sweep_budget(monkeypatch):
+    # the beta scan restarts, so a distance sweep measures 30 columns; with
+    # one-layer blocks and a budget of 3 columns they run as 10 sweeps. The
+    # rest covers a layer's transients and the freed tuples that Python keeps
+    # in its free lists, which tracemalloc still counts (gc.collect() empties
+    # them; up to about 120 KB here). One sweep of all 30 columns reads 15.9
+    # stacks.
+    lat = make_lattice(steps=16, points=401)
+    params = affine_params("butterfly", 1.0, 0.0)
+    monkeypatch.setattr(calculus, "BLOCK_VALUES", 1)
+    budget = sweep_budget(lat, 3)
+    monkeypatch.setattr(calculus, "SWEEP_BUDGET_BYTES", budget)
+    stack = (lat.steps + 1) * lat.states[..., 0].size * 8
+    iterate = 1.25 * stack                 # Y and its int16 policy
+    rest = 256 * 1024
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, rep = solve_gbsde(params, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.beta0_empirical > BETA_SCAN[0]     # scan[0] failed: the scan restarted
+    assert peak <= 2 * iterate + budget + rest, f"{peak / stack:.2f} stacks"
 
 
 def test_compensator_is_computed_once_on_first_read(small_lat, monkeypatch):
