@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +32,10 @@ SWEEP_BUDGET_BYTES = 2 ** 28
 #: Layer-sized float64 arrays per value column of a norm sweep in 2-d (7.1 in
 #: 1-d), measured with tracemalloc.
 NORM_SWEEP_ARRAYS = 9.25
+#: Largest n_max of ratio_decay_report. Each n is a value column of two
+#: sweeps, so the run time grows with n_max; by n = 1000 the bound 1/n on
+#: b_n is down to 1e-3.
+MAX_RATIO_N = 1000
 
 
 def admissible_betas(lattice: Lattice, betas: Optional[Sequence[float]] = None) -> tuple:
@@ -107,7 +112,6 @@ class QvBoundsReport:
     """Pathwise bracket-integral bounds over one window."""
 
     integral: np.ndarray
-    abs_value: float
     abs_bound: float
     k_constant: float
     lower: np.ndarray
@@ -149,7 +153,6 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
 
     return QvBoundsReport(
         integral=integral,
-        abs_value=abs_value,
         abs_bound=abs_bound,
         k_constant=k_const,
         lower=lower,
@@ -215,20 +218,24 @@ def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
                             lattice, betas, 0)
 
 
-def _grouped_sweeps(lattice: Lattice, count: int, betas: Sequence[float],
+def _cell_weights(lattice: Lattice, betas: Sequence[float]) -> np.ndarray:
+    """exp_cell_weights of each beta, (steps, len(betas))."""
+    return np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
+
+
+def _grouped_sweeps(lattice: Lattice, count: int, weights: np.ndarray,
                     group_costs: Callable[[slice, np.ndarray], dict]) -> np.ndarray:
-    """Origin values, (count, len(betas)), of a sweep from zero with a value
-    column per (row, beta), in groups of whole rows or of one row's betas
-    that hold at most SWEEP_BUDGET_BYTES at NORM_SWEEP_ARRAYS layers per
-    column. group_costs(rows, weights) gives a group's _sweep cost keywords
-    at its (steps, betas) cell weights, reading its layers anew."""
-    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas],
-                       axis=-1)                                  # (steps, B)
+    """Origin values, (count, B), of a sweep from zero with a value column
+    per (row, beta) of the (*, B) weights, in groups of whole rows or of one
+    row's betas that hold at most SWEEP_BUDGET_BYTES at NORM_SWEEP_ARRAYS
+    layers per column. group_costs(rows, weights) gives a group's _sweep
+    cost keywords at its (*, betas) weights, reading its layers anew."""
+    n_betas = weights.shape[-1]
     nodes = math.prod(lattice.space.shape)
     most = max(1, int(SWEEP_BUDGET_BYTES // (8 * NORM_SWEEP_ARRAYS * nodes)))
-    per_row, per_beta = max(1, most // len(betas)), min(most, len(betas))
+    per_row, per_beta = max(1, most // n_betas), min(most, n_betas)
     origin = []
-    for r, b in itertools.product(range(0, count, per_row), range(0, len(betas), per_beta)):
+    for r, b in itertools.product(range(0, count, per_row), range(0, n_betas, per_beta)):
         rows, w = slice(r, min(r + per_row, count)), weights[:, b:b + per_beta]
         zero = np.zeros(lattice.space.shape + ((rows.stop - r) * w.shape[1],))
         origin.append(_sweep(lattice, zero, **group_costs(rows, w))[lattice.origin_index])
@@ -255,7 +262,7 @@ def _layerwise_norms(layers: Callable[[slice], list], count: int, lattice: Latti
         return {"layer_cost": lambda k: (read(k)[0][..., rows, None]
                                          * weights[k]).reshape(grid + (-1,))}
 
-    total = _grouped_sweeps(lattice, count, betas, group_costs)
+    total = _grouped_sweeps(lattice, count, _cell_weights(lattice, betas), group_costs)
     return np.sqrt(np.maximum(total, 0.0))
 
 
@@ -305,27 +312,44 @@ class RatioDecayReport:
     beta_n: np.ndarray
     b_n: np.ndarray
     beta_rows: tuple
-    window: tuple
 
 
-def _square_integral_expectation(proc: StepProcess, lattice: Lattice, beta: float) -> float:
-    """Worst-case E of the exp(beta s)-weighted time integral of proc^2."""
-    admissible_betas(lattice, (beta,))    # WeightOverflowError past MAX_EXPONENT
-    states = lattice.states
+def _observed(proc: StepProcess, lattice: Lattice) -> list:
+    """Each interval's state function at every node, which must be finite
+    and grid-shaped (InputError)."""
+    out = [np.asarray(fn(lattice.states), dtype=float) for fn in proc.state_fns]
+    if not all(v.shape == lattice.space.shape and np.isfinite(v).all() for v in out):
+        raise InputError("a state function must give finite values of shape "
+                         f"{lattice.space.shape}")
+    return out
+
+
+def _square_integral_expectation(proc: StepProcess, lattice: Lattice,
+                                 betas: Sequence[float]) -> np.ndarray:
+    """Worst-case E of the exp(beta s)-weighted time integral of proc^2 at
+    each positive beta, from sweeps with a value column per beta
+    (_grouped_sweeps). An interval's weight is one math.exp pair per beta,
+    and its cost w * vals * vals."""
+    top = max(betas) * lattice.time.horizon
+    if top > MAX_EXPONENT:
+        raise WeightOverflowError(f"beta * horizon = {top:.3g} exceeds {MAX_EXPONENT}")
     t = proc.times
-    costs = {}
-    for i, fn in enumerate(proc.state_fns):
-        k = lattice.time.index_of(t[i])
-        if beta == 0.0:
-            w = t[i + 1] - t[i]
-        else:
-            w = (math.exp(beta * t[i + 1]) - math.exp(beta * t[i])) / beta
-        vals = np.asarray(fn(states), dtype=float)
-        costs[k] = (w * vals * vals)[..., None]
+    weights = np.array([[(math.exp(b * t1) - math.exp(b * t0)) / b for b in betas]
+                        for t0, t1 in zip(t[:-1], t[1:])])       # (intervals, B)
+    if not (weights > 0.0).all():
+        raise InputError(f"beta = {min(betas):.3g} is too small: exp(beta s) does not "
+                         "grow over a partition interval in float64")
+    vals = [v[..., None] for v in _observed(proc, lattice)]
+    interval = {lattice.time.index_of(t0): i for i, t0 in enumerate(t[:-1])}
 
-    zero = np.zeros(lattice.space.shape + (1,))
-    total = _sweep(lattice, zero, layer_cost=lambda k: costs.get(k, 0.0))
-    return float(total[lattice.origin_index][0])
+    def group_costs(_, w):
+        def layer_cost(k):
+            i = interval.get(k)
+            return 0.0 if i is None else w[i] * vals[i] * vals[i]
+
+        return {"layer_cost": layer_cost}
+
+    return _grouped_sweeps(lattice, 1, weights, group_costs)[0]
 
 
 def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
@@ -338,24 +362,27 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
 
         E[int exp(beta_n s) theta_s^2 ds] / (beta_n E[int exp(beta_n s) zeta_s^2 ds])
 
-    The processes are elementary, so the approximation diagnostics t_n, l_n,
-    m_n reduce to b_n, 1, 1 and are not kept.
+    Every beta_n and every extra beta is a value column of each process's
+    sweeps. The processes are elementary, so the approximation diagnostics
+    t_n, l_n, m_n reduce to b_n, 1, 1 and are not kept. Raises InputError
+    for an n_max that is not an integer in [1, MAX_RATIO_N] and for a beta
+    that is not positive.
     """
+    if isinstance(n_max, bool) or not (isinstance(n_max, numbers.Integral)
+                                       and 1 <= n_max <= MAX_RATIO_N):
+        raise InputError(f"n_max must be an integer in [1, {MAX_RATIO_N}]")
+    betas = tuple(float(b) for b in betas)
+    if not all(b > 0.0 for b in betas):      # NaN too
+        raise InputError("every beta must be positive")
     horizon = lattice.time.horizon
     for proc in (theta, zeta):
         if proc.times[0] < -1e-12 or proc.times[-1] > horizon + 1e-12:
             raise InputError("step process partition leaves [0, horizon]")
 
-    c_max = -np.inf
-    for i, fn in enumerate(theta.state_fns):
-        k = lattice.time.index_of(theta.times[i])
-        vals = np.asarray(fn(lattice.states), dtype=float)
-        c_max = max(c_max, _state_expectation(lattice, vals * vals, k))
-    d_min = np.inf
-    for i, fn in enumerate(zeta.state_fns):
-        k = lattice.time.index_of(zeta.times[i])
-        vals = np.asarray(fn(lattice.states), dtype=float)
-        d_min = min(d_min, -_state_expectation(lattice, -vals * vals, k))
+    c_max = max(_state_expectation(lattice, v * v, lattice.time.index_of(t))
+                for t, v in zip(theta.times, _observed(theta, lattice)))
+    d_min = min(-_state_expectation(lattice, -v * v, lattice.time.index_of(t))
+                for t, v in zip(zeta.times, _observed(zeta, lattice)))
     if d_min <= 0.0:
         raise DegenerateDenominatorError(
             f"denominator mean square is not bounded away from zero (d_min={d_min:.3g})")
@@ -363,12 +390,7 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
         raise InputError("ratio.theta mean square is identically zero, so every "
                          "beta_n is 0 and each ratio would be 0/0")
 
-    def ratio_at(beta: float) -> tuple:
-        num = _square_integral_expectation(theta, lattice, beta)
-        den = beta * _square_integral_expectation(zeta, lattice, beta)
-        return num, den, num / den
-
-    # beta_n grows with n: check the last one before allocating n_max rows
+    # beta_n grows with n: check the last one before sweeping
     beta_last = float(n_max) * c_max / d_min
     if beta_last * horizon > MAX_EXPONENT:
         raise WeightOverflowError(
@@ -376,17 +398,13 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
             f"exceeds {MAX_EXPONENT}")
     n_values = np.arange(1, n_max + 1)
     beta_n = n_values * c_max / d_min
-    b_n = np.array([ratio_at(b)[2] for b in beta_n])
-
-    beta_rows = []
-    for beta in betas:
-        num, den, ratio = ratio_at(float(beta))
-        beta_rows.append({"beta": float(beta), "numerator": num,
-                          "denominator": den, "ratio": ratio})
-
+    scan = np.concatenate([beta_n, betas])
+    num = _square_integral_expectation(theta, lattice, scan)
+    den = scan * _square_integral_expectation(zeta, lattice, scan)
+    ratio = num / den
+    rows = zip(betas, *(v[n_max:].tolist() for v in (num, den, ratio)))
     return RatioDecayReport(
         c_max=float(c_max), d_min=float(d_min),
-        n_values=n_values, beta_n=beta_n, b_n=b_n,
-        beta_rows=tuple(beta_rows),
-        window=(float(theta.times[0]), float(theta.times[-1])),
-    )
+        n_values=n_values, beta_n=beta_n, b_n=ratio[:n_max],
+        beta_rows=tuple({"beta": b, "numerator": a, "denominator": c, "ratio": r}
+                        for b, a, c, r in rows))

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import (BETA_GRID, MAX_EXPONENT, StepProcess, _block_layers,
-                       _layer_reader, ratio_decay_report)
+from .calculus import (BETA_GRID, MAX_EXPONENT, MAX_RATIO_N, StepProcess,
+                       _block_layers, _layer_reader, ratio_decay_report)
 from .catalog import DRIVER_IDS, PAYOFF_IDS, make_driver, make_payoff
 from .errors import (ConfigError, DimensionError, GcalcError,
                      GridResolutionError, InputError)
@@ -195,8 +195,8 @@ def _build_ratio(cfg: dict, lattice, d: int) -> dict:
         return tuple(fns)
 
     n_max = _get(cfg, "n_max", int, "ratio", default=20)
-    if n_max < 1:
-        raise ConfigError("ratio.n_max: must be >= 1")
+    if not 1 <= n_max <= MAX_RATIO_N:
+        raise ConfigError(f"ratio.n_max: must be in [1, {MAX_RATIO_N}]")
     extra = _betas(_get(cfg, "betas", list, "ratio", default=[]), horizon, "ratio.betas")
     try:
         theta = StepProcess(times=np.array(times), state_fns=state_fns("theta"))

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 # BETA_GRID is re-exported: `from gcalc.harness import BETA_GRID` keeps working
-from .calculus import (BETA_GRID, _block_layers, _grouped_sweeps, _layer_reader,
-                       _layerwise_norms, _state_expectation, admissible_betas)
+from .calculus import (BETA_GRID, _block_layers, _cell_weights, _grouped_sweeps,
+                       _layer_reader, _layerwise_norms, _state_expectation,
+                       admissible_betas)
 from .errors import InputError
 from .gtensor import g_corner
 from .scenario import Lattice, TerminalFunctional, _sweep
@@ -61,7 +62,7 @@ def _curvature_cross_terms(sol1, sol2, lattice: Lattice, betas: Sequence[float])
 
         return {"step_cost": step_cost}
 
-    return _grouped_sweeps(lattice, 1, betas, group_costs)[0].tolist()
+    return _grouped_sweeps(lattice, 1, _cell_weights(lattice, betas), group_costs)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,6 @@ class AprioriRow:
     pass_conservative: tuple  # verdicts under the uniform 5/s_min^2
 
     @property
-    def bracket(self) -> float:
-        return self.term_terminal + self.term_f + self.term_g
-
-    @property
     def all_printed(self) -> bool:
         return all(self.pass_printed)
 
@@ -97,11 +94,6 @@ class AprioriReport:
     rows: tuple                      # AprioriRow per scanned beta
     beta0_printed: Optional[float]   # smallest beta passing all three (sharp)
     beta0_conservative: Optional[float]
-    mu: float
-    nu: float
-    constants_printed: tuple         # (1/s_min, 3/s_min, 1/s_min^2)
-    constant_conservative: float     # 5/s_min^2
-    eta_mismatch: bool               # equal Y fields but diverging curvature
 
     @property
     def ok(self) -> bool:
@@ -176,15 +168,9 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                 return r.beta
         return None
 
-    size = _block_layers(lattice, width)
-    blocks = [slice(k, k + size) for k in range(0, lattice.steps + 1, size)]
-    mismatch = (max(float(np.max(np.abs(sol1.Y[ks] - sol2.Y[ks]))) for ks in blocks) < 1e-12
-                and max(float(np.max(np.abs(deltas(ks)[2]))) for ks in blocks) > 1e-8)
     return AprioriReport(rows=tuple(rows),
                          beta0_printed=first_pass(lambda r: r.all_printed),
-                         beta0_conservative=first_pass(lambda r: r.all_conservative),
-                         mu=mu, nu=nu, constants_printed=c_printed,
-                         constant_conservative=c_cons, eta_mismatch=mismatch)
+                         beta0_conservative=first_pass(lambda r: r.all_conservative))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +200,6 @@ class RepresentationRow:
 class RepresentationReport:
     rows: tuple
     beta0: Optional[float]
-    payoff_second_moment: float
 
     @property
     def ok(self) -> bool:
@@ -244,8 +229,7 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
         rows.append(RepresentationRow(beta=b, lhs=lhs, rhs=rhs, ok=ok))
         if ok and beta0 is None:
             beta0 = b
-    return RepresentationReport(rows=tuple(rows), beta0=beta0,
-                                payoff_second_moment=moment)
+    return RepresentationReport(rows=tuple(rows), beta0=beta0)
 
 
 @dataclass(frozen=True)

@@ -157,9 +157,6 @@ class PicardReport:
     beta: Optional[float]        # reporting beta (empirical beta0 when found)
     beta0_empirical: Optional[float]
     theoretical_factor: float
-    mu: float
-    nu: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,6 @@ class ResidualReport:
     terminal_gap: float            # field-vs-payoff gap at the final layer
     off_policy_max_residual: float
     off_policy_min_margin: float   # min of Y_t minus the K-free right side
-    n_paths: int
-    n_controls: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -442,8 +436,7 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
         distances_by_beta={b: tuple(v) for b, v in sq_by_beta.items()},
         contraction_factors=_factors(sq_by_beta[report_beta], tol),
         beta=report_beta, beta0_empirical=beta0,
-        theoretical_factor=theoretical, mu=math.sqrt(mu2), nu=math.sqrt(nu2),
-        tol=tol)
+        theoretical_factor=theoretical)
     return solution, report
 
 
@@ -608,8 +601,7 @@ def residual_check(solution: BsdeSolution, params: GBsdeParams,
 
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
                           off_policy_max_residual=off_max,
-                          off_policy_min_margin=off_margin if n_controls else 0.0,
-                          n_paths=n_paths, n_controls=n_controls, seed=seed)
+                          off_policy_min_margin=off_margin if n_controls else 0.0)
 
 
 def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,

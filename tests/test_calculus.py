@@ -278,7 +278,6 @@ def test_ratio_decay_exact_two_process_case(small_lat):
     assert np.allclose(rep.beta_n, 2.0 * rep.n_values, rtol=1e-9)
     # closed form: ratio_n = c_max / beta_n = 1 / n on the nose
     assert np.allclose(rep.b_n, 1.0 / rep.n_values, rtol=1e-8)
-    assert rep.window == (0.5, 1.0)
 
 
 def test_ratio_decay_rejections(small_lat):
@@ -298,4 +297,62 @@ def test_square_integral_overflow_guard(small_lat):
     proc = StepProcess(times=np.array([0.0, 1.0]),
                        state_fns=(lambda s: np.ones(s.shape[:-1]),))
     with pytest.raises(WeightOverflowError):
-        _square_integral_expectation(proc, small_lat, 801.0)
+        _square_integral_expectation(proc, small_lat, (2.0, 801.0))
+
+
+def reference_square_integral_expectation(proc, lattice, beta):
+    """_square_integral_expectation as it was before its betas became value
+    columns: one sweep per beta."""
+    states = lattice.states
+    t = proc.times
+    costs = {}
+    for i, fn in enumerate(proc.state_fns):
+        k = lattice.time.index_of(t[i])
+        if beta == 0.0:
+            w = t[i + 1] - t[i]
+        else:
+            w = (math.exp(beta * t[i + 1]) - math.exp(beta * t[i])) / beta
+        vals = np.asarray(fn(states), dtype=float)
+        costs[k] = (w * vals * vals)[..., None]
+
+    zero = np.zeros(lattice.space.shape + (1,))
+    total = _sweep(lattice, zero, layer_cost=lambda k: costs.get(k, 0.0))
+    return float(total[lattice.origin_index][0])
+
+
+@pytest.mark.parametrize("lattice", ["small_lat", "small_lat_2d"])
+def test_ratio_columns_match_the_per_beta_sweeps_bit_for_bit(lattice, request, monkeypatch):
+    lat = request.getfixturevalue(lattice)
+    theta = StepProcess(times=np.array([0.0, 0.5, 1.0]),
+                        state_fns=(lambda s: s[..., 0], lambda s: 1.0 + s[..., -1] ** 2))
+    zeta = StepProcess(times=np.array([0.0, 0.25, 1.0]),
+                       state_fns=(lambda s: np.ones(s.shape[:-1]),
+                                  lambda s: 2.0 + np.abs(s[..., 0])))
+    betas, n_max = (1.0, 5.0, 50.0), 20
+    # 23 columns per process, in sweeps of at most 3
+    monkeypatch.setattr(calculus, "SWEEP_BUDGET_BYTES", sweep_budget(lat, 3))
+    widths = []
+
+    def recording(lattice, values, **kwargs):
+        widths.append(values.shape[-1])
+        return _sweep(lattice, values, **kwargs)
+
+    monkeypatch.setattr(calculus, "_sweep", recording)
+    rep = ratio_decay_report(theta, zeta, lat, betas=betas, n_max=n_max)
+    assert max(widths) == 3 and sum(widths) == 4 + 2 * (n_max + len(betas))
+
+    def ratio_at(beta):
+        num = reference_square_integral_expectation(theta, lat, beta)
+        den = beta * reference_square_integral_expectation(zeta, lat, beta)
+        return num, den, num / den
+
+    assert np.array_equal(rep.beta_n, np.arange(1, n_max + 1) * rep.c_max / rep.d_min)
+    want_b_n = np.array([ratio_at(b)[2] for b in rep.beta_n])
+    assert rep.b_n.tobytes() == want_b_n.tobytes()
+    scan = np.concatenate([rep.beta_n, betas])
+    for proc in (theta, zeta):       # the numerators, and the denominators over beta
+        want = [reference_square_integral_expectation(proc, lat, b) for b in scan]
+        assert _square_integral_expectation(proc, lat, scan).tolist() == want
+    want_rows = [dict(zip(("beta", "numerator", "denominator", "ratio"), (b,) + ratio_at(b)))
+                 for b in betas]
+    assert [dict(r) for r in rep.beta_rows] == want_rows

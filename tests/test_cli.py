@@ -24,8 +24,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gcalc
 from gcalc import TerminalFunctional, represent_martingale
 from gcalc import calculus
-from gcalc.calculus import (NORM_SWEEP_ARRAYS, SWEEP_BUDGET_BYTES, _layerwise_norms,
-                            ratio_decay_report)
+from gcalc.calculus import (MAX_RATIO_N, NORM_SWEEP_ARRAYS, SWEEP_BUDGET_BYTES,
+                            _layerwise_norms, ratio_decay_report)
 from gcalc.cli import (COMMANDS, LAYER_STACKS, MAX_LAYER_NODES, STACK_BUDGET_BYTES,
                        _fields_csv, _fmt, _write_outputs, build_experiment, main)
 
@@ -505,14 +505,29 @@ def test_overflowing_driver_exits_3_with_one_stderr_line(tmp_path, capsys):
 
 
 def test_huge_ratio_n_max_exits_3_before_allocating(tmp_path, capsys):
-    # beta_n at n = 10^12 is far past the weight limit; the report must say
-    # so before it allocates one row per n
+    # beta_n at the largest n_max is far past the weight limit; the report
+    # must say so before it sweeps one column per n
     ratio = {"theta": [{"id": "linear"}] * 2, "zeta": [{"id": "constant"}] * 2,
-             "n_max": 10 ** 12}
+             "n_max": MAX_RATIO_N}
     rc, out = run_cli(tmp_path, "ratio-decay", {**SMALL, "ratio": ratio})
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta,n_max", [("linear", 10 ** 12), ("tiny", 10 ** 20),
+                                         ("tiny", MAX_RATIO_N + 1)])
+def test_ratio_n_max_past_the_cap_exits_2(tmp_path, capsys, theta, n_max):
+    # a tiny theta keeps beta_n far below the weight limit, so only the cap
+    # stops one column (and one row) per n
+    entry = ({"id": "linear"} if theta == "linear"
+             else {"id": "constant", "params": {"c": 1e-12}})
+    ratio = {"theta": [entry] * 2, "zeta": [{"id": "constant"}] * 2, "n_max": n_max}
+    rc, out = run_cli(tmp_path, "ratio-decay", {**SMALL, "ratio": ratio})
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: ratio.n_max: must be in [1, {MAX_RATIO_N}]"]
     assert not out.exists()
 
 
@@ -803,7 +818,7 @@ def fuzz_configs(draw):
         cfg["ratio"] = {
             "theta": [catalog_entry(draw, payoffs) for _ in range(2)],
             "zeta": [catalog_entry(draw, payoffs, ["constant"]) for _ in range(2)],
-            "n_max": draw(st.integers(1, 4)),
+            "n_max": draw(st.one_of(st.integers(1, 4), st.just(MAX_RATIO_N + 1))),
             "betas": draw(st.lists(st.one_of(betas_near_limit(horizon), MALFORMED),
                                    max_size=2))}
     return command, cfg

@@ -131,8 +131,8 @@ def test_no_reader_builds_the_full_integrand_stacks(monkeypatch):
     compensator_mc_check(represent_martingale(payoff, lat), n_controls=3, n_paths=8)
     representation_bound_check(payoff, lat)
     cauchy_sequence_check([payoff, make_payoff("quadratic", 1)], lat, 1.0)
-    # equal solutions: the curvature-mismatch flag reads the eta deltas too
-    assert not apriori_check(params, params, lat, solutions=(sol, sol)).eta_mismatch
+    # equal solutions: the norms read every delta, the eta deltas too
+    apriori_check(params, params, lat, solutions=(sol, sol))
 
 
 def traced_peak(run):

@@ -13,12 +13,12 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gcalc import (GBsdeParams, GcalcError, TerminalFunctional, TimeGrid, apriori_check,
-                   cauchy_sequence_check, compensator_mc_check, evaluate_field,
-                   exp_cell_weights, make_driver, make_payoff, nearest_index,
-                   represent_martingale, representation_bound_check, residual_check,
-                   solve_gbsde)
-from gcalc.calculus import admissible_betas, weighted_norms
+from gcalc import (GBsdeParams, GcalcError, StepProcess, TerminalFunctional, TimeGrid,
+                   apriori_check, cauchy_sequence_check, compensator_mc_check,
+                   evaluate_field, exp_cell_weights, make_driver, make_payoff,
+                   nearest_index, ratio_decay_report, represent_martingale,
+                   representation_bound_check, residual_check, solve_gbsde)
+from gcalc.calculus import MAX_RATIO_N, admissible_betas, weighted_norms
 
 from conftest import make_lattice
 
@@ -79,7 +79,7 @@ def calls(draw):
         "weighted_norms", "solve_gbsde", "residual_check", "compensator_mc_check",
         "evaluate_field", "nearest_index", "admissible_betas", "exp_cell_weights",
         "TimeGrid", "apriori_check", "representation_bound_check",
-        "cauchy_sequence_check"]))
+        "cauchy_sequence_check", "ratio_decay_report"]))
     if name == "weighted_norms":
         fields = draw(st.sampled_from([[], [sol.Y], [sol.Y, sol.Z, sol.eta], [sol.Y[1:]]]))
         return name, weighted_norms, (fields, lat, draw(BETAS)), {}, False
@@ -120,6 +120,16 @@ def calls(draw):
     if name == "representation_bound_check":
         kwargs = {"betas": draw(st.one_of(st.none(), BETAS))}
         return name, representation_bound_check, (payoffs(draw, d), lat), kwargs, False
+    if name == "ratio_decay_report":
+        # zeta = 1 + payoff^2 keeps the denominator away from zero
+        theta_fn, zeta_fn = payoffs(draw, d).fn, payoffs(draw, d).fn
+        theta, zeta = (StepProcess(times=np.array([0.0, 0.5, 1.0]), state_fns=(fn, fn))
+                       for fn in (lambda s: theta_fn(s)[..., 0],
+                                  lambda s: 1.0 + zeta_fn(s)[..., 0] ** 2))
+        n_max = draw(st.one_of(st.integers(1, 4), SIZES,
+                               st.sampled_from([True, MAX_RATIO_N + 1])))
+        return (name, ratio_decay_report, (theta, zeta, lat),
+                {"betas": draw(BETAS), "n_max": n_max}, False)
     terms = [abs_payoff] + [payoffs(draw, d) for _ in range(draw(st.integers(0, 3)))]
     beta = draw(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS))
     return name, cauchy_sequence_check, (terms, lat, beta), {}, any(t.n != 1 for t in terms)

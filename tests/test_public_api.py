@@ -14,6 +14,15 @@ that only its default ever reaches is a constant. Calls are matched to
 definitions by name, so a call sets the parameter of every definition of
 that name. A package function that passes its own defaulted parameter on
 sets the callee's parameter only when its own one is set.
+
+A field or property of a result type (a dataclass of a package module whose
+name ends in Report, Row or Pair) must be read as an attribute by a package
+module, the acceptance gate or the benchmark, or sit in KEEP_FIELDS with the
+reason it stays. A test that bounds the field, or compares it with an
+independent reference, is a reason; a test that only reads it back is not.
+Reads are matched by attribute name alone, so a field named like an
+attribute of another object (ctx.mu, say) counts as read whatever it is read
+from; such fields are decided by hand. A constructor keyword is not a read.
 """
 import ast
 from pathlib import Path
@@ -25,6 +34,26 @@ BENCH = ROOT / "perfbench"
 
 KEEP = {
     "weighted_norm": "perfbench/child.py wraps it by name (ROADMAP item 1)",
+}
+
+KEEP_FIELDS = {
+    "PicardReport.distances_by_beta": "the per-beta Picard traces, which ROADMAP item 6 "
+                                      "puts in summary.json; test_solver checks each "
+                                      "against a per-beta recomputation",
+    "ResidualReport.terminal_gap": "test_solver bounds it (field against payoff at the "
+                                   "final layer)",
+    "ResidualReport.off_policy_max_residual": "test_solver bounds it (the supersolution "
+                                              "check under random controls)",
+    "ResidualReport.off_policy_min_margin": "test_solver bounds it (the supersolution "
+                                            "check under random controls)",
+    "CompensatorReport.estimates": "test_solver compares every control with the "
+                                   "per-control reference",
+    "CompensatorReport.standard_errors": "test_solver compares every control with the "
+                                         "per-control reference",
+    "QvBoundsReport.integral": "test_calculus bounds it by the sandwich and checks a "
+                               "closed form",
+    "QvBoundsReport.abs_bound": "test_calculus checks it against K times the summed "
+                                "Frobenius norms",
 }
 
 KEEP_PARAMS = {
@@ -152,3 +181,36 @@ def test_every_defaulted_parameter_has_a_caller_or_a_reason():
         grew = len(is_set) > before
     unset = sorted(defined - is_set - set(KEEP_PARAMS))
     assert unset == [], unset
+
+
+def _report_fields() -> set:
+    """"Class.name" of every field and property of the result types."""
+    out = set()
+    for path in _modules():
+        for node in _tree(path).body:
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith(("Report", "Row", "Pair"))
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    out.add(f"{node.name}.{item.target.id}")
+                elif isinstance(item, ast.FunctionDef) and "property" in {
+                        getattr(d, "id", None) for d in item.decorator_list}:
+                    out.add(f"{node.name}.{item.name}")
+    return out
+
+
+def _attribute_reads(path: Path) -> set:
+    return {node.attr for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_report_field_has_a_reader_or_a_reason():
+    fields = _report_fields()
+    assert len(fields) == 62          # every field, none lost to the reader
+    assert set(KEEP_FIELDS) <= fields, set(KEEP_FIELDS) - fields
+    readers = _modules() + [GATE] + sorted(BENCH.glob("*.py"))
+    read = set().union(*(_attribute_reads(path) for path in readers))
+    unread = sorted(f for f in fields - set(KEEP_FIELDS) if f.split(".")[1] not in read)
+    assert unread == [], unread

@@ -482,10 +482,11 @@ def test_weighted_norms_match_argmax_scan(lower, upper, steps, points, grid_poin
                      scan_weighted_norms(fields, lat, betas))
     proc = StepProcess(times=np.array([0.0, 0.5, 1.0]),
                        state_fns=(lambda x: x[..., 0], lambda x: 1.0 + x[..., -1] ** 2))
-    for beta in (0.0, 2.0):
+    betas = (0.5, 2.0)
+    for beta, got in zip(betas, _square_integral_expectation(proc, lat, betas).tolist()):
         want = scan_sweep(lat, np.zeros(lat.space.shape + (1,)), lambda k, c: (
             reference_square_cost(proc, lat, beta, k)))[0][lat.origin_index][0]
-        assert _square_integral_expectation(proc, lat, beta) == want
+        assert got == want
 
 
 def reference_square_cost(proc, lat, beta, k):

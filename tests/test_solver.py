@@ -12,12 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gcalc import (Driver, GBsdeParams, TerminalFunctional, TimeGrid, apriori_check,
-                   cauchy_sequence_check, classical_oracle, compensator_mc_check,
-                   extract_integrands, picard_step, represent_martingale, residual_check,
-                   solve_gbsde)
+from gcalc import (Driver, GBsdeParams, StepProcess, TerminalFunctional, TimeGrid,
+                   apriori_check, cauchy_sequence_check, classical_oracle,
+                   compensator_mc_check, extract_integrands, picard_step,
+                   ratio_decay_report, represent_martingale, residual_check, solve_gbsde)
 from gcalc import calculus, solver
-from gcalc.calculus import MAX_EXPONENT, _layerwise_norms, weighted_norms
+from gcalc.calculus import MAX_EXPONENT, MAX_RATIO_N, _layerwise_norms, weighted_norms
 from gcalc.catalog import make_driver, make_payoff
 from gcalc.errors import (ConvergenceError, DegenerateBoxError, InputError)
 from gcalc.gtensor import g_corner
@@ -363,7 +363,6 @@ def test_replay_checks_reject_bad_sizes(small_lat):
     cm = compensator_mc_check(sol, n_controls=0, n_paths=2, seed=2)
     assert cm.estimates.shape == (2,) and np.all(np.isfinite(cm.standard_errors))
     rep = residual_check(sol, params, n_paths=1, n_controls=0)
-    assert rep.n_controls == 0
     assert rep.off_policy_min_margin == rep.off_policy_max_residual == 0.0
 
 
@@ -375,6 +374,14 @@ def _abs_case():
 
 def _two_component_payoff():
     return TerminalFunctional(fn=lambda x: np.concatenate([x, x], -1), lipschitz=2.0, n=2)
+
+
+def _ratio(lat, scale=1.0, **kwargs):
+    theta = StepProcess(times=np.array([0.0, 0.5, 1.0]),
+                        state_fns=(lambda s: scale * s[..., 0],) * 2)
+    zeta = StepProcess(times=np.array([0.0, 0.5, 1.0]),
+                       state_fns=(lambda s: np.ones(s.shape[:-1]),) * 2)
+    return ratio_decay_report(theta, zeta, lat, **kwargs)
 
 
 MALFORMED_CALLS = {
@@ -399,6 +406,14 @@ MALFORMED_CALLS = {
         [p.terminal, _two_component_payoff()], lat, 1.0),
     "apriori n=1 and n=2": lambda lat, p, sol: apriori_check(
         p, no_driver_params(_two_component_payoff()), lat),
+    "ratio n_max=0": lambda lat, p, sol: _ratio(lat, n_max=0),
+    "ratio n_max=-3": lambda lat, p, sol: _ratio(lat, n_max=-3),
+    "ratio n_max=2.5": lambda lat, p, sol: _ratio(lat, n_max=2.5),
+    "ratio n_max=True": lambda lat, p, sol: _ratio(lat, n_max=True),
+    # a small theta keeps beta_n at n_max below the weight limit
+    "ratio n_max past the cap": lambda lat, p, sol: _ratio(lat, 1e-6, n_max=MAX_RATIO_N + 1),
+    "ratio beta=0": lambda lat, p, sol: _ratio(lat, betas=[0.0]),
+    "ratio beta=1e-300": lambda lat, p, sol: _ratio(lat, betas=[1e-300]),
 }
 
 
@@ -407,7 +422,9 @@ def test_malformed_library_arguments_raise_input_error(call):
     # a tolerance is positive and finite, sizes are integers, seeds are valid
     # for default_rng, a Monte Carlo check has two paths to estimate its
     # error from, a norm sweep has a field and a beta that is not NaN, a
-    # query state is finite, and compared payoffs have equal component counts
+    # query state is finite, compared payoffs have equal component counts,
+    # and a ratio report has an n_max in [1, MAX_RATIO_N] and betas whose
+    # weights are positive
     with pytest.raises(InputError):
         call(*_abs_case())
 
@@ -493,8 +510,7 @@ def _ref_residual_check(solution, params, n_paths, seed, n_controls):
             off_margin = min(off_margin, float((y_path - rhs_free)[:, :-1].min()))
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
                           off_policy_max_residual=off_max,    # no control reads 0.0
-                          off_policy_min_margin=off_margin if n_controls else 0.0,
-                          n_paths=n_paths, n_controls=n_controls, seed=seed)
+                          off_policy_min_margin=off_margin if n_controls else 0.0)
 
 
 def _ref_compensator_mc_check(solution, n_controls, n_paths, seed, comp):
@@ -897,10 +913,11 @@ def test_restart_costs_the_steps_of_a_rerun(small_lat, monkeypatch):
 
     monkeypatch.setattr(solver, "picard_step", counting)
     params, _, _ = LAZY_SCAN_CASES["quadratic, beta0 32"]
-    _, rep = solve_gbsde(params, small_lat)
+    tol = 1e-9
+    _, rep = solve_gbsde(params, small_lat, tol=tol)
     trace = list(rep.distances_by_beta[BETA_SCAN[0]])
     fails_at = next(i for i in range(2, len(trace) + 1)
-                    if max(solver._factors(trace[:i], rep.tol), default=0.0)
+                    if max(solver._factors(trace[:i], tol), default=0.0)
                     > rep.theoretical_factor)
     assert 1 < fails_at < rep.iterations
     assert len(calls) == rep.iterations + fails_at
