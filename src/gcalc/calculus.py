@@ -328,13 +328,14 @@ def _square_integral_expectation(proc: StepProcess, lattice: Lattice,
                                  betas: Sequence[float]) -> np.ndarray:
     """Worst-case E of the exp(beta s)-weighted time integral of proc^2 at
     each positive beta, from sweeps with a value column per beta
-    (_grouped_sweeps). An interval's weight is one math.exp pair per beta,
-    and its cost w * vals * vals."""
+    (_grouped_sweeps). An interval's weight is one math pair per beta,
+    exp(beta t0) expm1(beta (t1 - t0)) / beta, which keeps small betas free
+    of cancellation, and its cost w * vals * vals."""
     top = max(betas) * lattice.time.horizon
     if top > MAX_EXPONENT:
         raise WeightOverflowError(f"beta * horizon = {top:.3g} exceeds {MAX_EXPONENT}")
     t = proc.times
-    weights = np.array([[(math.exp(b * t1) - math.exp(b * t0)) / b for b in betas]
+    weights = np.array([[math.exp(b * t0) * math.expm1(b * (t1 - t0)) / b for b in betas]
                         for t0, t1 in zip(t[:-1], t[1:])])       # (intervals, B)
     if not (weights > 0.0).all():
         raise InputError(f"beta = {min(betas):.3g} is too small: exp(beta s) does not "

@@ -43,8 +43,8 @@ _MISSING = object()
 STACK_BUDGET_BYTES = 2 ** 31
 #: (steps + 1) x nodes float64 stacks each command holds (see the README):
 #: a solution is 3.25 in 2-d with a bracket driver; a solve holds two, also
-#: while its beta scan restarts, and verify-estimates a third besides.
-LAYER_STACKS = {"represent": 2.25, "solve": 6.5, "verify-estimates": 9.75}
+#: while its beta scan restarts, and verify-estimates two from layer solves.
+LAYER_STACKS = {"represent": 2.25, "solve": 6.5, "verify-estimates": 6.5}
 #: Largest (steps + 1) x nodes per command; one sweep's
 #: calculus.SWEEP_BUDGET_BYTES comes on top.
 MAX_LAYER_NODES = {c: int(STACK_BUDGET_BYTES / (8 * s)) for c, s in LAYER_STACKS.items()}
@@ -457,8 +457,7 @@ def _run_verify(ctx: Experiment):
                               ctx.perturb["f_shift"])
     mu = ctx.mu if ctx.mu is not None else 1.0
     nu = ctx.nu if ctx.nu is not None else 1.0
-    apriori = apriori_check(params1, params2, ctx.lattice, betas=ctx.betas,
-                            mu=mu, nu=nu, tol=ctx.tol)
+    apriori = apriori_check(params1, params2, ctx.lattice, betas=ctx.betas, mu=mu, nu=nu)
     repr_rep = representation_bound_check(params1.terminal, ctx.lattice,
                                           betas=ctx.betas)
     caps = (1.0, 2.0, 4.0, 8.0)

@@ -21,8 +21,8 @@ from .calculus import (BETA_GRID, _block_layers, _cell_weights, _grouped_sweeps,
 from .errors import InputError
 from .gtensor import g_corner
 from .scenario import Lattice, TerminalFunctional, _sweep
-from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _fields_at, _triple_sq,
-                     _penalty_sq, solve_gbsde)
+from .solver import (BsdeSolution, GBsdeParams, _driver_fields, _fields_at, _layer_solve,
+                     _penalty_sq, _triple_sq)
 
 
 def _bracket_terms(beta: float, term_y_t: float, n_f: float, n_g: float,
@@ -103,23 +103,19 @@ class AprioriReport:
 
 def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
                   betas: Optional[Sequence[float]] = None, mu: float = 1.0,
-                  nu: float = 1.0, tol: float = 1e-10,
-                  solutions: Optional[tuple] = None) -> AprioriReport:
+                  nu: float = 1.0, solutions: Optional[tuple] = None) -> AprioriReport:
     """Evaluate the three parameter-stability inequalities on a beta grid.
 
     Compares each squared weighted norm of the field deltas of both
-    solutions (solved, or `solutions`) against the shared right-side bracket
-    under both constant sets and reports the smallest passing beta of each;
-    the conservative verdict is the operative one.
+    solutions (the fixed points of a layer solve each, or `solutions`)
+    against the shared right-side bracket under both constant sets and
+    reports the smallest passing beta of each; the conservative verdict is
+    the operative one.
     """
     squares = _penalty_sq("mu", mu), _penalty_sq("nu", nu)
     if params1.terminal.n != params2.terminal.n:
         raise InputError("payoffs must have the same number of components")
-    if solutions is None:
-        sol1, _ = solve_gbsde(params1, lattice, tol=tol)
-        sol2, _ = solve_gbsde(params2, lattice, tol=tol)
-    else:
-        sol1, sol2 = solutions
+    sol1, sol2 = solutions or (_layer_solve(params1, lattice), _layer_solve(params2, lattice))
     scan = admissible_betas(lattice, betas)
 
     def deltas(ks):

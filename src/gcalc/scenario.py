@@ -283,9 +283,9 @@ def _sweep(lattice: Lattice, terminal_values: np.ndarray,
     """Backward induction from `start_layer` (default last), the layer
     terminal_values sits on, down to layer 0.
 
-    The package's only worst-case backward-induction loop. Every trailing
-    axis of terminal_values (*grid, *trailing) is an independent value
-    column.
+    The package's only worst-case maximization; solver._layer_solve runs
+    it one layer at a time. Every trailing axis of terminal_values
+    (*grid, *trailing) is an independent value column.
 
     step_cost(k, combo_index), time weight included, is added to every
     candidate of layer k; it must be affine in sigma^2 within a bracket, or

@@ -3,9 +3,10 @@
 A worst-case value field Y is decomposed into a gradient integrand Z, a
 curvature integrand eta (shifted by twice the bracket driver so the pathwise
 budget identity closes under every admissible control) and a nondecreasing
-compensator K that vanishes under the argmax policy. A fixed-point loop
-solves the coupled equation; a layerwise-implicit single-control solver is
-the degenerate-box oracle.
+compensator K that vanishes under the argmax policy. A Picard loop solves
+the coupled equation and reports its contraction; a layer solve finds the
+same fixed point one layer at a time for callers that need no report, and
+its single-control case is the degenerate-box oracle.
 """
 from __future__ import annotations
 
@@ -666,59 +667,59 @@ def compensator_mc_check(solution: BsdeSolution, n_controls: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# Degenerate-box oracle
+# Layer solve and the degenerate-box oracle
 # ---------------------------------------------------------------------------
 
-def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
-    """Single-control backward solver for a collapsed volatility box.
+def _layer_solve(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
+    """The fixed point of the contraction map, solved one layer at a time.
 
-    Solves each layer's implicit equation y = E[y_next] + (f + g : sigma2) dt
-    by fixed-point iteration with integrands read from the layer itself,
-    until a sup-norm step below 1e-13 (at most 200 iterations): an
-    independent route to the contraction solver's zero-width fixed point.
+    Layer k iterates y <- max_c [E_c Y_{k+1} + (f + g : sigma2_c) dt] from
+    the largest child mean, with (Z, eta) read from y and the previous
+    iterate's bracket shift, until a sup-norm step below 1e-13; the last
+    layer's bracket coefficients settle the same way with the payoff held
+    fixed. Each iteration is a one-layer _sweep, so ties keep the smallest
+    covariance and zero drivers give picard_step's bits. Raises
+    ConvergenceError naming a layer that does not settle in 200 iterations.
     """
-    if not lattice.box.is_degenerate:
-        raise DegenerateBoxError("classical oracle requires a zero-width box")
-    sigma2 = lattice.box.lower
-    dt = lattice.dt
-    times = lattice.time.times()
-    n = params.terminal.n
-    shape = (lattice.steps + 1,) + lattice.space.shape
-    values = np.empty(shape + (n,))
-    g_field = np.zeros(shape + (n, lattice.d))
-    values[-1] = params.terminal.evaluate(lattice.states)
-
-    for k in range(lattice.steps - 1, -1, -1):
-        anchor = next(lattice.child_means(values[k + 1]))   # combo 0; all coincide
-        y = anchor.copy()
-        g_prev = np.zeros(anchor.shape + (lattice.d,))
+    params.spot_check(lattice.d)
+    steps, dt = lattice.steps, lattice.dt
+    values = np.empty((steps + 1,) + lattice.space.shape + (params.terminal.n,))
+    values[steps] = params.terminal.evaluate(lattice.states)
+    policy = np.empty((steps,) + values.shape[1:], dtype=np.int16)
+    kept = None   # the bracket coefficients, once one is not +0.0
+    for k in range(steps, -1, -1):
+        y = values[k] if k == steps else _sweep(lattice, values[k + 1], start_layer=1)
+        g = np.broadcast_to(0.0, y.shape + (lattice.d,))
         for _ in range(200):
-            (z,), (eta,) = extract_integrands(y[None], lattice, g_prev[None])
-            f_val = np.asarray(params.f.fn(times[k], y, z, eta), dtype=float)
-            g_val = np.asarray(params.g.fn(times[k], y, z, eta), dtype=float)
-            y_new = anchor + (f_val + g_val @ sigma2) * dt
-            gap = float(np.max(np.abs(y_new - y)))
-            y, g_prev = y_new, g_val
-            if gap < 1e-13:
+            (f,), (g_new,) = _driver_fields(params, lattice, slice(k, k + 1), y[None],
+                                            *extract_integrands(y[None], lattice, g[None]))
+            if k == steps:
+                moved = g_new - g
+            else:
+                (y_new, _), (policy[k],) = _sweep(
+                    lattice, values[k + 1], lambda _, c: (f + g_new @ lattice.combos[c]) * dt,
+                    store=True, start_layer=1)
+                moved, y = y_new - y, y_new
+            g, size = g_new, float(np.max(np.abs(moved)))
+            if size < 1e-13:
                 break
         else:
-            raise ConvergenceError(f"layer {k} implicit step did not converge")
+            raise ConvergenceError(f"layer {k} of the layer solve did not settle within "
+                                   f"200 iterations (last step {size:.3g})")
         values[k] = y
-        g_field[k] = g_prev
+        if kept is None and (g.any() or np.signbit(g).any()):
+            kept = np.zeros((steps + 1,) + g.shape)
+        if kept is not None:
+            kept[k] = g
+    if kept is None:
+        kept = np.broadcast_to(0.0, values.shape + (lattice.d,))
+    return BsdeSolution(lattice=lattice, Y=values, policy_idx=policy, g_field=kept)
 
-    # The final layer's bracket coefficients satisfy the same implicit
-    # curvature shift with the payoff held fixed.
-    g_prev = np.zeros(values[-1].shape + (lattice.d,))
-    for _ in range(200):
-        (z_l,), (eta_l,) = extract_integrands(values[-1:], lattice, g_prev[None])
-        g_new = np.asarray(params.g.fn(times[-1], values[-1], z_l, eta_l), dtype=float)
-        gap = float(np.max(np.abs(g_new - g_prev)))
-        g_prev = g_new
-        if gap < 1e-13:
-            break
-    else:
-        raise ConvergenceError("final-layer bracket coefficients did not converge")
-    g_field[-1] = g_prev
 
-    policy = np.zeros((lattice.steps,) + lattice.space.shape + (n,), dtype=np.int16)
-    return BsdeSolution(lattice=lattice, Y=values, policy_idx=policy, g_field=g_field)
+def classical_oracle(params: GBsdeParams, lattice: Lattice) -> BsdeSolution:
+    """Single-control backward solver for a collapsed volatility box: the
+    one-combo case of _layer_solve, an independent route to the contraction
+    solver's zero-width fixed point."""
+    if not lattice.box.is_degenerate:
+        raise DegenerateBoxError("classical oracle requires a zero-width box")
+    return _layer_solve(params, lattice)

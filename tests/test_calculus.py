@@ -300,6 +300,18 @@ def test_square_integral_overflow_guard(small_lat):
         _square_integral_expectation(proc, small_lat, (2.0, 801.0))
 
 
+def test_square_integral_small_beta_matches_the_closed_form(small_lat):
+    # a constant 1 over two intervals: the weights sum to the integral of
+    # exp(beta s) over [0, T], T + beta T^2 / 2 + beta^2 T^3 / 6 to 1e-36 at
+    # beta = 1e-12; a difference of exponentials cancels to 8.9e-5 there
+    beta, horizon = 1e-12, small_lat.time.horizon
+    proc = StepProcess(times=np.array([0.0, 0.5, 1.0]) * horizon,
+                       state_fns=(lambda s: np.ones(s.shape[:-1]),) * 2)
+    (got,) = _square_integral_expectation(proc, small_lat, (beta,))
+    want = horizon + beta * horizon ** 2 / 2 + beta ** 2 * horizon ** 3 / 6
+    assert abs(got - want) <= 1e-15 * want
+
+
 def reference_square_integral_expectation(proc, lattice, beta):
     """_square_integral_expectation as it was before its betas became value
     columns: one sweep per beta."""
@@ -311,7 +323,7 @@ def reference_square_integral_expectation(proc, lattice, beta):
         if beta == 0.0:
             w = t[i + 1] - t[i]
         else:
-            w = (math.exp(beta * t[i + 1]) - math.exp(beta * t[i])) / beta
+            w = math.exp(beta * t[i]) * math.expm1(beta * (t[i + 1] - t[i])) / beta
         vals = np.asarray(fn(states), dtype=float)
         costs[k] = (w * vals * vals)[..., None]
 

@@ -372,6 +372,20 @@ def test_divergent_solve_exits_3_without_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_unsettled_layer_exits_3_naming_the_layer(tmp_path, capsys):
+    # the layer-local number 4 c_eta s2_max dt / h^2 is 6 here, far past 1:
+    # the layer solve of verify-estimates does not settle at its first layer
+    cfg = {**SMALL, "payoff": {"id": "butterfly"},
+           "drivers": {"dt": {"id": "clamped-custom-affine",
+                              "params": {"coef_y": 0.2, "coef_eta": [0.3]}}}}
+    rc, out = run_cli(tmp_path, "verify-estimates", cfg)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: layer 19 of the layer solve did not settle "
+                   "within 200 iterations (last step 0.1)"]
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = main(["expect", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gcalc import calculus
+from gcalc import calculus, solver
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, apriori_check,
                    cauchy_sequence_check, exp_cell_weights,
                    represent_martingale, representation_bound_check, solve_gbsde)
@@ -193,6 +193,19 @@ def test_cauchy_capped_sequence_bound(small_lat):
     assert all(p.lhs <= p.rhs for p in rep.pairs)
     with pytest.raises(InputError):
         cauchy_sequence_check([capped_quad(1.0)], small_lat, beta=1.0)
+
+
+def test_apriori_check_runs_no_picard_step(small_lat, monkeypatch):
+    # both equations are solved layer by layer: no Picard iterate is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("apriori_check ran a Picard step")
+
+    monkeypatch.setattr(solver, "picard_step", refuse)
+    f = make_driver("linear-in-y", 1, 1, {"r": -0.5})
+    p1, p2 = (GBsdeParams(terminal=t, f=f, g=zero_qv_driver(1, 1))
+              for t in (quad_payoff(), shifted_quad(0.1)))
+    rep = apriori_check(p1, p2, small_lat, betas=(1.0,))
+    assert rep.rows[0].lhs_y > 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -185,6 +185,27 @@ def test_solve_memory_holds_two_iterates_through_a_restart(monkeypatch):
     assert rep.beta == BETA_SCAN[0] and max(rep.contraction_factors) > rep.theoretical_factor
 
 
+@pytest.mark.parametrize("bracket", ["zero", "linear-in-z"])
+def test_apriori_memory_holds_two_solutions(monkeypatch, bracket):
+    # the two layer solves keep their solutions and no Picard iterates: the
+    # peak holds both solutions, the norm sweeps' value columns (five fields
+    # per beta) and half a stack for the rest
+    monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)   # one-layer blocks
+    lat = make_lattice(**GUARD)
+    g = (zero_qv_driver(1, 1) if bracket == "zero"
+         else make_driver("linear-in-z", 1, 1, {"a": [0.05]}, role="qv"))
+    f = make_driver("linear-in-y", 1, 1, {"r": -0.5})
+    payoff = make_payoff("quadratic", 1)
+    shifted = TerminalFunctional(fn=lambda x: payoff.fn(x) + 0.1, lipschitz=payoff.lipschitz)
+    params1, params2 = (GBsdeParams(terminal=t, f=f, g=g) for t in (payoff, shifted))
+    betas = (1.0, 4.0)
+    peak = traced_peak(lambda: apriori_check(params1, params2, lat, betas=betas))
+    stack = (lat.steps + 1) * lat.space.shape[0] * 8
+    solution = 1.25 + (0 if bracket == "zero" else lat.d)
+    columns = 5 * len(betas) * 7.1 / (lat.steps + 1)
+    assert peak < (2 * solution + columns + 0.5) * stack, f"{peak / stack:.2f} stacks"
+
+
 def test_replay_memory_holds_positions_only(monkeypatch):
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
     lat = make_lattice(steps=400, points=481)

@@ -494,7 +494,8 @@ def reference_square_cost(proc, lat, beta, k):
     for i, fn in enumerate(proc.state_fns):
         if lat.time.index_of(proc.times[i]) == k:
             t0, t1 = proc.times[i], proc.times[i + 1]
-            w = t1 - t0 if beta == 0.0 else (math.exp(beta * t1) - math.exp(beta * t0)) / beta
+            w = (t1 - t0 if beta == 0.0
+                 else math.exp(beta * t0) * math.expm1(beta * (t1 - t0)) / beta)
             vals = np.asarray(fn(lat.states), dtype=float)
             return (w * vals * vals)[..., None]
     return 0.0

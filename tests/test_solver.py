@@ -28,6 +28,7 @@ from gcalc.solver import (BETA_SCAN, CompensatorReport, ResidualReport,
 
 from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
                       quad_payoff, sweep_budget)
+from test_scenario import assert_same_bits
 
 
 def no_driver_params(terminal, d=1):
@@ -413,7 +414,8 @@ MALFORMED_CALLS = {
     # a small theta keeps beta_n at n_max below the weight limit
     "ratio n_max past the cap": lambda lat, p, sol: _ratio(lat, 1e-6, n_max=MAX_RATIO_N + 1),
     "ratio beta=0": lambda lat, p, sol: _ratio(lat, betas=[0.0]),
-    "ratio beta=1e-300": lambda lat, p, sol: _ratio(lat, betas=[1e-300]),
+    # a subnormal beta: exp(beta s) does not grow over [0, 0.5] in float64
+    "ratio beta=5e-324": lambda lat, p, sol: _ratio(lat, betas=[5e-324]),
 }
 
 
@@ -747,7 +749,10 @@ def test_picard_matches_layerwise_oracle(payoff, dt_driver, qv_driver):
          else zero_qv_driver(1, 1))
     params = GBsdeParams(terminal=make_payoff(payoff, 1), f=f, g=g)
     sol, _ = solve_gbsde(params, lat)
-    assert np.max(np.abs(sol.Y - layerwise_oracle(params, lat))) <= 1e-8
+    want = layerwise_oracle(params, lat)
+    assert np.max(np.abs(sol.Y - want)) <= 1e-8
+    # the package's layer solve runs this recursion with the same expressions
+    assert_same_bits(solver._layer_solve(params, lat).Y, want)
 
 
 def test_picard_matches_layerwise_oracle_2d():
@@ -758,7 +763,26 @@ def test_picard_matches_layerwise_oracle_2d():
         f=make_driver("linear-in-z", 1, 2, {"a": [0.3, -0.2]}),
         g=make_driver("linear-in-z", 1, 2, {"a": [0.1, 0.2]}, role="qv"))
     sol, _ = solve_gbsde(params, lat)
-    assert np.max(np.abs(sol.Y - layerwise_oracle(params, lat))) <= 1e-8
+    want = layerwise_oracle(params, lat)
+    assert np.max(np.abs(sol.Y - want)) <= 1e-8
+    assert_same_bits(solver._layer_solve(params, lat).Y, want)
+
+
+@pytest.mark.parametrize("lattice_kwargs", [
+    {"steps": 16, "points": 101},
+    {"lower": (1.0, 1.0), "upper": (2.0, 2.0), "steps": 8, "points": 51, "grid_points": 3},
+])
+@pytest.mark.parametrize("payoff", ["quadratic", "butterfly"])
+def test_layer_solve_keeps_the_picard_bits_without_drivers(lattice_kwargs, payoff):
+    # zero drivers settle each layer in one scan, the scan of picard_step, so
+    # verify-estimates keeps the Y bits that solve_gbsde gave it
+    lat = make_lattice(**lattice_kwargs)
+    params = no_driver_params(make_payoff(payoff, lat.d), lat.d)
+    want, _ = solve_gbsde(params, lat)
+    got = solver._layer_solve(params, lat)
+    assert_same_bits(got.Y, want.Y)
+    assert np.array_equal(got.policy_idx, want.policy_idx)
+    assert got.g_field.strides == want.g_field.strides == (0,) * got.g_field.ndim
 
 
 # ---------------------------------------------------------------------------
