@@ -16,8 +16,8 @@ _EXPORTS = {
     "scenario": ("Lattice", "SpaceGrid", "TerminalFunctional", "TimeGrid", "build_lattice",
                  "conditional_expectation_field", "evaluate_field", "nearest_index",
                  "sublinear_expectation"),
-    "calculus": ("PathBundle", "StepProcess", "exp_cell_weights", "lemma31_bounds",
-                 "ratio_decay_report", "simulate_path", "weighted_norm"),
+    "calculus": ("PathBundle", "StepProcess", "lemma31_bounds", "ratio_decay_report",
+                 "simulate_path", "weighted_norm"),
     "solver": ("BsdeSolution", "Driver", "GBsdeParams", "PicardReport", "ResidualReport",
                "classical_oracle", "compensator_mc_check", "extract_integrands",
                "picard_step", "represent_martingale", "residual_check", "solve_gbsde",

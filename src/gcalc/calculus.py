@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -88,6 +89,14 @@ class PathBundle:
         return self.times.shape[0] - 1
 
 
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed); a seed it rejects raises InputError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"seed: {exc}") from None
+
+
 def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
                   seed: int) -> PathBundle:
     """Simulate one path with independent +/- signs per axis and step.
@@ -95,7 +104,7 @@ def simulate_path(time: TimeGrid, box: VolatilityBox, control: Callable,
     control(k, x) -> covariance diagonal, broadcastable to (d,), validated
     against the box at every step.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     walk = _walk(time, box, lambda k, x: control(k, x[0]),
                  lambda k: rng.integers(0, 2, size=(1, box.d)) * 2.0 - 1.0, 1)
     steps = [(sig2.copy(), x) for sig2, _, x in walk]
@@ -137,19 +146,19 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
     if eta.shape != (path.steps, n, path.box.d):
         raise DimensionError(
             f"process has shape {eta.shape}, expected {(path.steps, n, path.box.d)}")
-    tol = 1e-10
-    dqv = np.diff(path.quad_var, axis=0)
-    dt = grid.dt
-    sl = slice(k_lo, k_hi)
+    if not np.isfinite(eta).all():
+        raise InputError("process must be finite")
+    tol, dt = 1e-10, grid.dt
+    eta, dqv = eta[k_lo:k_hi], np.diff(path.quad_var, axis=0)[k_lo:k_hi]
 
-    integral = np.einsum("knd,kd->n", eta[sl], dqv[sl])
+    integral = np.einsum("knd,kd->n", eta, dqv)
     abs_value = float(np.linalg.norm(integral))
     k_const = math.sqrt(path.box.d) * path.box.sigma_max_sq
-    frob = np.sqrt(np.sum(eta[sl] ** 2, axis=(1, 2)))
+    frob = np.sqrt(np.sum(eta ** 2, axis=(1, 2)))
     abs_bound = float(k_const * np.sum(frob) * dt)
 
-    upper = 2.0 * np.sum(g_corner(eta[sl], path.box), axis=0) * dt
-    lower = -2.0 * np.sum(g_corner(-eta[sl], path.box), axis=0) * dt
+    upper = 2.0 * np.sum(g_corner(eta, path.box), axis=0) * dt
+    lower = -2.0 * np.sum(g_corner(-eta, path.box), axis=0) * dt
 
     return QvBoundsReport(
         integral=integral,
@@ -166,17 +175,20 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
 # Exponentially weighted norms
 # ---------------------------------------------------------------------------
 
-def exp_cell_weights(time: TimeGrid, beta: float) -> np.ndarray:
-    """Exact integrals of exp(beta * s) over each grid cell of [0, T]."""
-    if not beta >= 0.0:                    # NaN too
-        raise InputError("beta must be nonnegative")
-    if beta * time.horizon > MAX_EXPONENT:
-        raise WeightOverflowError(
-            f"beta * horizon = {beta * time.horizon:.3g} exceeds {MAX_EXPONENT}")
-    t = time.times()
-    if beta == 0.0:
-        return np.diff(t)
-    return np.diff(np.exp(beta * t)) / beta
+def _exp_weights(times: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+    """The package's integrals of exp(beta s) over each interval of `times`,
+    (intervals, B): exp(beta t0) expm1(beta dt) / beta, or exp(beta t0) dt
+    where beta dt is not a normal float (there expm1(x) / x is 1). Raises
+    InputError for a negative or NaN beta, WeightOverflowError past MAX_EXPONENT."""
+    t, betas = [float(s) for s in times], [float(b) for b in betas]
+    if not all(b >= 0.0 for b in betas):
+        raise InputError("every beta must be nonnegative")
+    top = max(betas, default=0.0) * t[-1]
+    if top > MAX_EXPONENT:
+        raise WeightOverflowError(f"beta * horizon = {top:.3g} exceeds {MAX_EXPONENT}")
+    return np.array([[math.exp(b * t0) * math.expm1(b * (t1 - t0)) / b
+                      if b * (t1 - t0) >= sys.float_info.min else math.exp(b * t0) * (t1 - t0)
+                      for b in betas] for t0, t1 in zip(t[:-1], t[1:])])
 
 
 def _block_layers(lattice: Lattice, width: int) -> int:
@@ -218,11 +230,6 @@ def weighted_norms(fields: Sequence[np.ndarray], lattice: Lattice,
                             lattice, betas, 0)
 
 
-def _cell_weights(lattice: Lattice, betas: Sequence[float]) -> np.ndarray:
-    """exp_cell_weights of each beta, (steps, len(betas))."""
-    return np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
-
-
 def _grouped_sweeps(lattice: Lattice, count: int, weights: np.ndarray,
                     group_costs: Callable[[slice, np.ndarray], dict]) -> np.ndarray:
     """Origin values, (count, B), of a sweep from zero with a value column
@@ -262,7 +269,8 @@ def _layerwise_norms(layers: Callable[[slice], list], count: int, lattice: Latti
         return {"layer_cost": lambda k: (read(k)[0][..., rows, None]
                                          * weights[k]).reshape(grid + (-1,))}
 
-    total = _grouped_sweeps(lattice, count, _cell_weights(lattice, betas), group_costs)
+    weights = _exp_weights(lattice.time.times(), betas)
+    total = _grouped_sweeps(lattice, count, weights, group_costs)
     return np.sqrt(np.maximum(total, 0.0))
 
 
@@ -294,8 +302,8 @@ class StepProcess:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.shape[0] < 2 or np.any(np.diff(t) <= 0.0):
-            raise InputError("partition must be strictly increasing with >= 2 points")
+        if t.ndim != 1 or t.shape[0] < 2 or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise InputError("partition must be finite, strictly increasing, >= 2 points")
         if len(self.state_fns) != t.shape[0] - 1:
             raise DimensionError("need exactly one state function per interval")
         object.__setattr__(self, "times", t)
@@ -328,18 +336,10 @@ def _square_integral_expectation(proc: StepProcess, lattice: Lattice,
                                  betas: Sequence[float]) -> np.ndarray:
     """Worst-case E of the exp(beta s)-weighted time integral of proc^2 at
     each positive beta, from sweeps with a value column per beta
-    (_grouped_sweeps). An interval's weight is one math pair per beta,
-    exp(beta t0) expm1(beta (t1 - t0)) / beta, which keeps small betas free
-    of cancellation, and its cost w * vals * vals."""
-    top = max(betas) * lattice.time.horizon
-    if top > MAX_EXPONENT:
-        raise WeightOverflowError(f"beta * horizon = {top:.3g} exceeds {MAX_EXPONENT}")
+    (_grouped_sweeps). An interval's weight is its _exp_weights entry, and
+    its cost w * vals * vals."""
     t = proc.times
-    weights = np.array([[math.exp(b * t0) * math.expm1(b * (t1 - t0)) / b for b in betas]
-                        for t0, t1 in zip(t[:-1], t[1:])])       # (intervals, B)
-    if not (weights > 0.0).all():
-        raise InputError(f"beta = {min(betas):.3g} is too small: exp(beta s) does not "
-                         "grow over a partition interval in float64")
+    weights = _exp_weights(t, betas)                    # (intervals, B)
     vals = [v[..., None] for v in _observed(proc, lattice)]
     interval = {lattice.time.index_of(t0): i for i, t0 in enumerate(t[:-1])}
 
@@ -366,8 +366,8 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
     Every beta_n and every extra beta is a value column of each process's
     sweeps. The processes are elementary, so the approximation diagnostics
     t_n, l_n, m_n reduce to b_n, 1, 1 and are not kept. Raises InputError
-    for an n_max that is not an integer in [1, MAX_RATIO_N] and for a beta
-    that is not positive.
+    for an n_max that is not an integer in [1, MAX_RATIO_N], a beta that is
+    not positive, or one whose denominator is not a positive normal float.
     """
     if isinstance(n_max, bool) or not (isinstance(n_max, numbers.Integral)
                                        and 1 <= n_max <= MAX_RATIO_N):
@@ -402,6 +402,9 @@ def ratio_decay_report(theta: StepProcess, zeta: StepProcess, lattice: Lattice,
     scan = np.concatenate([beta_n, betas])
     num = _square_integral_expectation(theta, lattice, scan)
     den = scan * _square_integral_expectation(zeta, lattice, scan)
+    for b, v in zip(scan.tolist(), den.tolist()):
+        if not sys.float_info.min <= v < math.inf:
+            raise InputError(f"beta = {b:.3g}: denominator {v:.3g} is not a positive normal float")
     ratio = num / den
     rows = zip(betas, *(v[n_max:].tolist() for v in (num, den, ratio)))
     return RatioDecayReport(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # BETA_GRID is re-exported: `from gcalc.harness import BETA_GRID` keeps working
-from .calculus import (BETA_GRID, _block_layers, _cell_weights, _grouped_sweeps,
+from .calculus import (BETA_GRID, _block_layers, _exp_weights, _grouped_sweeps,
                        _layer_reader, _layerwise_norms, _state_expectation,
                        admissible_betas)
 from .errors import InputError
@@ -62,7 +62,8 @@ def _curvature_cross_terms(sol1, sol2, lattice: Lattice, betas: Sequence[float])
 
         return {"step_cost": step_cost}
 
-    return _grouped_sweeps(lattice, 1, _cell_weights(lattice, betas), group_costs)[0].tolist()
+    weights = _exp_weights(lattice.time.times(), betas)
+    return _grouped_sweeps(lattice, 1, weights, group_costs)[0].tolist()
 
 
 @dataclass(frozen=True)

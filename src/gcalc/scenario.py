@@ -52,8 +52,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of a time that must sit on the grid, to within 1e-9
-        times max(1, horizon)."""
-        k = round(t / self.dt)
+        times max(1, horizon); a NaN or far-off time is never rounded."""
+        k = round(t / self.dt) if abs(t) <= 2.0 * self.horizon else -1
         if not (0 <= k <= self.steps) or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise InputError(f"time {t} is not on the grid")
         return int(k)

@@ -25,7 +25,7 @@ from .gtensor import g_corner
 from .scenario import (Lattice, TerminalFunctional, _increment, _sweep, _walk,
                        conditional_expectation_field, evaluate_field,
                        nearest_index)
-from .calculus import (_block_layers, _layer_reader, _layerwise_norms,
+from .calculus import (_block_layers, _layer_reader, _layerwise_norms, _rng,
                        admissible_betas, weighted_norms)
 
 #: Default grid scanned for the smallest weight exponent with certified
@@ -460,16 +460,12 @@ def _signs(flips_k: np.ndarray, m: int, d: int) -> np.ndarray:
 
 def _replay_rng(seed, n_paths: int, min_paths: int, n_controls: int):
     """The generator of a replay check, after its sizes: integers, with
-    n_paths >= min_paths and n_controls >= 0. A seed that default_rng
-    rejects raises InputError too."""
+    n_paths >= min_paths and n_controls >= 0, and a seed that _rng takes."""
     if not (isinstance(n_paths, numbers.Integral) and n_paths >= min_paths):
         raise InputError(f"n_paths must be an integer of at least {min_paths}")
     if not (isinstance(n_controls, numbers.Integral) and n_controls >= 0):
         raise InputError("n_controls must be a nonnegative integer")
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"seed: {exc}") from None
+    return _rng(seed)
 
 
 def _residual_groups(rng: np.random.Generator, lat: Lattice, n: int,

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from gcalc import (PathBundle, StepProcess, TimeGrid, VolatilityBox,
-                   exp_cell_weights, lemma31_bounds, ratio_decay_report,
-                   simulate_path, weighted_norm)
+                   lemma31_bounds, ratio_decay_report, simulate_path, weighted_norm)
 from gcalc import calculus
-from gcalc.calculus import (NORM_SWEEP_ARRAYS, _layerwise_norms,
+from gcalc.calculus import (NORM_SWEEP_ARRAYS, _exp_weights, _layerwise_norms,
                             _square_integral_expectation, weighted_norms)
 from gcalc.errors import (DegenerateDenominatorError, DimensionError,
                           InputError, WeightOverflowError)
@@ -101,19 +100,30 @@ def test_bracket_bounds_subwindow_and_errors():
 # exponential weights and weighted norms
 # ---------------------------------------------------------------------------
 
-def test_exp_cell_weights():
-    tg = TimeGrid(horizon=1.0, steps=10)
-    assert np.allclose(exp_cell_weights(tg, 0.0), np.full(10, 0.1))
-    beta = 3.0
-    w = exp_cell_weights(tg, beta)
-    assert w.sum() == pytest.approx((math.exp(beta) - 1.0) / beta, rel=1e-14)
-    t = tg.times()
-    assert np.allclose(w, (np.exp(beta * t[1:]) - np.exp(beta * t[:-1])) / beta)
+def test_exp_weights_closed_form_and_errors():
+    t = TimeGrid(horizon=1.0, steps=10).times()
+    w = _exp_weights(t, (0.0, 3.0, 5e-324))
+    assert w.shape == (10, 3)
+    # beta = 0 and a beta whose beta dt underflows give the cell lengths
+    assert np.array_equal(w[:, 0], np.diff(t)) and np.array_equal(w[:, 2], np.diff(t))
+    assert w[:, 1].sum() == pytest.approx(math.expm1(3.0) / 3.0, rel=1e-14)
+    assert np.allclose(w[:, 1], (np.exp(3.0 * t[1:]) - np.exp(3.0 * t[:-1])) / 3.0,
+                       rtol=1e-14, atol=0.0)
     with pytest.raises(WeightOverflowError):
-        exp_cell_weights(tg, 800.0)
+        _exp_weights(t, (1.0, 800.0))
     for beta in (-1.0, math.nan):
         with pytest.raises(InputError):
-            exp_cell_weights(tg, beta)
+            _exp_weights(t, (1.0, beta))
+
+
+def test_weighted_norms_at_tiny_betas_match_beta_zero(small_lat):
+    # exp(beta s) - 1 cancels at small beta: a difference of exponentials
+    # gives 0 at 1e-300 and is 2.3 % off at 1e-12
+    rng = np.random.default_rng(17)
+    field = rng.normal(size=(small_lat.steps + 1,) + small_lat.space.shape)
+    got = weighted_norms([field], small_lat, (0.0, 1e-300, 1e-12))[0]
+    assert got[0] > 0.0
+    assert np.allclose(got[1:], got[0], rtol=1e-12, atol=0.0)
 
 
 def test_weighted_norm_constant_field(small_lat):
@@ -133,8 +143,8 @@ def test_weighted_norm_state_field_degenerate_box():
     lat = make_lattice(lower=(2.0,), upper=(2.0,))
     field = lat.states[None, ..., 0] * np.ones((41, 1))
     beta = 1.5
-    w = exp_cell_weights(lat.time, beta)
     t = lat.time.times()
+    w = _exp_weights(t, (beta,))[:, 0]
     want_sq = float(np.sum(w * 2.0 * t[:-1]))   # E[x_k^2] = sigma^2 t_k exactly
     assert weighted_norm(field, lat, beta) == pytest.approx(math.sqrt(want_sq),
                                                             rel=1e-9)
@@ -151,7 +161,7 @@ def reference_weighted_norm(field, lattice, beta):
     """The one-sweep-per-norm implementation that weighted_norms replaced."""
     tail_axes = tuple(range(1 + lattice.d, field.ndim))
     sq = np.sum(field * field, axis=tail_axes) if tail_axes else field * field
-    weights = exp_cell_weights(lattice.time, beta)
+    weights = _exp_weights(lattice.time.times(), (beta,))[:, 0]
 
     def step_cost(k, _c):
         return (weights[k] * sq[k])[..., None]

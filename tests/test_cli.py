@@ -344,6 +344,19 @@ def test_verify_estimates_passes_on_unit_floor_box(tmp_path):
     assert rows[1][0] == "1.0"
 
 
+def test_verify_estimates_measures_at_tiny_betas(tmp_path):
+    # a zero weight at beta = 1e-300 would zero both left sides and make
+    # the checks pass without measuring anything
+    cfg = {**SMALL, "payoff": {"id": "quadratic"}, "betas": [1e-300, 1e-10, 1.0],
+           "drivers": {"dt": {"id": "linear-in-y", "params": {"r": -0.5}}}}
+    rc, out = run_cli(tmp_path, "verify-estimates", cfg)
+    assert rc == 0
+    for name, column in (("estimates.csv", "lhs_y"), ("representation.csv", "lhs")):
+        with open(out / name) as fh:
+            tiny, small, _ = (float(row[column]) for row in csv.DictReader(fh))
+        assert tiny > 0.0 and tiny == pytest.approx(small, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------

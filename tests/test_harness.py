@@ -12,9 +12,9 @@ import pytest
 
 from gcalc import calculus, solver
 from gcalc import (Driver, GBsdeParams, TerminalFunctional, apriori_check,
-                   cauchy_sequence_check, exp_cell_weights,
-                   represent_martingale, representation_bound_check, solve_gbsde)
-from gcalc.calculus import _state_expectation, weighted_norms
+                   cauchy_sequence_check, represent_martingale,
+                   representation_bound_check, solve_gbsde)
+from gcalc.calculus import _exp_weights, _state_expectation, weighted_norms
 from gcalc.catalog import make_driver
 from gcalc.errors import InputError, WeightOverflowError
 from gcalc.harness import BETA_GRID, admissible_betas
@@ -93,7 +93,7 @@ def test_driver_cash_shift_exact(small_lat):
     p2 = GBsdeParams(terminal=quad_payoff(), f=f_shift, g=zero_qv_driver(1, 1))
     rep = apriori_check(p1, p2, small_lat, betas=(1.0,))
     row = rep.rows[0]
-    w = exp_cell_weights(small_lat.time, 1.0)
+    w = _exp_weights(small_lat.time.times(), (1.0,))[:, 0]
     t = small_lat.time.times()[:-1]
     want_y = float(np.sum(w * (0.1 * (1.0 - t)) ** 2))
     assert row.lhs_y == pytest.approx(want_y, rel=1e-6)

@@ -1,10 +1,11 @@
 """Library fuzz: every public entry point ends in finite results or a GcalcError.
 
 Each example draws one entry point and its arguments on tiny lattices: valid
-and malformed sizes, seeds, tolerances, betas, query states and payoffs,
-including payoffs whose component counts differ. A call must either return
-only finite numbers or raise a GcalcError; any other exception, and any
-RuntimeWarning (the suite turns those into errors), fails the test.
+and malformed sizes, seeds, tolerances, betas, query states, controls,
+integrands, window and partition times and payoffs, including payoffs whose
+component counts differ. A call must either return only finite numbers or
+raise a GcalcError; any other exception, and any RuntimeWarning (the suite
+turns those into errors), fails the test.
 """
 import dataclasses
 import functools
@@ -15,9 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcalc import (GBsdeParams, GcalcError, StepProcess, TerminalFunctional, TimeGrid,
                    apriori_check, cauchy_sequence_check, compensator_mc_check,
-                   evaluate_field, exp_cell_weights, make_driver, make_payoff,
+                   evaluate_field, lemma31_bounds, make_driver, make_payoff,
                    nearest_index, ratio_decay_report, represent_martingale,
-                   representation_bound_check, residual_check, solve_gbsde)
+                   representation_bound_check, residual_check, simulate_path,
+                   solve_gbsde)
 from gcalc.calculus import MAX_RATIO_N, admissible_betas, weighted_norms
 
 from conftest import make_lattice
@@ -31,6 +33,11 @@ LATTICES = {1: functools.partial(make_lattice, steps=4, points=51),
 @functools.lru_cache(maxsize=None)
 def lattice(d):
     return LATTICES[d]()
+
+
+@functools.lru_cache(maxsize=None)
+def path(d):
+    return simulate_path(lattice(d).time, lattice(d).box, lambda k, x: lattice(d).box.upper, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,8 +84,8 @@ def calls(draw):
     p = params(d, abs_payoff, draw(st.sampled_from(["zero", "linear-in-y", "constant"])))
     name = draw(st.sampled_from([
         "weighted_norms", "solve_gbsde", "residual_check", "compensator_mc_check",
-        "evaluate_field", "nearest_index", "admissible_betas", "exp_cell_weights",
-        "TimeGrid", "apriori_check", "representation_bound_check",
+        "evaluate_field", "nearest_index", "admissible_betas", "simulate_path",
+        "lemma31_bounds", "TimeGrid", "apriori_check", "representation_bound_check",
         "cauchy_sequence_check", "ratio_decay_report"]))
     if name == "weighted_norms":
         fields = draw(st.sampled_from([[], [sol.Y], [sol.Y, sol.Z, sol.eta], [sol.Y[1:]]]))
@@ -104,9 +111,20 @@ def calls(draw):
         return name, evaluate_field, (lat.space, sol.Y[0], x), {}, False
     if name == "admissible_betas":
         return name, admissible_betas, (lat, draw(BETAS)), {}, False
-    if name == "exp_cell_weights":
-        beta = draw(st.one_of(st.floats(0.0, 800.0), ODD_FLOATS))
-        return name, exp_cell_weights, (lat.time, beta), {}, False
+    if name == "simulate_path":
+        control = draw(st.sampled_from([lat.box.lower, lat.box.upper, 2.0 * lat.box.upper,
+                                        np.full(d, math.nan), np.ones(d + 1)]))
+        return (name, simulate_path, (lat.time, lat.box, lambda k, x: control, draw(SEEDS)),
+                {}, False)
+    if name == "lemma31_bounds":
+        n, kind = draw(st.integers(1, 2)), draw(st.sampled_from(["normal", "nan", "shape"]))
+        eta = np.random.default_rng(n).normal(size=(lat.steps + (kind == "shape"), n, d))
+        if kind == "nan":
+            eta[-1, 0, 0] = math.nan
+        times = st.one_of(st.sampled_from(lat.time.times().tolist()), st.floats(-1.0, 2.0),
+                          ODD_FLOATS)
+        kwargs = {"t": draw(times), "s": draw(st.one_of(st.none(), times)), "n": n}
+        return name, lemma31_bounds, (eta, path(d)), kwargs, False
     if name == "TimeGrid":
         horizon = draw(st.one_of(st.floats(0.1, 5.0), ODD_FLOATS))
         steps = draw(SIZES)
@@ -121,15 +139,21 @@ def calls(draw):
         kwargs = {"betas": draw(st.one_of(st.none(), BETAS))}
         return name, representation_bound_check, (payoffs(draw, d), lat), kwargs, False
     if name == "ratio_decay_report":
-        # zeta = 1 + payoff^2 keeps the denominator away from zero
+        # zeta = 1 + payoff^2 keeps the denominator away from zero; a
+        # partition time may be non-finite
         theta_fn, zeta_fn = payoffs(draw, d).fn, payoffs(draw, d).fn
-        theta, zeta = (StepProcess(times=np.array([0.0, 0.5, 1.0]), state_fns=(fn, fn))
-                       for fn in (lambda s: theta_fn(s)[..., 0],
-                                  lambda s: 1.0 + zeta_fn(s)[..., 0] ** 2))
+        times = draw(st.sampled_from([[0.0, 0.5, 1.0]] * 3 + [[0.0, math.nan, 1.0],
+                                                              [0.0, 0.5, math.inf]]))
+
+        def report(**kwargs):
+            theta, zeta = (StepProcess(times=np.array(times), state_fns=(fn, fn))
+                           for fn in (lambda s: theta_fn(s)[..., 0],
+                                      lambda s: 1.0 + zeta_fn(s)[..., 0] ** 2))
+            return ratio_decay_report(theta, zeta, lat, **kwargs)
+
         n_max = draw(st.one_of(st.integers(1, 4), SIZES,
                                st.sampled_from([True, MAX_RATIO_N + 1])))
-        return (name, ratio_decay_report, (theta, zeta, lat),
-                {"betas": draw(BETAS), "n_max": n_max}, False)
+        return name, report, (), {"betas": draw(BETAS), "n_max": n_max}, False
     terms = [abs_payoff] + [payoffs(draw, d) for _ in range(draw(st.integers(0, 3)))]
     beta = draw(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS))
     return name, cauchy_sequence_check, (terms, lat, beta), {}, any(t.n != 1 for t in terms)

@@ -11,8 +11,8 @@ from gcalc import (SpaceGrid, TerminalFunctional, TimeGrid, VolatilityBox,
                    evaluate_field, nearest_index, sublinear_expectation)
 from gcalc.errors import DimensionError, GridResolutionError, InputError
 from gcalc.gtensor import DiagTensor, g_diag
-from gcalc.calculus import (StepProcess, _square_integral_expectation,
-                            exp_cell_weights, simulate_path, weighted_norms)
+from gcalc.calculus import (StepProcess, _exp_weights, _square_integral_expectation,
+                            simulate_path, weighted_norms)
 from gcalc.scenario import _axis_allocation, _sweep
 
 from conftest import (const_payoff, desk_lattice, linear_payoff, make_lattice,
@@ -451,7 +451,7 @@ def test_policy_free_sweep_matches_argmax_scan(lower, upper, steps, points, grid
 def scan_weighted_norms(fields, lattice, betas):
     """weighted_norms through the argmax scan, the squared fields added to
     every candidate."""
-    weights = np.stack([exp_cell_weights(lattice.time, b) for b in betas], axis=-1)
+    weights = _exp_weights(lattice.time.times(), betas)
 
     def squared(f):
         tail = tuple(range(1 + lattice.d, f.ndim))

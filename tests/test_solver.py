@@ -14,8 +14,9 @@ import pytest
 
 from gcalc import (Driver, GBsdeParams, StepProcess, TerminalFunctional, TimeGrid,
                    apriori_check, cauchy_sequence_check, classical_oracle,
-                   compensator_mc_check, extract_integrands, picard_step,
-                   ratio_decay_report, represent_martingale, residual_check, solve_gbsde)
+                   compensator_mc_check, extract_integrands, lemma31_bounds, picard_step,
+                   ratio_decay_report, represent_martingale, residual_check,
+                   simulate_path, solve_gbsde)
 from gcalc import calculus, solver
 from gcalc.calculus import MAX_EXPONENT, MAX_RATIO_N, _layerwise_norms, weighted_norms
 from gcalc.catalog import make_driver, make_payoff
@@ -385,6 +386,10 @@ def _ratio(lat, scale=1.0, **kwargs):
     return ratio_decay_report(theta, zeta, lat, **kwargs)
 
 
+def _path(lat, seed=0):
+    return simulate_path(lat.time, lat.box, lambda k, x: lat.box.upper, seed)
+
+
 MALFORMED_CALLS = {
     "solve tol=0": lambda lat, p, sol: solve_gbsde(p, lat, tol=0.0),
     "solve tol=-1": lambda lat, p, sol: solve_gbsde(p, lat, tol=-1.0),
@@ -395,6 +400,9 @@ MALFORMED_CALLS = {
     "compensator n_paths=2.5": lambda lat, p, sol: compensator_mc_check(sol, n_paths=2.5),
     "compensator seed=-1": lambda lat, p, sol: compensator_mc_check(sol, seed=-1),
     "residual seed=-1": lambda lat, p, sol: residual_check(sol, p, seed=-1),
+    "simulate_path seed=-1": lambda lat, p, sol: _path(lat, -1),
+    "simulate_path seed=1.5": lambda lat, p, sol: _path(lat, 1.5),
+    "simulate_path seed='x'": lambda lat, p, sol: _path(lat, "x"),
     "residual n_paths=2.5": lambda lat, p, sol: residual_check(sol, p, n_paths=2.5),
     "residual n_controls=1.5": lambda lat, p, sol: residual_check(sol, p, n_controls=1.5),
     "weighted_norms no fields": lambda lat, p, sol: weighted_norms([], lat, [1.0]),
@@ -414,8 +422,20 @@ MALFORMED_CALLS = {
     # a small theta keeps beta_n at n_max below the weight limit
     "ratio n_max past the cap": lambda lat, p, sol: _ratio(lat, 1e-6, n_max=MAX_RATIO_N + 1),
     "ratio beta=0": lambda lat, p, sol: _ratio(lat, betas=[0.0]),
-    # a subnormal beta: exp(beta s) does not grow over [0, 0.5] in float64
+    # a subnormal beta: its weights are positive, but the denominator
+    # beta E[int exp(beta s) zeta^2 ds] underflows below the normal floats
     "ratio beta=5e-324": lambda lat, p, sol: _ratio(lat, betas=[5e-324]),
+    "partition time=nan": lambda lat, p, sol: StepProcess(
+        times=np.array([0.0, math.nan, 1.0]), state_fns=(np.sin,) * 2),
+    "partition time=inf": lambda lat, p, sol: StepProcess(
+        times=np.array([0.0, 0.5, math.inf]), state_fns=(np.sin,) * 2),
+    "TimeGrid.index_of nan": lambda lat, p, sol: lat.time.index_of(math.nan),
+    "lemma31 t=nan": lambda lat, p, sol: lemma31_bounds(
+        np.zeros((lat.steps, 1, 1)), _path(lat), t=math.nan),
+    "lemma31 s=inf": lambda lat, p, sol: lemma31_bounds(
+        np.zeros((lat.steps, 1, 1)), _path(lat), s=math.inf),
+    "lemma31 eta=nan": lambda lat, p, sol: lemma31_bounds(
+        np.full((lat.steps, 1, 1), math.nan), _path(lat)),
 }
 
 
@@ -424,9 +444,9 @@ def test_malformed_library_arguments_raise_input_error(call):
     # a tolerance is positive and finite, sizes are integers, seeds are valid
     # for default_rng, a Monte Carlo check has two paths to estimate its
     # error from, a norm sweep has a field and a beta that is not NaN, a
-    # query state is finite, compared payoffs have equal component counts,
-    # and a ratio report has an n_max in [1, MAX_RATIO_N] and betas whose
-    # weights are positive
+    # query state, a time and an integrand are finite, compared payoffs have
+    # equal component counts, and a ratio report has an n_max in
+    # [1, MAX_RATIO_N] and betas whose denominators are positive normal floats
     with pytest.raises(InputError):
         call(*_abs_case())
 
