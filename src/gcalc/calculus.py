@@ -151,14 +151,17 @@ def lemma31_bounds(eta_process, path: PathBundle, t: float = 0.0,
     tol, dt = 1e-10, grid.dt
     eta, dqv = eta[k_lo:k_hi], np.diff(path.quad_var, axis=0)[k_lo:k_hi]
 
-    integral = np.einsum("knd,kd->n", eta, dqv)
-    abs_value = float(np.linalg.norm(integral))
     k_const = math.sqrt(path.box.d) * path.box.sigma_max_sq
-    frob = np.sqrt(np.sum(eta ** 2, axis=(1, 2)))
-    abs_bound = float(k_const * np.sum(frob) * dt)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        integral = np.einsum("knd,kd->n", eta, dqv)
+        abs_value = float(np.linalg.norm(integral))
+        frob = np.sqrt(np.sum(eta ** 2, axis=(1, 2)))
+        abs_bound = float(k_const * np.sum(frob) * dt)
 
-    upper = 2.0 * np.sum(g_corner(eta, path.box), axis=0) * dt
-    lower = -2.0 * np.sum(g_corner(-eta, path.box), axis=0) * dt
+        upper = 2.0 * np.sum(g_corner(eta, path.box), axis=0) * dt
+        lower = -2.0 * np.sum(g_corner(-eta, path.box), axis=0) * dt
+    if not all(np.isfinite(v).all() for v in (integral, abs_value, abs_bound, lower, upper)):
+        raise InputError("the bracket integral or a bound overflows; scale the process down")
 
     return QvBoundsReport(
         integral=integral,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .scenario import TerminalFunctional
-from .solver import Driver
+from .solver import Driver, zero_dt_driver, zero_qv_driver
 
 PAYOFF_IDS = ("constant", "linear", "quadratic", "neg-quadratic", "abs",
               "call", "butterfly")
@@ -30,35 +30,26 @@ def _weights(params: dict, d: int) -> np.ndarray:
 def make_payoff(payoff_id: str, d: int, params: dict | None = None) -> TerminalFunctional:
     """Build a catalog payoff for a d-dimensional terminal state.
 
-    Scalar payoffs act on u = weights . x (weights default to ones). The
-    quadratic entries are smooth but not globally Lipschitz; they declare
-    100 sqrt(d), the Lipschitz constant of |x|^2 on the cube [-50, 50]^d.
+    Scalar payoffs act on u = weights . x (weights default to ones).
     """
     params = dict(params or {})
     if payoff_id == "constant":
         c = float(params.get("c", 1.0))
-        return TerminalFunctional(fn=lambda x: np.full(x.shape[:-1] + (1,), c),
-                                  lipschitz=0.0)
+        return TerminalFunctional(fn=lambda x: np.full(x.shape[:-1] + (1,), c))
     if payoff_id == "linear":
         w = _weights(params, d)
-        return TerminalFunctional(fn=lambda x: (x @ w)[..., None],
-                                  lipschitz=float(np.linalg.norm(w)))
+        return TerminalFunctional(fn=lambda x: (x @ w)[..., None])
     if payoff_id == "quadratic":
-        return TerminalFunctional(fn=lambda x: np.sum(x * x, axis=-1)[..., None],
-                                  lipschitz=100.0 * math.sqrt(d))
+        return TerminalFunctional(fn=lambda x: np.sum(x * x, axis=-1)[..., None])
     if payoff_id == "neg-quadratic":
-        return TerminalFunctional(fn=lambda x: -np.sum(x * x, axis=-1)[..., None],
-                                  lipschitz=100.0 * math.sqrt(d))
+        return TerminalFunctional(fn=lambda x: -np.sum(x * x, axis=-1)[..., None])
     if payoff_id == "abs":
         w = _weights(params, d)
-        return TerminalFunctional(fn=lambda x: np.abs(x @ w)[..., None],
-                                  lipschitz=float(np.linalg.norm(w)))
+        return TerminalFunctional(fn=lambda x: np.abs(x @ w)[..., None])
     if payoff_id == "call":
         strike = float(params.get("strike", 0.0))
         w = _weights(params, d)
-        return TerminalFunctional(
-            fn=lambda x: np.clip((x @ w) - strike, 0.0, None)[..., None],
-            lipschitz=float(np.linalg.norm(w)))
+        return TerminalFunctional(fn=lambda x: np.clip((x @ w) - strike, 0.0, None)[..., None])
     if payoff_id == "butterfly":
         a = float(params.get("a", -1.0))
         b = float(params.get("b", 1.0))
@@ -73,7 +64,7 @@ def make_payoff(payoff_id: str, d: int, params: dict | None = None) -> TerminalF
                  + np.clip(u - b, 0.0, None))
             return v[..., None]
 
-        return TerminalFunctional(fn=fn, lipschitz=float(np.linalg.norm(w)))
+        return TerminalFunctional(fn=fn)
     raise ConfigError(f"unknown payoff id {payoff_id!r}; choose from {PAYOFF_IDS}")
 
 
@@ -100,8 +91,7 @@ def make_driver(driver_id: str, n: int, d: int, params: dict | None = None,
         return np.broadcast_to(fill, shape).astype(float)
 
     if driver_id == "zero":
-        return Driver(fn=lambda t, y, z, eta: shaped(y, 0.0), lipschitz=0.0,
-                      name="zero")
+        return zero_qv_driver(n, d) if qv else zero_dt_driver(n)
     if driver_id == "constant":
         c = float(params.get("c", 1.0))
         return Driver(fn=lambda t, y, z, eta: shaped(y, c), lipschitz=0.0,

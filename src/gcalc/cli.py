@@ -163,8 +163,7 @@ def _build_event(cfg: dict, d: int) -> TerminalFunctional:
     def fn(x, _p=payoff, _op=ops[op], _lvl=level):
         return _op(_p.fn(x)[..., 0], _lvl).astype(float)[..., None]
 
-    # Indicators are not Lipschitz; the constant is never spot-checked here.
-    return TerminalFunctional(fn=fn, lipschitz=0.0)
+    return TerminalFunctional(fn=fn)
 
 
 def _build_ratio(cfg: dict, lattice, d: int) -> dict:
@@ -438,8 +437,7 @@ def _run_solve(ctx: Experiment):
 
 def _shifted_params(params: GBsdeParams, payoff_shift: float, f_shift: float) -> GBsdeParams:
     base = params.terminal
-    shifted = TerminalFunctional(fn=lambda x: base.fn(x) + payoff_shift,
-                                 lipschitz=base.lipschitz, n=base.n)
+    shifted = TerminalFunctional(fn=lambda x: base.fn(x) + payoff_shift, n=base.n)
     f0 = params.f
     f2 = Driver(fn=lambda t, y, z, eta: f0.fn(t, y, z, eta) + f_shift,
                 lipschitz=f0.lipschitz, name=f0.name + "+shift")
@@ -447,8 +445,7 @@ def _shifted_params(params: GBsdeParams, payoff_shift: float, f_shift: float) ->
 
 
 def _clamped(payoff: TerminalFunctional, cap: float) -> TerminalFunctional:
-    return TerminalFunctional(fn=lambda x: np.clip(payoff.fn(x), -cap, cap),
-                              lipschitz=payoff.lipschitz, n=payoff.n)
+    return TerminalFunctional(fn=lambda x: np.clip(payoff.fn(x), -cap, cap), n=payoff.n)
 
 
 def _run_verify(ctx: Experiment):

@@ -174,6 +174,17 @@ def apriori_check(params1: GBsdeParams, params2: GBsdeParams, lattice: Lattice,
 # Representation and Cauchy-sequence bounds
 # ---------------------------------------------------------------------------
 
+def _bound_rhs(beta: float, moment: float, lattice: Lattice) -> float:
+    """The right side (5/s_min^2) exp(beta T) moment of the representation
+    and Cauchy bounds. A side that overflows raises InputError instead of
+    making the bound hold trivially."""
+    rhs = 5.0 / lattice.box.sigma_min_sq * math.exp(beta * lattice.time.horizon) * moment
+    if not math.isfinite(rhs):
+        raise InputError(f"bound right side (5/s_min^2) exp(beta T) moment is not "
+                         f"finite at beta={beta:g}")
+    return rhs
+
+
 def _value_solution(terminals: Sequence[TerminalFunctional], lattice: Lattice) -> BsdeSolution:
     """represent_martingale's Y bits of payoffs with equal component counts,
     side by side on the trailing axis, from one no-policy sweep: no bound
@@ -215,13 +226,12 @@ def representation_bound_check(terminal: TerminalFunctional, lattice: Lattice,
     scan = admissible_betas(lattice, betas)
     xi_sq = np.sum(sol.Y[-1] ** 2, axis=-1)
     moment = _state_expectation(lattice, xi_sq, lattice.steps)
-    factor = 5.0 / lattice.box.sigma_min_sq
     (lhs_by_beta,) = _triple_sq(_layerwise_norms(
         lambda ks: _fields_at(sol, ks), 3, lattice, scan, 2 * sol.n * lattice.d))
     rows = []
     beta0 = None
     for b, lhs in zip(scan, lhs_by_beta):
-        rhs = factor * math.exp(b * lattice.time.horizon) * moment
+        rhs = _bound_rhs(b, moment, lattice)
         ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
         rows.append(RepresentationRow(beta=b, lhs=lhs, rhs=rhs, ok=ok))
         if ok and beta0 is None:
@@ -262,8 +272,6 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     (beta,) = admissible_betas(lattice, (beta,))
     sol = _value_solution(terminals, lattice)
     count = len(terminals)
-    factor = 5.0 / lattice.box.sigma_min_sq
-    horizon = lattice.time.horizon
     index_pairs = [(m, n) for m in range(count) for n in range(m + 1, count)]
 
     def pair_gaps(ks):   # one difference at a time: each is squared and let go
@@ -281,7 +289,7 @@ def cauchy_sequence_check(terminals: Sequence[TerminalFunctional], lattice: Latt
     moments = _sweep(lattice, gap_sq)[lattice.origin_index].tolist()
     pairs = []
     for (m, n), (lhs,), moment in zip(index_pairs, lhs_by_pair, moments):
-        rhs = factor * math.exp(beta * horizon) * moment
+        rhs = _bound_rhs(beta, moment, lattice)
         ok = lhs <= rhs + 1e-12 * (1.0 + rhs)
         pairs.append(CauchyPair(m=m, n=n, lhs=lhs, rhs=rhs,
                                 delta_moment=moment, ok=ok))

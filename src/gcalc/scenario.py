@@ -71,7 +71,6 @@ class SpaceGrid:
     """Uniform symmetric grid per axis, always containing the origin."""
 
     axes: tuple
-    span_factor: float
 
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
@@ -81,8 +80,6 @@ class SpaceGrid:
             if a.ndim != 1:
                 raise InputError("each axis needs an odd number (>= 3) of points")
             _check_axis_points(a.shape[0])
-        if self.span_factor < MIN_SPAN_FACTOR:
-            raise InputError(f"span_factor must be at least {MIN_SPAN_FACTOR}")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
@@ -97,9 +94,11 @@ class SpaceGrid:
             raise DimensionError("points_per_axis length does not match box dimension")
         for p in points:
             _check_axis_points(p)       # before any axis is allocated
+        if span_factor < MIN_SPAN_FACTOR:
+            raise InputError(f"span_factor must be at least {MIN_SPAN_FACTOR}")
         half_width = span_factor * math.sqrt(box.sigma_max_sq * horizon)
         axes = tuple(np.linspace(-half_width, half_width, p) for p in points)
-        return cls(axes=axes, span_factor=span_factor)
+        return cls(axes=axes)
 
     @property
     def d(self) -> int:
@@ -129,12 +128,9 @@ class TerminalFunctional:
     (..., n) values."""
 
     fn: Callable
-    lipschitz: float
     n: int = 1
 
     def __post_init__(self):
-        if self.lipschitz < 0 or not math.isfinite(self.lipschitz):
-            raise InputError("lipschitz constant must be finite and nonnegative")
         if not 1 <= self.n <= MAX_COMPONENTS:
             raise InputError(f"value components must be in [1, {MAX_COMPONENTS}]")
 

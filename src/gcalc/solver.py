@@ -424,7 +424,7 @@ def solve_gbsde(params: GBsdeParams, lattice: Lattice, beta: Optional[float] = N
             break
     else:
         raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations (last distance "
+            f"Picard did not converge within {max_iter} iterations (last distance "
             f"{distances[-1]:.3g}, tol {tol:.3g})", trace=distances)
 
     # beta0 is the first held beta that has not failed, if it has factors

@@ -36,18 +36,16 @@ def desk_lattice(steps=200, points=401):
 
 def quad_payoff(sign=1.0):
     return TerminalFunctional(
-        fn=lambda x: sign * np.sum(x * x, axis=-1)[..., None], lipschitz=60.0)
+        fn=lambda x: sign * np.sum(x * x, axis=-1)[..., None])
 
 
 def linear_payoff(weights=(1.0,)):
     w = np.asarray(weights, dtype=float)
-    return TerminalFunctional(fn=lambda x: (x @ w)[..., None],
-                              lipschitz=float(np.linalg.norm(w)))
+    return TerminalFunctional(fn=lambda x: (x @ w)[..., None])
 
 
 def const_payoff(c=1.0):
-    return TerminalFunctional(fn=lambda x: np.full(x.shape[:-1] + (1,), c),
-                              lipschitz=0.0)
+    return TerminalFunctional(fn=lambda x: np.full(x.shape[:-1] + (1,), c))
 
 
 @pytest.fixture(scope="session")

@@ -293,8 +293,7 @@ def test_ac8_estimate_verification(verdict, capsys):
     linear = make_payoff("linear", 1)
     base = GBsdeParams(terminal=linear, f=zero_dt_driver(1),
                        g=zero_qv_driver(1, 1))
-    shifted = TerminalFunctional(fn=lambda x: linear.fn(x) + 0.1,
-                                 lipschitz=linear.lipschitz)
+    shifted = TerminalFunctional(fn=lambda x: linear.fn(x) + 0.1)
     p_term = GBsdeParams(terminal=shifted, f=base.f, g=base.g)
     p_driver = GBsdeParams(terminal=linear,
                            f=make_driver("constant", 1, 1, {"c": 0.1}),
@@ -314,8 +313,7 @@ def test_ac8_estimate_verification(verdict, capsys):
             problems.append(f"representation bound fails for {pid}")
     quad = make_payoff("quadratic", 1)
     truncations = [TerminalFunctional(
-        fn=lambda x, c=c: np.clip(quad.fn(x), -c, c),
-        lipschitz=quad.lipschitz) for c in (1.0, 2.0, 4.0, 8.0)]
+        fn=lambda x, c=c: np.clip(quad.fn(x), -c, c)) for c in (1.0, 2.0, 4.0, 8.0)]
     if not cauchy_sequence_check(truncations, lat, beta=1.0).ok:
         problems.append("Cauchy bound fails on the truncation sequence")
     elapsed = time.time() - t0

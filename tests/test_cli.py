@@ -376,12 +376,25 @@ def test_verify_estimates_failure_exits_4_but_writes_report(tmp_path):
     assert (out / "estimates.csv").exists()
 
 
-def test_divergent_solve_exits_3_without_outputs(tmp_path):
+def test_divergent_solve_exits_3_without_outputs(tmp_path, capsys):
     cfg = {**SMALL, "payoff": {"id": "linear"},
            "drivers": {"dt": {"id": "linear-in-y", "params": {"r": -0.5}}},
            "max_iter": 1}
     rc, out = run_cli(tmp_path, "solve", cfg)
     assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: Picard did not converge within 1 iterations (last distance ")
+    assert not out.exists()
+
+
+def test_overflowing_bound_exits_3_naming_beta(tmp_path, capsys):
+    # (5/s_min^2) exp(700) E[(100 x)^2] is past the float range: the
+    # representation bound must not pass with rhs = inf
+    cfg = {"box": BOX, "time": {"horizon": 1.0, "steps": 16}, "space": {"points": 101},
+           "payoff": {"id": "linear", "params": {"weights": [100]}}, "betas": [700]}
+    rc, out = run_cli(tmp_path, "verify-estimates", cfg)
+    assert rc == 3
+    assert "not finite at beta=700" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -693,8 +706,7 @@ def test_fields_csv_matches_per_cell_formatter_2d_two_components(tmp_path):
                        grid_points=3)
     payoff = TerminalFunctional(
         fn=lambda x: np.stack([np.sum(x * x, axis=-1),
-                               np.abs(x[..., 0] - 0.5 * x[..., 1])], axis=-1),
-        lipschitz=100.0, n=2)
+                               np.abs(x[..., 0] - 0.5 * x[..., 1])], axis=-1), n=2)
     sol = represent_martingale(payoff, lat)
     header, _ = _fields_csv(sol)
     assert header == ["t", "state_1", "state_2", "Y_1", "Y_2",
@@ -707,8 +719,7 @@ def test_fields_csv_matches_per_cell_formatter_2d_two_components(tmp_path):
 def test_fields_csv_writes_special_floats_like_the_per_cell_formatter(tmp_path):
     lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 2.0), steps=2, points=41,
                        grid_points=2)
-    payoff = TerminalFunctional(fn=lambda x: np.stack([x[..., 0], x[..., 1]], axis=-1),
-                                lipschitz=2.0, n=2)
+    payoff = TerminalFunctional(fn=lambda x: np.stack([x[..., 0], x[..., 1]], axis=-1), n=2)
     sol = represent_martingale(payoff, lat)
     specials = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300, 0.0, 1.5])
     filled = {name: np.resize(np.roll(specials, shift), getattr(sol, name).shape)

@@ -30,13 +30,12 @@ def plain(terminal, d=1):
 
 def shifted_quad(c):
     return TerminalFunctional(
-        fn=lambda x: np.sum(x * x, axis=-1)[..., None] + c, lipschitz=60.0)
+        fn=lambda x: np.sum(x * x, axis=-1)[..., None] + c)
 
 
 def capped_quad(cap):
     return TerminalFunctional(
-        fn=lambda x: np.minimum(np.sum(x * x, axis=-1), cap)[..., None],
-        lipschitz=60.0)
+        fn=lambda x: np.minimum(np.sum(x * x, axis=-1), cap)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +172,10 @@ def test_representation_bound_quadratic(small_lat):
 # ---------------------------------------------------------------------------
 
 def test_cauchy_cash_pair_exact(small_lat):
-    shifted = TerminalFunctional(fn=lambda x: x @ np.ones(1) + 0.25,
-                                 lipschitz=1.0)
+    shifted = TerminalFunctional(fn=lambda x: x @ np.ones(1) + 0.25)
     # fn returns (...,) for 1-component? keep explicit trailing axis
     shifted = TerminalFunctional(
-        fn=lambda x: (x[..., 0] + 0.25)[..., None], lipschitz=1.0)
+        fn=lambda x: (x[..., 0] + 0.25)[..., None])
     rep = cauchy_sequence_check([linear_payoff(), shifted], small_lat, beta=1.0)
     assert rep.ok and len(rep.pairs) == 1
     pair = rep.pairs[0]
@@ -241,7 +239,7 @@ def test_cauchy_two_component_payoffs_match_separate_solutions(small_lat):
     # distance and moment keep the bits of separately solved payoffs
     lat = small_lat
     terms = [TerminalFunctional(fn=lambda x, c=c: np.concatenate(
-                 [capped_quad(c).fn(x), np.tanh(c * x)], axis=-1), lipschitz=60.0, n=2)
+                 [capped_quad(c).fn(x), np.tanh(c * x)], axis=-1), n=2)
              for c in (1.0, 2.0, 4.0)]
     rep = cauchy_sequence_check(terms, lat, beta=2.0)
     sols = [represent_martingale(t, lat) for t in terms]
@@ -257,7 +255,7 @@ def test_cauchy_two_component_payoffs_match_separate_solutions(small_lat):
 def test_cauchy_shrinking_cash_sequence(small_lat):
     def with_shift(c):
         return TerminalFunctional(
-            fn=lambda x: (x[..., 0] + c)[..., None], lipschitz=1.0)
+            fn=lambda x: (x[..., 0] + c)[..., None])
 
     terms = [with_shift(1.0 / (i + 1)) for i in range(4)]
     rep = cauchy_sequence_check(terms, small_lat, beta=1.0)

@@ -196,7 +196,7 @@ def test_apriori_memory_holds_two_solutions(monkeypatch, bracket):
          else make_driver("linear-in-z", 1, 1, {"a": [0.05]}, role="qv"))
     f = make_driver("linear-in-y", 1, 1, {"r": -0.5})
     payoff = make_payoff("quadratic", 1)
-    shifted = TerminalFunctional(fn=lambda x: payoff.fn(x) + 0.1, lipschitz=payoff.lipschitz)
+    shifted = TerminalFunctional(fn=lambda x: payoff.fn(x) + 0.1)
     params1, params2 = (GBsdeParams(terminal=t, f=f, g=g) for t in (payoff, shifted))
     betas = (1.0, 4.0)
     peak = traced_peak(lambda: apriori_check(params1, params2, lat, betas=betas))
@@ -263,7 +263,7 @@ def test_block_readers_hold_one_block(monkeypatch, reader):
 def test_cauchy_memory_holds_value_stacks_only(monkeypatch):
     monkeypatch.setattr(calculus, "BLOCK_VALUES", 1, raising=False)
     lat = make_lattice(**GUARD)
-    caps = [TerminalFunctional(fn=lambda x, c=c: np.minimum(x * x, c), lipschitz=60.0)
+    caps = [TerminalFunctional(fn=lambda x, c=c: np.minimum(x * x, c))
             for c in (1.0, 2.0, 4.0, 8.0)]
     stack = (lat.steps + 1) * lat.space.shape[0] * 8
     peak = traced_peak(lambda: cauchy_sequence_check(caps, lat, 4.0))

@@ -3,16 +3,17 @@
 Each example draws one entry point and its arguments on tiny lattices: valid
 and malformed sizes, seeds, tolerances, betas, query states, controls,
 integrands, window and partition times and payoffs, including payoffs whose
-component counts differ. A call must either return only finite numbers or
-raise a GcalcError; any other exception, and any RuntimeWarning (the suite
-turns those into errors), fails the test.
+component counts differ and bounds or integrals that overflow. A call must
+either return only finite numbers or raise a GcalcError; any other
+exception, and any RuntimeWarning (the suite turns those into errors),
+fails the test.
 """
 import dataclasses
 import functools
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gcalc import (GBsdeParams, GcalcError, StepProcess, TerminalFunctional, TimeGrid,
                    apriori_check, cauchy_sequence_check, compensator_mc_check,
@@ -54,23 +55,26 @@ ODD_FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 2
 SIZES = st.one_of(st.integers(-2, 6), st.sampled_from([2.5, math.nan, None, "3"]))
 SEEDS = st.one_of(st.integers(-3, 2 ** 64 + 1), st.sampled_from([1.5, "seed", math.nan]))
 TOLS = st.one_of(st.floats(1e-9, 1e-3), ODD_FLOATS)
-BETAS = st.lists(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS, st.just(800.0)), max_size=4)
+BETAS = st.lists(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS, st.sampled_from([700.0, 800.0])),
+                 max_size=4)
 PAYOFF_IDS = ("abs", "quadratic", "linear", "butterfly")
 
 
-def payoffs(draw, d):
+def payoffs(draw, d, large=False):
     """A catalog payoff, a 2-component payoff, or one that returns a wrong
-    shape or a non-finite value."""
-    kind = draw(st.sampled_from(["catalog", "two", "shape", "nan"]))
+    shape or a non-finite value; with `large`, also a linear payoff of
+    weight 100 per axis, whose bound overflows at beta = 700."""
+    kind = draw(st.sampled_from(["catalog", "two", "shape", "nan"] + ["large"] * large))
     if kind == "catalog":
         return make_payoff(draw(st.sampled_from(PAYOFF_IDS)), d)
+    if kind == "large":
+        return make_payoff("linear", d, {"weights": [100.0] * d})
     if kind == "two":
         return TerminalFunctional(fn=lambda x: np.concatenate([x[..., :1], x[..., :1] ** 2], -1),
-                                  lipschitz=100.0, n=2)
+                                  n=2)
     if kind == "shape":
-        return TerminalFunctional(fn=lambda x: x[..., 0], lipschitz=1.0)
-    return TerminalFunctional(fn=lambda x: np.where(x[..., :1] > 0, np.nan, 0.0),
-                              lipschitz=1.0)
+        return TerminalFunctional(fn=lambda x: x[..., 0])
+    return TerminalFunctional(fn=lambda x: np.where(x[..., :1] > 0, np.nan, 0.0))
 
 
 @st.composite
@@ -118,7 +122,8 @@ def calls(draw):
                 {}, False)
     if name == "lemma31_bounds":
         n, kind = draw(st.integers(1, 2)), draw(st.sampled_from(["normal", "nan", "shape"]))
-        eta = np.random.default_rng(n).normal(size=(lat.steps + (kind == "shape"), n, d))
+        scale = draw(st.sampled_from([1.0, 1e100, 1e160, 1e200]))
+        eta = scale * np.random.default_rng(n).normal(size=(lat.steps + (kind == "shape"), n, d))
         if kind == "nan":
             eta[-1, 0, 0] = math.nan
         times = st.one_of(st.sampled_from(lat.time.times().tolist()), st.floats(-1.0, 2.0),
@@ -137,7 +142,8 @@ def calls(draw):
         return name, apriori_check, (p, p2, lat), kwargs, p2.terminal.n != 1
     if name == "representation_bound_check":
         kwargs = {"betas": draw(st.one_of(st.none(), BETAS))}
-        return name, representation_bound_check, (payoffs(draw, d), lat), kwargs, False
+        return (name, representation_bound_check, (payoffs(draw, d, large=True), lat), kwargs,
+                False)
     if name == "ratio_decay_report":
         # zeta = 1 + payoff^2 keeps the denominator away from zero; a
         # partition time may be non-finite
@@ -154,8 +160,8 @@ def calls(draw):
         n_max = draw(st.one_of(st.integers(1, 4), SIZES,
                                st.sampled_from([True, MAX_RATIO_N + 1])))
         return name, report, (), {"betas": draw(BETAS), "n_max": n_max}, False
-    terms = [abs_payoff] + [payoffs(draw, d) for _ in range(draw(st.integers(0, 3)))]
-    beta = draw(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS))
+    terms = [abs_payoff] + [payoffs(draw, d, large=True) for _ in range(draw(st.integers(0, 3)))]
+    beta = draw(st.one_of(st.floats(0.0, 50.0), ODD_FLOATS, st.just(700.0)))
     return name, cauchy_sequence_check, (terms, lat, beta), {}, any(t.n != 1 for t in terms)
 
 
@@ -174,7 +180,17 @@ def assert_finite(value, where):
         assert np.all(np.isfinite(value)), (where, value)
 
 
+# the draws reach an overflowing integral or bound only now and then, so the
+# examples below always run one of each
+LARGE = make_payoff("linear", 1, {"weights": [100.0]})
+
+
 @given(calls())
+@example(("lemma31_bounds", lemma31_bounds, (np.full((4, 1, 1), 1e200), path(1)), {}, False))
+@example(("representation_bound_check", representation_bound_check, (LARGE, lattice(1)),
+          {"betas": [700.0]}, False))
+@example(("cauchy_sequence_check", cauchy_sequence_check,
+          ([make_payoff("abs", 1), LARGE], lattice(1), 700.0), {}, False))
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_library_fuzz_ends_in_finite_results_or_a_gcalc_error(call):

@@ -15,14 +15,16 @@ definitions by name, so a call sets the parameter of every definition of
 that name. A package function that passes its own defaulted parameter on
 sets the callee's parameter only when its own one is set.
 
-A field or property of a result type (a dataclass of a package module whose
-name ends in Report, Row or Pair) must be read as an attribute by a package
-module, the acceptance gate or the benchmark, or sit in KEEP_FIELDS with the
-reason it stays. A test that bounds the field, or compares it with an
-independent reference, is a reason; a test that only reads it back is not.
-Reads are matched by attribute name alone, so a field named like an
-attribute of another object (ctx.mu, say) counts as read whatever it is read
-from; such fields are decided by hand. A constructor keyword is not a read.
+A field or property of a dataclass of a package module, input and result
+types alike, must be read as an attribute by a package module, the
+acceptance gate or the benchmark, or sit in KEEP_FIELDS with the reason it
+stays. A test that bounds the field, or compares it with an independent
+reference, is a reason; a test that only reads it back is not. Reads are
+matched by attribute name alone, so a field named like an attribute of
+another object (ctx.mu, say) counts as read whatever it is read from; such
+fields are decided by hand. A constructor keyword is not a read, and
+neither is a read in the class's own __post_init__, which only validates or
+converts the field.
 """
 import ast
 from pathlib import Path
@@ -54,6 +56,11 @@ KEEP_FIELDS = {
                                "closed form",
     "QvBoundsReport.abs_bound": "test_calculus checks it against K times the summed "
                                 "Frobenius norms",
+    "PathBundle.positions": "simulate_path's states; test_calculus bounds their "
+                            "increments and test_scenario compares them bit for bit "
+                            "with the walk",
+    "PathBundle.control": "simulate_path's applied covariances; test_scenario compares "
+                          "them bit for bit with the walk",
 }
 
 KEEP_PARAMS = {
@@ -183,13 +190,12 @@ def test_every_defaulted_parameter_has_a_caller_or_a_reason():
     assert unset == [], unset
 
 
-def _report_fields() -> set:
-    """"Class.name" of every field and property of the result types."""
+def _dataclass_fields() -> set:
+    """"Class.name" of every field and property of the package's dataclasses."""
     out = set()
     for path in _modules():
         for node in _tree(path).body:
             if not (isinstance(node, ast.ClassDef)
-                    and node.name.endswith(("Report", "Row", "Pair"))
                     and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
                 continue
             for item in node.body:
@@ -202,15 +208,23 @@ def _report_fields() -> set:
 
 
 def _attribute_reads(path: Path) -> set:
-    return {node.attr for node in ast.walk(_tree(path))
+    """(attribute, class) of every attribute read; class names the class
+    whose __post_init__ holds the read, or is None elsewhere."""
+    tree = _tree(path)
+    owner = {id(node): cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for f in cls.body if getattr(f, "name", None) == "__post_init__"
+             for node in ast.walk(f)}
+    return {(node.attr, owner.get(id(node))) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def test_every_report_field_has_a_reader_or_a_reason():
-    fields = _report_fields()
-    assert len(fields) == 62          # every field, none lost to the reader
+def test_every_dataclass_field_has_a_reader_or_a_reason():
+    fields = _dataclass_fields()
+    assert len(fields) == 122         # every field, none lost to the reader
     assert set(KEEP_FIELDS) <= fields, set(KEEP_FIELDS) - fields
     readers = _modules() + [GATE] + sorted(BENCH.glob("*.py"))
-    read = set().union(*(_attribute_reads(path) for path in readers))
-    unread = sorted(f for f in fields - set(KEEP_FIELDS) if f.split(".")[1] not in read)
+    reads = set().union(*(_attribute_reads(path) for path in readers))
+    unread = sorted(f for f in fields - set(KEEP_FIELDS)
+                    if not any(attr == f.split(".")[1] and cls != f.split(".")[0]
+                               for attr, cls in reads))
     assert unread == [], unread

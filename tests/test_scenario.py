@@ -63,15 +63,13 @@ def test_resolution_guard():
 
 def test_terminal_functional_validation():
     with pytest.raises(InputError):
-        TerminalFunctional(fn=lambda x: x, lipschitz=-1.0)
-    with pytest.raises(InputError):
-        TerminalFunctional(fn=lambda x: x, lipschitz=1.0, n=3)
-    bad_shape = TerminalFunctional(fn=lambda x: x[..., 0], lipschitz=1.0)
+        TerminalFunctional(fn=lambda x: x, n=3)
+    bad_shape = TerminalFunctional(fn=lambda x: x[..., 0])
     with pytest.raises(DimensionError):
         bad_shape.evaluate(np.zeros((5, 1)))
     for bad in (np.nan, np.inf, -np.inf):
         non_finite = TerminalFunctional(
-            fn=lambda x, v=bad: np.full(x.shape[:-1] + (1,), v), lipschitz=0.0)
+            fn=lambda x, v=bad: np.full(x.shape[:-1] + (1,), v))
         with pytest.raises(InputError):
             non_finite.evaluate(np.zeros((5, 1)))
 
@@ -114,7 +112,7 @@ def test_single_step_matches_worst_case_form():
     lat = make_lattice(lower=(1.0, 1.0), upper=(2.0, 3.0), steps=1, points=25)
     a = np.array([2.0, -3.0])
     payoff = TerminalFunctional(
-        fn=lambda x: np.sum(a * x * x, axis=-1)[..., None], lipschitz=200.0)
+        fn=lambda x: np.sum(a * x * x, axis=-1)[..., None])
     got = sublinear_expectation(lat, payoff)[0]
     want = 2.0 * g_diag(DiagTensor(a[None, :]), lat.box)[0] * lat.dt
     assert got == pytest.approx(want, abs=1e-12)
@@ -127,23 +125,21 @@ def test_martingale_property(small_lat):
 
 
 def test_cash_invariance_and_sublinearity(small_lat):
-    absf = TerminalFunctional(fn=lambda x: np.abs(x[..., 0])[..., None],
-                              lipschitz=1.0)
+    absf = TerminalFunctional(fn=lambda x: np.abs(x[..., 0])[..., None])
     shifted = TerminalFunctional(
-        fn=lambda x: np.abs(x[..., 0])[..., None] + 2.5, lipschitz=1.0)
+        fn=lambda x: np.abs(x[..., 0])[..., None] + 2.5)
     base = sublinear_expectation(small_lat, absf)[0]
     assert sublinear_expectation(small_lat, shifted)[0] == \
         pytest.approx(base + 2.5, abs=1e-12)
     combo = TerminalFunctional(
-        fn=lambda x: (np.abs(x[..., 0]) + x[..., 0])[..., None], lipschitz=2.0)
+        fn=lambda x: (np.abs(x[..., 0]) + x[..., 0])[..., None])
     lin = sublinear_expectation(small_lat, linear_payoff())[0]
     assert sublinear_expectation(small_lat, combo)[0] <= base + lin + 1e-9
 
 
 def test_absolute_value_expectation(small_lat):
     # kinked payoff: worst case is constant top volatility
-    absf = TerminalFunctional(fn=lambda x: np.abs(x[..., 0])[..., None],
-                              lipschitz=1.0)
+    absf = TerminalFunctional(fn=lambda x: np.abs(x[..., 0])[..., None])
     got = sublinear_expectation(small_lat, absf)[0]
     assert got == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=0.01)
 

@@ -156,8 +156,7 @@ def test_spot_check_probes_are_seeded_and_in_range(small_lat_2d):
         return np.zeros(y.shape)
 
     d, n = small_lat_2d.d, 2
-    terminal = TerminalFunctional(fn=lambda x: np.zeros(x.shape[:-1] + (n,)),
-                                  lipschitz=0.0, n=n)
+    terminal = TerminalFunctional(fn=lambda x: np.zeros(x.shape[:-1] + (n,)), n=n)
     params = GBsdeParams(terminal=terminal, f=Driver(fn=record, lipschitz=0.0),
                          g=zero_qv_driver(n, d))
     runs = []
@@ -292,8 +291,7 @@ def test_penalty_weight_without_a_finite_nonzero_square_raises(small_lat, key, w
 
 def test_two_components_solve_independently(small_lat):
     t2 = TerminalFunctional(
-        fn=lambda x: np.concatenate([x * x, -(x * x)], axis=-1),
-        lipschitz=60.0, n=2)
+        fn=lambda x: np.concatenate([x * x, -(x * x)], axis=-1), n=2)
     params = GBsdeParams(terminal=t2, f=zero_dt_driver(2), g=zero_qv_driver(2, 1))
     sol, _ = solve_gbsde(params, small_lat)
     assert sol.y0[0] == pytest.approx(4.0, abs=1e-9)
@@ -375,7 +373,7 @@ def _abs_case():
 
 
 def _two_component_payoff():
-    return TerminalFunctional(fn=lambda x: np.concatenate([x, x], -1), lipschitz=2.0, n=2)
+    return TerminalFunctional(fn=lambda x: np.concatenate([x, x], -1), n=2)
 
 
 def _ratio(lat, scale=1.0, **kwargs):
@@ -436,6 +434,10 @@ MALFORMED_CALLS = {
         np.zeros((lat.steps, 1, 1)), _path(lat), s=math.inf),
     "lemma31 eta=nan": lambda lat, p, sol: lemma31_bounds(
         np.full((lat.steps, 1, 1), math.nan), _path(lat)),
+    "lemma31 eta=1e200": lambda lat, p, sol: lemma31_bounds(
+        np.full((lat.steps, 1, 1), 1e200), _path(lat)),
+    "cauchy rhs overflow": lambda lat, p, sol: cauchy_sequence_check(
+        [make_payoff("abs", 1), linear_payoff((100.0,))], lat, 700.0),
 }
 
 
@@ -445,8 +447,9 @@ def test_malformed_library_arguments_raise_input_error(call):
     # for default_rng, a Monte Carlo check has two paths to estimate its
     # error from, a norm sweep has a field and a beta that is not NaN, a
     # query state, a time and an integrand are finite, compared payoffs have
-    # equal component counts, and a ratio report has an n_max in
-    # [1, MAX_RATIO_N] and betas whose denominators are positive normal floats
+    # equal component counts, a ratio report has an n_max in [1, MAX_RATIO_N]
+    # and betas whose denominators are positive normal floats, and an
+    # integral or a bound's right side does not overflow
     with pytest.raises(InputError):
         call(*_abs_case())
 
@@ -584,15 +587,13 @@ def _assert_reports_equal(got, want, label):
 
 def _two_component_payoff():
     return TerminalFunctional(
-        fn=lambda x: np.concatenate([np.abs(x), np.clip(x - 0.5, 0.0, None)], axis=-1),
-        lipschitz=1.0, n=2)
+        fn=lambda x: np.concatenate([np.abs(x), np.clip(x - 0.5, 0.0, None)], axis=-1), n=2)
 
 
 def _two_component_payoff_2d():
     return TerminalFunctional(
         fn=lambda x: np.stack([np.abs(x @ np.array([1.0, -0.5])),
-                               np.clip(x[..., 1] - 0.5, 0.0, None)], axis=-1),
-        lipschitz=1.0, n=2)
+                               np.clip(x[..., 1] - 0.5, 0.0, None)], axis=-1), n=2)
 
 
 def _replay_case(name, small_lat):
@@ -868,7 +869,7 @@ def full_scan_solve(params, lattice, beta=None, tol=1e-9, max_iter=60, initial=N
         if distances[-1] < tol:
             break
     else:
-        raise ConvergenceError("no fixed point", trace=distances)
+        raise ConvergenceError("did not converge", trace=distances)
 
     def factors_at(b):
         sq, floor = by_beta[b], max(tol * tol, 1e-28)
